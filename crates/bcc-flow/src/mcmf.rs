@@ -10,7 +10,7 @@
 //! (unique with high probability thanks to the cost perturbation).
 
 use bcc_graph::FlowInstance;
-use bcc_laplacian::{solve_sdd, SddMatrix, SddSolveMode};
+use bcc_laplacian::{solve_sdd_many, SddMatrix, SddSolveMode};
 use bcc_linalg::CsrMatrix;
 use bcc_lp::gram::GramSolver;
 use bcc_lp::{try_lp_solve, LpError, LpOptions, WeightStrategy};
@@ -112,6 +112,19 @@ impl GramSolver for SddGramSolver {
         d: &[f64],
         y: &[f64],
     ) -> Result<Vec<f64>, LpError> {
+        let mut solved = self.solve_many(net, a, d, &[y.to_vec()])?;
+        Ok(solved.pop().expect("one solution per right-hand side"))
+    }
+
+    /// Assembles `AᵀDA` and its Gremban preconditioner once for the batch;
+    /// see [`solve_sdd_many`].
+    fn solve_many(
+        &self,
+        net: &mut Network,
+        a: &CsrMatrix,
+        d: &[f64],
+        ys: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, LpError> {
         // Assemble AᵀDA as symmetric triplets. For the Section-5 matrix this
         // is B·D₁·Bᵀ + D₂ + D₃ + e_t·D₄·e_tᵀ — diagonally dominant with
         // non-positive off-diagonals (Lemma 5.1); assembling it row-by-row
@@ -130,13 +143,19 @@ impl GramSolver for SddGramSolver {
             }
         }
         // Lemma 5.1 guarantees diagonal dominance for the Section-5 flow LP;
-        // on a general LP the precondition can fail, which surfaces as a
-        // typed error the LP driver propagates instead of a panic.
+        // on a general LP the precondition can fail, and so can the Gremban
+        // graph's connectivity (a diagonal AᵀDA has none). Both surface as
+        // typed errors the LP solver propagates instead of a panic.
         let matrix = SddMatrix::from_triplets(n, triplets).map_err(|e| LpError::GramSolve {
             solver: self.name(),
             message: format!("AᵀDA is not symmetric diagonally dominant: {e}"),
         })?;
-        Ok(solve_sdd(net, &matrix, y, self.precision, &self.mode))
+        solve_sdd_many(net, &matrix, ys, self.precision, &self.mode).map_err(|e| {
+            LpError::GramSolve {
+                solver: self.name(),
+                message: format!("the Gremban reduction of AᵀDA failed: {e}"),
+            }
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -35,7 +35,7 @@ pub mod sdd;
 pub mod solver;
 
 pub use error::LaplacianError;
-pub use sdd::{exact_sdd_solve, solve_sdd, NotSddError, SddMatrix, SddSolveMode};
+pub use sdd::{exact_sdd_solve, solve_sdd, solve_sdd_many, NotSddError, SddMatrix, SddSolveMode};
 pub use solver::{
     cg_baseline, exact_solve, LaplacianSolve, LaplacianSolveStats, LaplacianSolver, ScratchArena,
 };

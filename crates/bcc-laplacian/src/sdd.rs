@@ -22,7 +22,8 @@ use bcc_graph::Graph;
 use bcc_runtime::Network;
 use bcc_sparsifier::SparsifierConfig;
 
-use crate::solver::LaplacianSolver;
+use crate::error::LaplacianError;
+use crate::solver::{LaplacianSolver, ScratchArena};
 
 /// A symmetric diagonally dominant matrix stored as symmetric COO triplets.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,7 +165,8 @@ impl SddMatrix {
     }
 }
 
-/// How [`solve_sdd`] realizes the inner Laplacian solve.
+/// How [`solve_sdd`] and [`solve_sdd_many`] realize the inner Laplacian
+/// solve.
 #[derive(Debug, Clone)]
 pub enum SddSolveMode {
     /// The complete pipeline of Theorem 1.3: run the ad-hoc sparsifier on the
@@ -181,48 +183,93 @@ pub enum SddSolveMode {
 /// Broadcast Congested Clique Laplacian solver (Lemma 5.1).
 ///
 /// The virtual `2n`-vertex network is simulated by the `n` physical vertices;
-/// the extra factor-of-two rounds are charged explicitly.
+/// the extra factor-of-two rounds are charged explicitly. A one-element
+/// [`solve_sdd_many`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the Gremban graph is disconnected (for the flow LP matrices of
-/// Section 5 the excess diagonal is strictly positive, which makes the graph
-/// connected).
+/// As for [`solve_sdd_many`].
 pub fn solve_sdd(
     net: &mut Network,
     matrix: &SddMatrix,
     b: &[f64],
     epsilon: f64,
     mode: &SddSolveMode,
-) -> Vec<f64> {
-    assert_eq!(b.len(), matrix.n(), "dimension mismatch");
+) -> Result<Vec<f64>, LaplacianError> {
+    let mut solved = solve_sdd_many(net, matrix, &[b], epsilon, mode)?;
+    Ok(solved.pop().expect("one solution per right-hand side"))
+}
+
+/// Solves `M x = b` for every `b` in `rhs`, sharing one Gremban graph and one
+/// preconditioner (in [`SddSolveMode::Full`], one sparsifier run) across the
+/// batch.
+///
+/// Each right-hand side is solved on a fresh virtual network and charged
+/// exactly what its own [`solve_sdd`] call would charge, preprocessing rounds
+/// and bits included: in the BCC every solve still pays for its
+/// preprocessing; only the simulator stops repeating it. Solutions and
+/// ledgers are bit-identical to solving the right-hand sides one at a time.
+///
+/// # Errors
+///
+/// * [`LaplacianError::DimensionMismatch`] — some `b` does not have length
+///   `n` (checked before anything is charged).
+/// * [`LaplacianError::Disconnected`] — the Gremban graph is disconnected.
+///   For the flow LP matrices of Section 5 the excess diagonal is strictly
+///   positive, which makes it connected; a block-diagonal `M` does not.
+/// * [`LaplacianError::InvalidEpsilon`] — `epsilon` is not positive.
+pub fn solve_sdd_many<B: AsRef<[f64]>>(
+    net: &mut Network,
+    matrix: &SddMatrix,
+    rhs: &[B],
+    epsilon: f64,
+    mode: &SddSolveMode,
+) -> Result<Vec<Vec<f64>>, LaplacianError> {
+    let n = matrix.n();
+    if let Some(b) = rhs.iter().find(|b| b.as_ref().len() != n) {
+        return Err(LaplacianError::DimensionMismatch {
+            expected: n,
+            actual: b.as_ref().len(),
+        });
+    }
     let gremban = matrix.gremban_graph();
-    assert!(
-        gremban.is_connected(),
-        "the Gremban graph must be connected; solve pure Laplacian systems directly instead"
-    );
     // The 2n virtual vertices live on a virtual network; physical vertex i
     // simulates virtual vertices i and i + n, so every virtual round costs two
     // physical rounds, charged below.
-    let mut virtual_net = Network::clique(net.config(), gremban.n());
+    let mut preprocessing_net = Network::clique(net.config(), gremban.n());
     let solver = match mode {
         SddSolveMode::Full(config) => {
-            LaplacianSolver::preprocess(&mut virtual_net, &gremban, config)
+            LaplacianSolver::try_preprocess(&mut preprocessing_net, &gremban, config)?
         }
-        SddSolveMode::ExactPreconditioner => LaplacianSolver::exact_preconditioner(&gremban),
+        SddSolveMode::ExactPreconditioner => LaplacianSolver::try_exact_preconditioner(&gremban)?,
     };
-    // Right-hand side [b; -b].
-    let mut rhs = b.to_vec();
-    rhs.extend(b.iter().map(|v| -v));
-    let solve = solver.solve(&mut virtual_net, &rhs, epsilon.min(0.5));
-    let virtual_rounds = virtual_net.ledger().total_rounds();
-    let virtual_bits = virtual_net.ledger().total_bits();
-    net.begin_phase("sdd solve (gremban)");
-    net.ledger_mut().charge(2 * virtual_rounds, virtual_bits);
-
-    let n = matrix.n();
-    (0..n)
-        .map(|i| (solve.solution[i] - solve.solution[i + n]) / 2.0)
+    let preprocessing = preprocessing_net.ledger();
+    let mut arena = ScratchArena::with_dimension(gremban.n());
+    let mut stacked = Vec::with_capacity(gremban.n());
+    let mut solution = Vec::with_capacity(gremban.n());
+    rhs.iter()
+        .map(|b| {
+            // Right-hand side [b; -b].
+            let b = b.as_ref();
+            stacked.clear();
+            stacked.extend_from_slice(b);
+            stacked.extend(b.iter().map(|v| -v));
+            let mut virtual_net = Network::clique(net.config(), gremban.n());
+            solver.try_solve_into(
+                &mut virtual_net,
+                &stacked,
+                epsilon.min(0.5),
+                &mut arena,
+                &mut solution,
+            )?;
+            let virtual_rounds = preprocessing.total_rounds() + virtual_net.ledger().total_rounds();
+            let virtual_bits = preprocessing.total_bits() + virtual_net.ledger().total_bits();
+            net.begin_phase("sdd solve (gremban)");
+            net.ledger_mut().charge(2 * virtual_rounds, virtual_bits);
+            Ok((0..n)
+                .map(|i| (solution[i] - solution[i + n]) / 2.0)
+                .collect())
+        })
         .collect()
 }
 
@@ -318,7 +365,7 @@ mod tests {
         assert!(vector::approx_eq(&exact, &x_true, 1e-8));
 
         let mut net = Network::clique(ModelConfig::bcc(), 8);
-        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner);
+        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner).unwrap();
         assert!(
             vector::approx_eq(&approx, &x_true, 1e-3),
             "{approx:?} vs {x_true:?}"
@@ -337,7 +384,7 @@ mod tests {
             .with_t(6)
             .with_k(2);
         let mut net = Network::clique(ModelConfig::bcc(), 6);
-        let approx = solve_sdd(&mut net, &m, &b, 1e-5, &SddSolveMode::Full(cfg));
+        let approx = solve_sdd(&mut net, &m, &b, 1e-5, &SddSolveMode::Full(cfg)).unwrap();
         assert!(
             vector::approx_eq(&approx, &x_true, 1e-2),
             "{approx:?} vs {x_true:?}"
@@ -351,7 +398,40 @@ mod tests {
         let b = vec![4.0, 2.0];
         let exact = exact_sdd_solve(&m, &b);
         let mut net = Network::clique(ModelConfig::bcc(), 2);
-        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner);
+        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner).unwrap();
         assert!(vector::approx_eq(&approx, &exact, 1e-4));
+    }
+
+    #[test]
+    fn a_disconnected_gremban_graph_is_a_typed_error() {
+        // A diagonal M has no off-diagonal edges: its Gremban graph is the n
+        // disjoint excess edges i — i + n.
+        let m = SddMatrix::from_triplets(2, [(0, 0, 2.0), (1, 1, 3.0)]).unwrap();
+        let mut net = Network::clique(ModelConfig::bcc(), 2);
+        for mode in [
+            SddSolveMode::ExactPreconditioner,
+            SddSolveMode::Full(SparsifierConfig::laboratory(4, 4, 0.5, 1)),
+        ] {
+            let err = solve_sdd(&mut net, &m, &[1.0, 1.0], 1e-6, &mode).unwrap_err();
+            assert_eq!(err, LaplacianError::Disconnected);
+        }
+        assert_eq!(net.ledger().total_rounds(), 0);
+    }
+
+    #[test]
+    fn a_wrong_right_hand_side_length_is_a_typed_error_before_any_charge() {
+        let m = strictly_dominant(4, 9);
+        let mut net = Network::clique(ModelConfig::bcc(), 4);
+        let rhs = [vec![1.0; 4], vec![1.0; 3]];
+        let err = solve_sdd_many(&mut net, &m, &rhs, 1e-6, &SddSolveMode::ExactPreconditioner)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            LaplacianError::DimensionMismatch {
+                expected: 4,
+                actual: 3
+            }
+        );
+        assert_eq!(net.ledger().total_rounds(), 0);
     }
 }

@@ -93,8 +93,9 @@ pub struct LaplacianSolver {
     /// where the unfactored path always did).
     factored: Option<FactoredPsd>,
     /// The condition number of the Chebyshev iteration, computed once at
-    /// preprocessing time (the certificate behind it is an `O(n³)`
-    /// eigensolve — far too expensive to repeat per request).
+    /// preprocessing time (for a sparsifier, the certificate behind it is an
+    /// `O(n³)` eigensolve — far too expensive to repeat per request; for the
+    /// exact preconditioner it is the constant 3).
     kappa: f64,
     preprocessing_rounds: u64,
     max_weight: f64,
@@ -166,6 +167,15 @@ impl LaplacianSolver {
     /// preprocessing rounds). Useful as a baseline and in tests: it makes the
     /// Chebyshev condition number exactly 3 with a perfect preconditioner.
     ///
+    /// κ is set to 3 without a certificate. Every generalized eigenvalue of
+    /// the pencil `(L_G, L_G)` is 1, so `kappa_of(graph, graph)` could only
+    /// return `max((1 + ε)/(1 − ε), 3) = 3` with `ε` the rounding error of
+    /// the eigensolve; that holds, bit for bit, whenever the certificate
+    /// reads `ε < 1/2`, which a seeded test pins on Gremban graphs with
+    /// weights spanning `1e±12`. Near `1e±16` the certificate can read
+    /// `ε ≈ 1` from rounding alone and would have inflated κ; the constant
+    /// is the sound value there too.
+    ///
     /// # Errors
     ///
     /// Returns [`LaplacianError::Disconnected`] for a disconnected graph.
@@ -177,7 +187,7 @@ impl LaplacianSolver {
         let preconditioner = DenseMatrix::from_rows(&laplacian::laplacian_dense(&scaled));
         Ok(LaplacianSolver {
             max_weight: graph.max_weight().max(1.0),
-            kappa: kappa_of(graph, graph),
+            kappa: 3.0,
             factored: preconditioner.factor_psd(),
             graph: graph.clone(),
             sparsifier: graph.clone(),

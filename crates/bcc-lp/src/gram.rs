@@ -101,6 +101,26 @@ pub trait GramSolver {
         y: &[f64],
     ) -> Result<Vec<f64>, LpError>;
 
+    /// Solves `(Aᵀ·diag(d)·A) xᵢ = yᵢ` for every `yᵢ` in `ys`, one Gram
+    /// matrix shared by the whole batch (the `k` sketch rows of a
+    /// leverage-score evaluation). Charges exactly what the same
+    /// [`GramSolver::solve`] calls in order would charge and returns the same
+    /// solutions; an implementation may only save the local work of
+    /// preparing the matrix once.
+    ///
+    /// # Errors
+    ///
+    /// As for [`GramSolver::solve`].
+    fn solve_many(
+        &self,
+        net: &mut Network,
+        a: &CsrMatrix,
+        d: &[f64],
+        ys: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, LpError> {
+        ys.iter().map(|y| self.solve(net, a, d, y)).collect()
+    }
+
     /// A short description used in experiment reports.
     fn name(&self) -> &'static str {
         "gram-solver"

@@ -44,7 +44,7 @@ impl LeverageOptions {
 ///
 /// Charges on `net`: one leader election plus the broadcast of `Θ(log² m)`
 /// shared bits, and `k` rounds of (matrix product + Gram solve), the latter
-/// through `gram_solver`.
+/// through one [`GramSolver::solve_many`] call of `gram_solver`.
 ///
 /// # Errors
 ///
@@ -76,14 +76,13 @@ pub fn compute_leverage_scores(
         options.shared_seed ^ shared.bits(),
     );
 
-    let gram_scales = m.gram_diagonal_scales();
+    // p(j) = M (MᵀM)⁻¹ Mᵀ Q(j), evaluated right to left; the k Gram systems
+    // share their matrix, so they are solved as one batch.
+    let mt_q: Vec<Vec<f64>> = (0..k).map(|j| m.apply_transpose(&sketch.row(j))).collect();
+    let solved = gram_solver.solve_many(net, m.a(), &m.gram_diagonal_scales(), &mt_q)?;
     let mut sigma = vec![0.0; rows];
-    for j in 0..k {
-        // p(j) = M (MᵀM)⁻¹ Mᵀ Q(j), evaluated right to left.
-        let q_row = sketch.row(j);
-        let mt_q = m.apply_transpose(&q_row);
-        let solved = gram_solver.solve(net, m.a(), &gram_scales, &mt_q)?;
-        let p_j = m.apply(&solved);
+    for x in &solved {
+        let p_j = m.apply(x);
         for (s, v) in sigma.iter_mut().zip(&p_j) {
             *s += v * v;
         }

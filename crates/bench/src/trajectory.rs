@@ -357,7 +357,9 @@ pub fn batch_workload(seed: u64, quick: bool) -> Vec<Request> {
 /// engine, so the two [`BatchReport`]s exhibit the cache amortization.
 pub fn batch_trajectory(seed: u64, quick: bool) -> BatchTrajectory {
     let requests = batch_workload(seed, quick);
-    let mut engine = BatchEngine::builder().seed(seed).build();
+    // One worker, the committed value: the report is independent of the
+    // worker count, so pinning it keeps the artifact machine-independent.
+    let mut engine = BatchEngine::builder().seed(seed).workers(1).build();
     let cold = engine.run(&requests);
     let warm = engine.run(&requests);
     BatchTrajectory {
@@ -415,7 +417,8 @@ pub fn stream_workload(seed: u64, quick: bool) -> Vec<(Request, Priority)> {
 /// track.
 pub fn stream_trajectory(seed: u64, quick: bool) -> StreamTrajectory {
     let workload = stream_workload(seed, quick);
-    let mut engine = StreamEngine::builder().seed(seed).build();
+    // Pinned to one worker like `batch_trajectory`, for the same reason.
+    let mut engine = StreamEngine::builder().seed(seed).workers(1).build();
     let workers = engine.workers() as u64;
     let output = engine.serve(|client| {
         let tickets: Vec<_> = workload

@@ -92,7 +92,8 @@ proptest! {
             &b,
             1e-8,
             &bcc_core::laplacian::SddSolveMode::ExactPreconditioner,
-        );
+        )
+        .expect("the path keeps the Gremban graph connected");
         prop_assert!(vector::approx_eq(&x, &x_true, 1e-3), "{:?} vs {:?}", x, x_true);
     }
 

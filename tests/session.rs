@@ -170,6 +170,34 @@ fn non_interior_lp_start_returns_a_typed_error() {
 }
 
 #[test]
+fn sdd_gram_on_a_disconnected_gremban_graph_returns_a_typed_error() {
+    use bcc_core::linalg::CsrMatrix;
+    // A = I₂ is a valid LP, but its AᵀDA is diagonal, so the Gremban graph
+    // is two disjoint edges and the Laplacian solver cannot run on it. The
+    // Lewis-weight strategy meets it in a batched leverage-score solve, the
+    // uniform one in a single centering solve.
+    let lp = LpInstance {
+        a: CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]),
+        b: vec![0.5, 0.5],
+        c: vec![1.0, -1.0],
+        lower: vec![0.0, 0.0],
+        upper: vec![1.0, 1.0],
+    };
+    let mut session = Session::new();
+    let lewis = LpOptions::new(1e-2, lp.m(), 1);
+    for options in [lewis.clone(), lewis.with_uniform_weights()] {
+        let request = LpRequest::new(vec![0.5, 0.5], options).with_sdd_gram(1e-8);
+        match session.lp(&lp, &request) {
+            Err(Error::Lp(bcc_core::lp::LpError::GramSolve { solver, message })) => {
+                assert_eq!(solver, "gremban-laplacian");
+                assert!(message.contains("connected"), "{message}");
+            }
+            other => panic!("expected a typed GramSolve error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn nan_demand_vector_is_rejected_not_solved() {
     use bcc_core::linalg::CsrMatrix;
     let lp = LpInstance {
