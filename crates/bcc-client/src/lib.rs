@@ -27,9 +27,8 @@
 //!   [`EngineConfig`] — determinism survives the IPC boundary.
 //! * **One config schema, three consumers.** The handshake returns the
 //!   engine's effective [`EngineConfig`] (`bcc-engine-config/v1`), the
-//!   exact document `StreamEngineBuilder::from_config` /
-//!   `BatchEngineBuilder::from_config` consume and `bcc-served --config`
-//!   loads.
+//!   exact document `StreamEngineBuilder::from_config` consumes and
+//!   `bcc-served --config` loads.
 //! * **Typed failure, never panic.** Malformed frames, oversized length
 //!   prefixes, unknown tags and invalid payloads all surface as
 //!   [`WireError`] variants; engine faults cross the wire as

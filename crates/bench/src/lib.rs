@@ -582,14 +582,14 @@ pub fn e10_pipeline(seed: u64) -> Table {
     table
 }
 
-/// E11 — batch serving: one mixed workload served by the `BatchEngine` cold
-/// (every distinct topology pays sparsifier preprocessing) and warm (the
-/// fingerprint-keyed cache serves every prepared solver), with the
-/// amortization visible in the round totals.
+/// E11 — batch serving: one mixed workload served as two scopes of one
+/// `StreamEngine`, cold (every distinct topology pays sparsifier
+/// preprocessing) and warm (the fingerprint-keyed cache serves every
+/// prepared solver), with the amortization visible in the round totals.
 pub fn e11_batch(seed: u64, quick: bool) -> Table {
     let mut table = Table::new(
         "E11",
-        "Batch engine: cold vs warm cache on one mixed workload (rounds, cache traffic)",
+        "Batch serving: cold vs warm cache on one mixed workload (rounds, cache traffic)",
         &[
             "run",
             "requests",

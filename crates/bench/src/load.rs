@@ -22,9 +22,10 @@
 //! Scenario-level fields size the simulated plant: `workers` parallel
 //! servers (optionally elastic up to `max_workers`: the pool grows when the
 //! queued backlog cost exceeds what the current workers drain within the
-//! resize horizon and parks back down when the queue empties, mirroring the
-//! engine's elastic pool), `service_rounds_per_ms` (how many rounds one
-//! server retires per simulated millisecond), a bounded admission queue
+//! resize horizon and parks back down when the queue empties — the engine's
+//! own rule, [`bcc_core::wfq::WfqQueue::desired_workers`]),
+//! `service_rounds_per_ms` (how many rounds one server retires per
+//! simulated millisecond), a bounded admission queue
 //! (`queue_capacity`, `0` = unbounded) and a bounded preprocessing cache
 //! (`cache_capacity` LRU slots, `0` = unbounded) that Laplacian topologies
 //! churn through.
@@ -105,11 +106,6 @@ const SEED_VARIANTS: usize = 3;
 /// rate (e.g. an absurd ramp `max_rps`) allocating unboundedly, not a knob.
 const MAX_ARRIVALS_PER_CLASS: usize = 1 << 20;
 
-/// Elastic-pool resize horizon in simulated milliseconds: the pool grows
-/// when the queued backlog cost would take the current workers longer than
-/// this to drain (the simulated analog of the engine's wall-clock horizon).
-const POOL_DRAIN_HORIZON_MS: u64 = 10;
-
 // ---------------------------------------------------------------------------
 // Scenario model.
 // ---------------------------------------------------------------------------
@@ -138,7 +134,8 @@ pub struct Scenario {
     /// simulated plant grows from `workers` toward this bound when the
     /// queued backlog cost exceeds what the current pool drains within the
     /// resize horizon, and parks back down to `workers` when the queue
-    /// empties — the same backlog-cost ÷ service-rate rule as
+    /// empties — the same backlog-cost ÷ service-rate rule
+    /// ([`bcc_core::wfq::WfqQueue::desired_workers`]) as
     /// [`bcc_core::StreamEngine`]'s elastic pool.
     pub max_workers: u64,
     /// Admission queue bound (`0` = unbounded): arrivals past it are
@@ -916,19 +913,13 @@ fn simulate_core(
                     u64::try_from(late.as_nanos()).unwrap_or(u64::MAX),
                 );
             }
-            // The engine's resize rule: an empty queue parks the pool back to
-            // its floor; otherwise grow enough to drain the backlog cost
-            // within the horizon, clamped to the configured bounds. A busy
-            // worker above a shrunken target simply finishes its job (no
-            // preemption), exactly like a parked engine worker.
-            *target = if queue.queued() == 0 {
-                min_workers
-            } else {
-                let horizon_rounds = rate.saturating_mul(POOL_DRAIN_HORIZON_MS).max(1);
-                usize::try_from(queue.backlog_rounds().div_ceil(horizon_rounds))
-                    .unwrap_or(usize::MAX)
-                    .clamp(min_workers, max_workers)
-            };
+            // The engine's resize rule at the scenario's fixed service rate,
+            // clamped to the configured bounds. A busy worker above a
+            // shrunken target simply finishes its job (no preemption),
+            // exactly like a parked engine worker.
+            *target = queue
+                .desired_workers(min_workers, Some((NS_PER_MS, rate)))
+                .clamp(min_workers, max_workers);
             peak_workers = peak_workers.max(*target);
             while busy.len() < *target {
                 let Some(job) = queue.pop() else { break };

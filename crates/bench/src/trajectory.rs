@@ -8,15 +8,13 @@
 //!   (pipeline, instance size), each carrying the structured
 //!   [`RoundReport`] of that run. The cost *trajectory* of a pipeline is the
 //!   sequence of its points in instance-size order.
-//! * **`BENCH_batch.json`** — a [`BatchTrajectory`]: the full
-//!   [`BatchReport`] of one mixed batch served twice by a
-//!   [`bcc_core::BatchEngine`] (cold cache, then warm cache), demonstrating
+//! * **`BENCH_batch.json`** — a [`BatchTrajectory`]: the two
+//!   [`StreamReport`]s of one mixed batch served as two serve scopes of one
+//!   [`bcc_core::StreamEngine`] (cold cache, then warm cache), demonstrating
 //!   the preprocessing amortization across requests.
 //! * **`BENCH_stream.json`** — a [`StreamTrajectory`]: the full
-//!   [`StreamReport`] of a mixed-priority workload submitted incrementally
-//!   to a [`bcc_core::StreamEngine`] and collected as completions arrive,
-//!   demonstrating that the streaming front-end meters exactly like the
-//!   batch one (same `RequestCost` / `PreprocessingCost` vocabulary).
+//!   [`StreamReport`] of a mixed-priority workload submitted one request at
+//!   a time to a [`bcc_core::StreamEngine`].
 //! * **`BENCH_load.json`** — a [`crate::load::LoadBench`]: the committed
 //!   scenario library (`scenarios/*.json`) run through the deterministic
 //!   virtual-clock load harness, one [`crate::load::LoadTrajectory`] per
@@ -42,8 +40,8 @@
 //! deterministic.
 //!
 //! `BENCH_batch.json` is an object `{schema, seed, workers, cold, warm}`
-//! where `cold` and `warm` are serialized [`BatchReport`]s
-//! (`bcc-batch-report/v1`, see `bcc_core::batch`); `cold` pays every
+//! where `cold` and `warm` are serialized [`StreamReport`]s
+//! (`bcc-stream-report/v1`, laid out below); `cold` pays every
 //! preprocessing, `warm` reuses the fingerprint-keyed cache.
 //!
 //! `BENCH_stream.json` is an object `{schema, seed, workers, report}` where
@@ -69,7 +67,7 @@
 //! what makes them safe for [`check_trend`] to guard.
 //!
 //! Field names in all three files are covered by golden-snapshot tests
-//! (`tests/batch.rs` and `tests/stream.rs` in the workspace root), so
+//! (`tests/stream.rs` in the workspace root), so
 //! consumers may rely on them across PRs; incompatible changes bump the
 //! `schema` tags.
 //!
@@ -109,10 +107,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use bcc_core::batch::{BatchEngine, BatchReport, Request};
 use bcc_core::graph::generators;
 use bcc_core::prelude::*;
-use bcc_core::{RoundReport, StreamReport};
+use bcc_core::{Request, RoundReport, StreamReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -152,7 +149,8 @@ pub struct PipelinePoint {
     pub report: RoundReport,
 }
 
-/// The `BENCH_batch.json` payload: one batch served cold, then warm.
+/// The `BENCH_batch.json` payload: one batch served cold, then warm, as two
+/// serve scopes of one [`StreamEngine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchTrajectory {
     /// Schema tag (`"bcc-bench/v1"`).
@@ -162,9 +160,9 @@ pub struct BatchTrajectory {
     /// Worker threads used.
     pub workers: u64,
     /// The first run: every distinct fingerprint pays preprocessing.
-    pub cold: BatchReport,
+    pub cold: StreamReport,
     /// The second run of the same workload: preprocessing served from cache.
-    pub warm: BatchReport,
+    pub warm: StreamReport,
 }
 
 /// The `BENCH_stream.json` payload: one mixed-priority workload submitted
@@ -353,22 +351,53 @@ pub fn batch_workload(seed: u64, quick: bool) -> Vec<Request> {
     requests
 }
 
-/// Runs the batch experiment: the same workload served cold then warm by one
-/// engine, so the two [`BatchReport`]s exhibit the cache amortization.
+/// Runs the batch experiment: the same workload served cold then warm as
+/// two serve scopes of one engine, so the two [`StreamReport`]s exhibit the
+/// cache amortization.
 pub fn batch_trajectory(seed: u64, quick: bool) -> BatchTrajectory {
-    let requests = batch_workload(seed, quick);
+    let workload: Vec<(Request, Priority)> = batch_workload(seed, quick)
+        .into_iter()
+        .map(|request| (request, Priority::Bulk))
+        .collect();
     // One worker, the committed value: the report is independent of the
     // worker count, so pinning it keeps the artifact machine-independent.
-    let mut engine = BatchEngine::builder().seed(seed).workers(1).build();
-    let cold = engine.run(&requests);
-    let warm = engine.run(&requests);
+    let mut engine = StreamEngine::builder().seed(seed).workers(1).build();
+    let cold = serve_in_order(&mut engine, &workload);
+    let warm = serve_in_order(&mut engine, &workload);
     BatchTrajectory {
         schema: BENCH_SCHEMA.to_string(),
         seed,
         workers: engine.workers() as u64,
-        cold: cold.report,
-        warm: warm.report,
+        cold,
+        warm,
     }
+}
+
+/// Serves `workload` as one scope of `engine` — submits every request, then
+/// waits on the tickets in submission order, which is how a closed batch is
+/// served — and returns the scope's report.
+///
+/// # Panics
+///
+/// Panics if any request fails: the committed workloads are all well-formed.
+fn serve_in_order(engine: &mut StreamEngine, workload: &[(Request, Priority)]) -> StreamReport {
+    engine
+        .serve(|client| {
+            let tickets: Vec<_> = workload
+                .iter()
+                .map(|(request, priority)| {
+                    client
+                        .submit(request.clone(), *priority)
+                        .expect("blocking backpressure admits every submission")
+                })
+                .collect();
+            for ticket in tickets {
+                client
+                    .wait(ticket)
+                    .unwrap_or_else(|e| panic!("workload request failed: {e}"));
+            }
+        })
+        .report
 }
 
 /// The mixed-priority workload of the streaming experiment: bulk Laplacian
@@ -412,34 +441,18 @@ pub fn stream_workload(seed: u64, quick: bool) -> Vec<(Request, Priority)> {
 }
 
 /// Runs the streaming experiment: the workload is submitted one request at a
-/// time (mixed priorities) and results are collected as completions arrive,
-/// exercising the incremental front-end the `BENCH_stream.json` consumers
-/// track.
+/// time under mixed priorities, exercising the incremental front-end the
+/// `BENCH_stream.json` consumers track.
 pub fn stream_trajectory(seed: u64, quick: bool) -> StreamTrajectory {
     let workload = stream_workload(seed, quick);
     // Pinned to one worker like `batch_trajectory`, for the same reason.
     let mut engine = StreamEngine::builder().seed(seed).workers(1).build();
-    let workers = engine.workers() as u64;
-    let output = engine.serve(|client| {
-        let tickets: Vec<_> = workload
-            .iter()
-            .map(|(request, priority)| {
-                client
-                    .submit(request.clone(), *priority)
-                    .expect("blocking backpressure admits every submission")
-            })
-            .collect();
-        for ticket in tickets {
-            client
-                .wait(ticket)
-                .unwrap_or_else(|e| panic!("stream workload request failed: {e}"));
-        }
-    });
+    let report = serve_in_order(&mut engine, &workload);
     StreamTrajectory {
         schema: BENCH_SCHEMA.to_string(),
         seed,
-        workers,
-        report: output.report,
+        workers: engine.workers() as u64,
+        report,
     }
 }
 

@@ -1,12 +1,11 @@
 //! A bounded, sharded cache of prepared Laplacian solvers with selectable
 //! eviction policies.
 //!
-//! Both serving engines ([`crate::batch::BatchEngine`] and
-//! [`crate::stream::StreamEngine`]) route every Laplacian request through one
-//! of these caches, keyed by the deterministic graph fingerprint of
-//! [`bcc_graph::fingerprint()`]: repeated solves on the same topology pay the
-//! sparsifier preprocessing of Theorem 1.3 once, no matter which worker (or
-//! which batch / stream submission) serves them.
+//! The serving engine ([`crate::stream::StreamEngine`]) routes every
+//! Laplacian request through one of these caches, keyed by the deterministic
+//! graph fingerprint of [`bcc_graph::fingerprint()`]: repeated solves on the
+//! same topology pay the sparsifier preprocessing of Theorem 1.3 once, no
+//! matter which worker (or which serve scope) serves them.
 //!
 //! The cache is **sharded** for concurrency (fingerprints are spread over
 //! independently locked shards) and **bounded**: when a capacity is
@@ -61,11 +60,9 @@ use crate::telemetry::{Counter, MetricsRegistry, TelemetrySink};
 /// cost snapshot.
 pub(crate) type CacheEntry = (Result<PreparedLaplacian, Error>, RoundReport);
 
-/// Which entry a bounded [`crate::batch::BatchEngine`] /
-/// [`crate::stream::StreamEngine`] cache evicts when it exceeds its
-/// capacity. Selected on the engine builders
-/// ([`crate::batch::BatchEngineBuilder::eviction_policy`],
-/// [`crate::stream::StreamEngineBuilder::eviction_policy`]); the policy
+/// Which entry a bounded [`crate::stream::StreamEngine`] cache evicts when
+/// it exceeds its capacity. Selected on the engine builder
+/// ([`crate::stream::StreamEngineBuilder::eviction_policy`]); the policy
 /// only affects *which* preprocessing is re-paid later, never any result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
@@ -120,7 +117,7 @@ impl Deserialize for EvictionPolicy {
 }
 
 /// Serializable counters of a Laplacian cache, surfaced in
-/// [`crate::batch::BatchReport`] and [`crate::stream::StreamReport`].
+/// [`crate::stream::StreamReport`].
 ///
 /// `hits` counts lookups served from an existing entry (including lookups
 /// that waited for a concurrent build of the same fingerprint — collapsed
@@ -199,7 +196,8 @@ struct CacheCounters {
     evictions: Arc<Counter>,
 }
 
-/// The sharded, bounded, fingerprint-keyed cache both engines share.
+/// The sharded, bounded, fingerprint-keyed cache every engine worker
+/// shares.
 pub(crate) struct LaplacianCache {
     shards: Vec<Mutex<HashMap<u128, Slot>>>,
     capacity: Option<usize>,

@@ -1,16 +1,14 @@
-//! One serde-roundtrippable configuration schema for every engine.
+//! One serde-roundtrippable configuration schema for the serving engine.
 //!
-//! [`EngineConfig`] is the single source of truth for the knobs that used
-//! to be duplicated across [`crate::stream::StreamEngineBuilder`] and
-//! [`crate::batch::BatchEngineBuilder`]: worker bounds, queue capacity,
-//! backpressure, cache capacity and eviction policy, WFQ class weights and
-//! rate limits, seed, epsilon and shard count. Three consumers share the
-//! one schema:
+//! [`EngineConfig`] is the single source of truth for the engine's
+//! deterministic knobs: worker bounds, queue capacity, backpressure, cache
+//! capacity and eviction policy, WFQ class weights and rate limits, seed,
+//! epsilon and shard count. Three consumers share the one schema:
 //!
-//! * **Both engine builders.** [`crate::stream::StreamEngineBuilder`] and
-//!   [`crate::batch::BatchEngineBuilder`] hold an `EngineConfig` internally;
-//!   every fluent setter is a thin wrapper over one of its fields, and
-//!   `from_config` constructs a builder from a validated config directly.
+//! * **The engine builder.** [`crate::stream::StreamEngineBuilder`] holds
+//!   an `EngineConfig` internally; every fluent setter is a thin wrapper
+//!   over one of its fields, and `from_config` constructs a builder from a
+//!   validated config directly.
 //! * **The `bcc-served` daemon.** Its `--config <file>` flag reads this
 //!   exact JSON, and its handshake echoes the engine's effective config
 //!   back to every client, so a client can see the server's scheduling
@@ -79,9 +77,8 @@ impl ClassEntry {
 }
 
 /// The unified, serializable engine configuration — every deterministic
-/// knob of [`crate::stream::StreamEngine`] and [`crate::batch::BatchEngine`]
-/// in one versioned struct. See the [module docs](self) for the three
-/// consumers of the schema.
+/// knob of [`crate::stream::StreamEngine`] in one versioned struct. See the
+/// [module docs](self) for the three consumers of the schema.
 ///
 /// Knobs that cannot be spelled in a config file — the live
 /// [`crate::cost::CostModel`], the injectable [`crate::clock::Clock`] and

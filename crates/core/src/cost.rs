@@ -512,17 +512,25 @@ impl CostModel {
             .set(self.service_nanos.load(Ordering::Relaxed));
     }
 
+    /// The calibrated service rate as `(nanos, rounds)`: `rounds` charged
+    /// rounds took `nanos` nanoseconds of wall-clock execution. `None` until
+    /// the first [`CostModel::observe_service`]. The elastic pool sizes
+    /// itself from it ([`crate::wfq::WfqQueue::desired_workers`]).
+    pub(crate) fn service_rate(&self) -> Option<(u64, u64)> {
+        let rounds = self.service_rounds.load(Ordering::Relaxed);
+        if rounds == 0 {
+            return None;
+        }
+        Some((self.service_nanos.load(Ordering::Relaxed), rounds))
+    }
+
     /// Converts a round estimate into expected wall-clock time through the
     /// calibrated service rate. `None` until the first
     /// [`CostModel::observe_service`] — an uncalibrated model refuses to
     /// predict durations, which keeps deadline admission permissive on a
     /// fresh engine.
     pub fn expected_duration(&self, rounds: u64) -> Option<Duration> {
-        let service_rounds = self.service_rounds.load(Ordering::Relaxed);
-        if service_rounds == 0 {
-            return None;
-        }
-        let nanos = self.service_nanos.load(Ordering::Relaxed);
+        let (nanos, service_rounds) = self.service_rate()?;
         let expected = rounds as u128 * nanos as u128 / service_rounds as u128;
         Some(Duration::from_nanos(
             u64::try_from(expected).unwrap_or(u64::MAX),
@@ -758,8 +766,10 @@ mod tests {
     #[test]
     fn service_rate_is_none_until_calibrated_then_scales_linearly() {
         let model = CostModel::new();
+        assert_eq!(model.service_rate(), None);
         assert_eq!(model.expected_duration(1000), None);
         model.observe_service(100, Duration::from_micros(200));
+        assert_eq!(model.service_rate(), Some((200_000, 100)));
         // 2 microseconds per round.
         assert_eq!(
             model.expected_duration(50),

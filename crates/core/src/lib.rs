@@ -45,17 +45,20 @@
 //! assert!(session.laplacian(&disconnected).preprocess().is_err());
 //! ```
 //!
-//! The pre-`Session` free functions (`spectral_sparsify`,
-//! `solve_laplacian_bcc`, `min_cost_max_flow_bcc`) remain as thin panicking
-//! wrappers over `Session` for backwards compatibility, but are
-//! **deprecated**: they panic on malformed input where [`Session`] returns a
-//! typed [`Error`]. Configure engines through [`config::EngineConfig`] — the
-//! one serde-roundtrippable schema both engine builders and the `bcc-served`
+//! ## Serving
+//!
+//! [`StreamEngine`] serves many requests over one fingerprint-keyed cache of
+//! prepared Laplacian solvers, so the preprocessing of Theorem 1.3 is paid
+//! once per distinct graph across all of them: submit [`Request`]s inside a
+//! [`StreamEngine::serve`] scope and redeem their [`Ticket`]s. A closed batch
+//! is one scope that submits every request, then waits on the tickets in
+//! order. Configure the engine through [`config::EngineConfig`] — the one
+//! serde-roundtrippable schema [`StreamEngineBuilder`] and the `bcc-served`
 //! daemon consume.
 //!
 //! ## Live telemetry and tracing
 //!
-//! The serving engines accept a [`telemetry::TelemetrySink`]: a cheap,
+//! The serving engine accepts a [`telemetry::TelemetrySink`]: a cheap,
 //! cloneable handle that is a no-op by default and, when enabled, records
 //! lock-free metrics plus a per-request lifecycle timeline timestamped
 //! through the engine's injectable [`Clock`] — under a [`VirtualClock`]
@@ -64,8 +67,7 @@
 //! on or off.
 //!
 //! ```
-//! use bcc_core::batch::Request;
-//! use bcc_core::stream::{Priority, StreamEngine};
+//! use bcc_core::stream::{Priority, Request, StreamEngine};
 //! use bcc_core::telemetry::{TelemetrySink, TraceEvent};
 //!
 //! let sink = TelemetrySink::enabled();
@@ -107,7 +109,6 @@ pub use bcc_spanner as spanner;
 pub use bcc_sparsifier as sparsifier;
 
 pub mod algorithm;
-pub mod batch;
 pub mod cache;
 pub mod clock;
 pub mod config;
@@ -126,7 +127,6 @@ pub use algorithm::{
     BccAlgorithm, LaplacianAlgorithm, LaplacianProblem, LpAlgorithm, LpProblem, McmfAlgorithm,
     SparsifyAlgorithm,
 };
-pub use batch::{BatchEngine, BatchEngineBuilder, BatchOutput, BatchReport, Request, Response};
 pub use cache::{CacheStats, EvictionPolicy};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use config::{ClassEntry, ConfigError, EngineConfig, ENGINE_CONFIG_SCHEMA};
@@ -138,8 +138,8 @@ pub use session::{
     GramChoice, LaplacianRequest, LpRequest, Outcome, PreparedLaplacian, Session, SessionBuilder,
 };
 pub use stream::{
-    BackpressurePolicy, ClassStats, Priority, RateLimit, SchedulerStats, StreamClient,
-    StreamEngine, StreamEngineBuilder, StreamOutput, StreamReport, Ticket,
+    BackpressurePolicy, ClassStats, Priority, RateLimit, Request, Response, SchedulerStats,
+    StreamClient, StreamEngine, StreamEngineBuilder, StreamOutput, StreamReport, Ticket,
 };
 pub use telemetry::{MetricsSnapshot, TelemetrySink, TraceEvent, TraceRecord};
 pub use tenant::{TenantAccounts, TenantConfig, TenantDirectory};
@@ -166,144 +166,9 @@ pub mod prelude {
     pub use bcc_sparsifier::{sparsify_ad_hoc, SparsifierConfig};
 }
 
-// ---------------------------------------------------------------------------
-// Legacy one-call pipeline functions (pre-`Session` API).
-// ---------------------------------------------------------------------------
-
-/// Computes a spectral sparsifier of `graph` in the Broadcast CONGEST model
-/// (Theorem 1.2) with laboratory parameters, returning the sparsifier and the
-/// round report.
-///
-/// Legacy wrapper over [`Session::sparsify`]; results are identical to the
-/// session API at equal seeds. Prefer `Session` in new code — it reports
-/// malformed input as [`Error`] instead of panicking.
-///
-/// # Panics
-///
-/// Panics when the session API would return an error (invalid topology,
-/// empty graph, non-positive `epsilon`).
-#[deprecated(
-    since = "0.9.0",
-    note = "use `Session::sparsify`, which returns a typed `Error` instead of panicking"
-)]
-pub fn spectral_sparsify(
-    graph: &bcc_graph::Graph,
-    epsilon: f64,
-    seed: u64,
-) -> (bcc_graph::Graph, RoundReport) {
-    let mut session = Session::builder().seed(seed).build();
-    let outcome = session
-        .sparsify(graph, epsilon)
-        .unwrap_or_else(|e| panic!("spectral_sparsify: {e}"));
-    (outcome.value.sparsifier, outcome.report)
-}
-
-/// Solves the Laplacian system `L_G x = b` in the Broadcast Congested Clique
-/// (Theorem 1.3), returning the solution and the round report (preprocessing
-/// plus solve).
-///
-/// Legacy wrapper over [`Session::laplacian`]; results are identical to the
-/// session API at equal seeds. Prefer `Session` in new code — it separates
-/// preprocessing from per-instance solves ([`PreparedLaplacian::solve_many`])
-/// and reports malformed input as [`Error`] instead of panicking.
-///
-/// # Panics
-///
-/// Panics when the session API would return an error (disconnected graph,
-/// wrong right-hand-side length, non-positive `epsilon`).
-#[deprecated(
-    since = "0.9.0",
-    note = "use `Session::laplacian` + `PreparedLaplacian::solve`, which return a typed `Error` \
-            instead of panicking and charge preprocessing once across many right-hand sides"
-)]
-pub fn solve_laplacian_bcc(
-    graph: &bcc_graph::Graph,
-    b: &[f64],
-    epsilon: f64,
-    seed: u64,
-) -> (Vec<f64>, RoundReport) {
-    let session = Session::builder().seed(seed).build();
-    let mut prepared = session
-        .laplacian(graph)
-        .epsilon(epsilon.min(0.5))
-        .preprocess()
-        .unwrap_or_else(|e| panic!("solve_laplacian_bcc: {e}"));
-    let outcome = prepared
-        .solve(b)
-        .unwrap_or_else(|e| panic!("solve_laplacian_bcc: {e}"));
-    (outcome.value.solution, prepared.report())
-}
-
-/// Computes an exact minimum cost maximum flow in the Broadcast Congested
-/// Clique (Theorem 1.1) with default laboratory options, returning the result
-/// and the round report.
-///
-/// Legacy wrapper over [`Session::min_cost_max_flow`]; results are identical
-/// to the session API at equal seeds. Prefer `Session` in new code — it
-/// reports malformed input as [`Error`] instead of panicking.
-///
-/// # Panics
-///
-/// Panics when the session API would return an error (empty instance,
-/// rejected LP encoding).
-#[deprecated(
-    since = "0.9.0",
-    note = "use `Session::min_cost_max_flow`, which returns a typed `Error` instead of panicking"
-)]
-pub fn min_cost_max_flow_bcc(
-    instance: &bcc_graph::FlowInstance,
-    seed: u64,
-) -> (bcc_flow::McmfResult, RoundReport) {
-    let mut session = Session::builder().seed(seed).build();
-    let outcome = session
-        .min_cost_max_flow(instance)
-        .unwrap_or_else(|e| panic!("min_cost_max_flow_bcc: {e}"));
-    (outcome.value, outcome.report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[allow(deprecated)]
-    fn sparsify_pipeline_produces_a_connected_sparsifier() {
-        let g = bcc_graph::generators::complete(18);
-        let (h, report) = spectral_sparsify(&g, 0.5, 3);
-        assert!(h.is_connected());
-        assert!(h.m() <= g.m());
-        assert!(report.total_rounds > 0);
-        assert!(report.has_phase("sparsifier"));
-        assert!(report.to_string().contains("TOTAL"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn laplacian_pipeline_solves_a_grid_system() {
-        let g = bcc_graph::generators::grid(4, 4);
-        let mut b = vec![0.0; g.n()];
-        b[0] = 1.0;
-        b[15] = -1.0;
-        let (x, report) = solve_laplacian_bcc(&g, &b, 1e-6, 5);
-        let lx = bcc_graph::laplacian::laplacian_apply(&g, &x);
-        assert!(bcc_linalg::vector::approx_eq(&lx, &b, 1e-3));
-        assert!(report.total_rounds > 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn flow_pipeline_matches_the_baseline() {
-        let g = bcc_graph::DiGraph::from_arcs(
-            4,
-            [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 1, 3), (2, 3, 1, 3)],
-        );
-        let instance = bcc_graph::FlowInstance::new(g, 0, 3);
-        let baseline = bcc_flow::ssp_min_cost_max_flow(&instance);
-        let (result, report) = min_cost_max_flow_bcc(&instance, 11);
-        assert_eq!(result.flow.value, baseline.value);
-        assert_eq!(result.flow.cost, baseline.cost);
-        assert!(report.total_rounds > 0);
-    }
 
     #[test]
     fn session_accumulates_cumulative_telemetry() {

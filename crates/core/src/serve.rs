@@ -1,13 +1,12 @@
-//! Shared serving internals: the request/response vocabulary and the
-//! execution core both the batch and the streaming engine are built on.
+//! Serving internals: the request/response and cost-accounting vocabulary,
+//! and the execution core [`crate::stream::StreamEngine`] is built on.
 //!
 //! [`Request`] / [`Response`] describe one unit of work for any of the
-//! paper's four pipelines. [`EngineCore`] owns everything the engines share:
-//! the model configuration, the master seed, the default accuracy, the
-//! [`LaplacianCache`] and the deterministic per-request seed derivation —
-//! so [`crate::batch::BatchEngine`] and [`crate::stream::StreamEngine`]
-//! produce bit-identical results for the same submissions no matter which
-//! front-end scheduled them.
+//! paper's four pipelines; [`RequestCost`] / [`PreprocessingCost`] meter it.
+//! [`EngineCore`] owns the model configuration, the master seed, the default
+//! accuracy, the [`LaplacianCache`] and the deterministic per-request seed
+//! derivation — so a submission's result depends only on its index, never
+//! on how the engine scheduled it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,8 +17,8 @@ use bcc_laplacian::LaplacianSolve;
 use bcc_lp::{LpInstance, LpSolution};
 use bcc_runtime::{ModelConfig, RoundLedger};
 use bcc_sparsifier::SparsifierOutput;
+use serde::{Deserialize, Serialize};
 
-use crate::batch::{PreprocessingCost, RequestCost};
 use crate::cache::{CacheEntry, EvictionPolicy, LaplacianCache};
 use crate::cost::{CostDims, CostKind, CostModel};
 use crate::error::Error;
@@ -104,8 +103,7 @@ impl Request {
         }
     }
 
-    /// The request's pipeline name, as recorded in
-    /// [`crate::batch::RequestCost::kind`].
+    /// The request's pipeline name, as recorded in [`RequestCost::kind`].
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Sparsify { .. } => "sparsify",
@@ -194,19 +192,50 @@ impl Response {
     }
 }
 
-/// The deterministic seed of request `index` under master seed `master`: a
-/// splitmix64 finalizer over the two, shared by both engines so a request
-/// observes the same randomness whether it was batched or streamed.
-pub(crate) fn derive_request_seed(master: u64, index: usize) -> u64 {
-    bcc_runtime::splitmix64(
-        master.wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    )
+/// Cost accounting of one distinct Laplacian preprocessing in a serve
+/// scope.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PreprocessingCost {
+    /// Hex form of the graph fingerprint keying the cache entry.
+    pub fingerprint: String,
+    /// Number of submissions in this scope routed through the entry.
+    pub requests: u64,
+    /// Whether the entry predated this scope (its preprocessing was charged
+    /// by an earlier scope and is *not* part of this report's totals).
+    pub cached: bool,
+    /// Communication cost of the preprocessing stage (sparsifier build).
+    pub report: RoundReport,
 }
 
-/// The engine-agnostic serving core: configuration, seed derivation, the
+/// Cost accounting of one submission in a serve scope.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RequestCost {
+    /// The submission index.
+    pub index: u64,
+    /// Pipeline name ([`Request::kind`]).
+    pub kind: String,
+    /// The derived per-request seed
+    /// ([`crate::stream::StreamEngine::request_seed`]).
+    pub seed: u64,
+    /// Hex fingerprint of the request's graph (Laplacian requests only).
+    pub fingerprint: Option<String>,
+    /// Whether the request reused a prepared solver built for an earlier
+    /// request (or an earlier scope) instead of paying preprocessing itself.
+    pub cache_hit: bool,
+    /// Whether the request succeeded.
+    pub ok: bool,
+    /// The display form of the error, for failed requests.
+    pub error: Option<String>,
+    /// Communication cost of this request alone (for Laplacian requests:
+    /// the solve, excluding shared preprocessing). Zero for failed requests:
+    /// partial work preceding a typed error is discarded, not metered.
+    pub report: RoundReport,
+}
+
+/// The scheduling-agnostic serving core: configuration, seed derivation, the
 /// shared Laplacian cache and the shared [`CostModel`] every engine decision
-/// is priced by. Scheduling front-ends (batch slices, streaming queues)
-/// layer on top of this without touching result semantics.
+/// is priced by. The stream engine's queue and worker pool layer on top of
+/// this without touching result semantics.
 #[derive(Debug)]
 pub(crate) struct EngineCore {
     pub(crate) model: ModelConfig,
@@ -258,9 +287,14 @@ impl EngineCore {
         self.cost.publish_metrics(registry);
     }
 
-    /// See [`derive_request_seed`].
+    /// The deterministic seed of request `index`: a splitmix64 finalizer
+    /// over the master seed and the index, so a request observes the same
+    /// randomness however the engine scheduled it.
     pub(crate) fn request_seed(&self, index: usize) -> u64 {
-        derive_request_seed(self.seed, index)
+        bcc_runtime::splitmix64(
+            self.seed
+                .wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
     }
 
     /// A fresh worker session at the given seed, mirroring the engine's
@@ -337,16 +371,17 @@ impl EngineCore {
     }
 
     /// Folds per-request completion records into the deterministic cost
-    /// accounting both engines report: [`RequestCost`]s in submission order,
+    /// accounting of a serve scope: [`RequestCost`]s in submission order,
     /// analytic hit/miss classification (the first record of a fingerprint is
-    /// the miss unless the entry pre-dated the run), one [`PreprocessingCost`]
-    /// per distinct fingerprint in first-use order, and a ledger charging
-    /// every successful request plus each *new* preprocessing exactly once.
+    /// the miss unless the entry pre-dated the scope), one
+    /// [`PreprocessingCost`] per distinct fingerprint in first-use order, and
+    /// a total charging every successful request plus each *new*
+    /// preprocessing exactly once.
     ///
     /// `preprocessing_report_of` resolves a fingerprint to its preprocessing
-    /// cost snapshot (batch: the run's pinned entries; stream: the reports
-    /// recorded at build time) — a pure function of `(master seed, graph)`,
-    /// which is what keeps the whole accounting scheduling-independent.
+    /// cost snapshot, recorded when the entry was built — a pure function of
+    /// `(master seed, graph)`, which is what keeps the whole accounting
+    /// scheduling-independent.
     pub(crate) fn account(
         &self,
         records: Vec<RequestRecord>,
@@ -421,7 +456,6 @@ impl EngineCore {
             cache_hits,
             cache_misses,
             total: RoundReport::from_ledger(&ledger),
-            ledger,
             preprocessing,
             per_request,
         }
@@ -434,7 +468,7 @@ pub(crate) struct RequestRecord {
     pub(crate) index: u64,
     pub(crate) kind: &'static str,
     pub(crate) fingerprint: Option<GraphFingerprint>,
-    /// Whether the fingerprint's cache entry pre-dated the run (only the
+    /// Whether the fingerprint's cache entry pre-dated the scope (only the
     /// first record of each fingerprint is consulted).
     pub(crate) pre_cached: bool,
     pub(crate) ok: bool,
@@ -442,16 +476,13 @@ pub(crate) struct RequestRecord {
     pub(crate) report: RoundReport,
 }
 
-/// The result of [`EngineCore::account`], shared by `BatchReport` and
-/// `StreamReport` construction.
+/// The result of [`EngineCore::account`], the deterministic half of a
+/// [`crate::stream::StreamReport`].
 pub(crate) struct Accounting {
     pub(crate) failures: u64,
     pub(crate) cache_hits: u64,
     pub(crate) cache_misses: u64,
     pub(crate) total: RoundReport,
-    /// The same totals as a ledger, for folding into an engine's cumulative
-    /// ledger.
-    pub(crate) ledger: RoundLedger,
     pub(crate) preprocessing: Vec<PreprocessingCost>,
     pub(crate) per_request: Vec<RequestCost>,
 }

@@ -180,9 +180,9 @@ impl Session {
     }
 
     /// Merges an externally produced cost report into this session's
-    /// cumulative ledger, phase by phase — the plumbing batch engines use to
-    /// account work they executed on worker sessions (e.g. a
-    /// [`crate::batch::BatchReport`] total) against one serving session.
+    /// cumulative ledger, phase by phase — the plumbing to account work a
+    /// serving engine executed on worker sessions (e.g. a
+    /// [`crate::stream::StreamReport`] total) against one serving session.
     pub fn absorb_report(&mut self, report: &RoundReport) {
         for (name, stats) in &report.breakdown {
             self.ledger.charge_phase(name, *stats);

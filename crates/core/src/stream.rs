@@ -2,13 +2,13 @@
 //! per-request deadlines and bounded backpressure over the paper's four
 //! pipelines.
 //!
-//! Where [`crate::batch::BatchEngine`] serves one closed slice of requests
-//! per call, a [`StreamEngine`] is a long-lived service: callers submit
-//! [`Request`]s **one at a time** while earlier submissions are still in
-//! flight, tag each with a scheduling class ([`Priority`]), and collect
-//! results through [`Ticket`] handles ([`StreamClient::poll`] /
-//! [`StreamClient::wait`]) as they complete — possibly far out of submission
-//! order.
+//! A [`StreamEngine`] is a long-lived service: callers submit [`Request`]s
+//! **one at a time** while earlier submissions are still in flight, tag each
+//! with a scheduling class ([`Priority`]), and collect results through
+//! [`Ticket`] handles ([`StreamClient::poll`] / [`StreamClient::wait`]) as
+//! they complete — possibly far out of submission order. A closed batch is
+//! one [`StreamEngine::serve`] scope that submits every request and then
+//! waits on the tickets in order.
 //!
 //! # Scheduling: weighted fair queueing
 //!
@@ -81,8 +81,9 @@
 //! `max` worker threads but only a *target* number of them dispatch at any
 //! moment; the rest park on the queue's condvar. The target is resized
 //! between the configured bounds from the queue's **backlog cost ÷
-//! calibrated service rate**: when the estimated wall-clock drain time of
-//! the queued rounds exceeds the drain horizon, workers unpark *before*
+//! calibrated service rate** ([`WfqQueue::desired_workers`]): when the
+//! estimated wall-clock drain time of the queued rounds exceeds a 10 ms
+//! horizon, workers unpark *before*
 //! queued deadlines become infeasible; when the queue empties, the target
 //! falls back to `min` and idle workers park again. While the service rate
 //! is uncalibrated the pool falls back to one worker per queued job
@@ -96,14 +97,28 @@
 //!
 //! # Determinism contract
 //!
-//! Exactly as in [`crate::batch`]: scheduling never leaks into results. A
-//! submission's seed is a pure function of the engine's master seed and its
-//! **submission index** (the same splitmix64 derivation as
-//! [`crate::batch::BatchEngine::request_seed`]), and every Laplacian solve
-//! runs on a clone of a prepared solver built at the master seed alone, via
-//! the shared bounded cache of [`crate::cache`]. Consequently a stream run
-//! is bit-identical to the sequential [`crate::Session`] loop of the batch
-//! contract for **any** worker count, class/weight vector, rate limit, queue
+//! Scheduling never leaks into results. A submission's seed is a pure
+//! function of the engine's master seed and its **submission index**
+//! ([`StreamEngine::request_seed`], a splitmix64 derivation), and every
+//! Laplacian solve runs on a prepared solver built at the master seed
+//! alone, via the shared bounded cache of [`crate::cache`]. Concretely, a
+//! serve scope is bit-identical to this sequential loop over its admitted
+//! submissions:
+//!
+//! ```text
+//! for (i, request) in submissions.iter().enumerate() {
+//!     match request {
+//!         // sparsify / lp / min-cost max-flow:
+//!         _ => Session::builder().model(model).seed(engine.request_seed(i))
+//!             .epsilon(epsilon).build().serve(request),
+//!         // laplacian solve: one prepared handle per distinct graph,
+//!         // preprocessed at the master seed, solves in index order:
+//!         Laplacian { graph, b, .. } => prepared_for(graph).solve(b),
+//!     }
+//! }
+//! ```
+//!
+//! It holds for **any** worker count, class/weight vector, rate limit, queue
 //! capacity, cost-model configuration (size-aware tags on or off, whatever
 //! the model predicts — including adversarial zero or enormous estimates)
 //! and submission/collection interleaving — WFQ may only reorder
@@ -140,8 +155,7 @@
 //! # Example
 //!
 //! ```
-//! use bcc_core::stream::{Priority, RateLimit, StreamEngine};
-//! use bcc_core::batch::Request;
+//! use bcc_core::stream::{Priority, RateLimit, Request, StreamEngine};
 //! use bcc_core::graph::generators;
 //!
 //! let grid = generators::grid(4, 4);
@@ -184,7 +198,6 @@ use bcc_laplacian::ScratchArena;
 use bcc_runtime::{ModelConfig, RoundLedger};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{PreprocessingCost, RequestCost};
 use crate::cache::{CacheStats, EvictionPolicy};
 use crate::clock::{Clock, SystemClock};
 use crate::config::{ConfigError, EngineConfig};
@@ -197,7 +210,7 @@ use crate::session::{Outcome, Session};
 use crate::telemetry::{EngineCounters, MetricsSnapshot, TelemetrySink, TraceEvent, NO_REQUEST};
 use crate::wfq::{ClassConfig, WfqJob, WfqQueue};
 
-pub use crate::serve::{Request, Response};
+pub use crate::serve::{PreprocessingCost, Request, RequestCost, Response};
 pub use crate::wfq::{ClassStats, Priority, RateLimit, SchedulerStats};
 
 /// What [`StreamClient::submit`] does when the bounded admission queue is
@@ -287,10 +300,10 @@ impl Ticket {
 pub const STREAM_REPORT_SCHEMA: &str = "bcc-stream-report/v1";
 
 /// Aggregated, serializable accounting of one [`StreamEngine::serve`] scope
-/// — the payload of the `BENCH_stream.json` trajectory. Mirrors
-/// [`crate::batch::BatchReport`] (same [`RequestCost`] /
-/// [`PreprocessingCost`] vocabulary, per-request costs in submission order)
-/// plus streaming-specific counters.
+/// — the payload of the `BENCH_stream.json` and `BENCH_batch.json`
+/// trajectories: per-submission [`RequestCost`]s in submission order,
+/// once-per-fingerprint [`PreprocessingCost`]s, and the scheduler, cache
+/// and calibration counters of the scope.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamReport {
     /// Schema tag consumers can dispatch on (`"bcc-stream-report/v1"`).
@@ -321,9 +334,9 @@ pub struct StreamReport {
     pub infeasible: u64,
     /// Per-class WFQ scheduler counters of this serve scope.
     pub scheduler: SchedulerStats,
-    /// Laplacian submissions that reused a prepared solver (first submission
-    /// of a fingerprint counts as the miss, exactly as in
-    /// [`crate::batch::BatchReport::cache_hits`]).
+    /// Laplacian submissions that reused a prepared solver (the first
+    /// submission of a fingerprint not cached before the scope counts as
+    /// the miss, every other one as a hit).
     pub cache_hits: u64,
     /// Laplacian submissions that paid preprocessing.
     pub cache_misses: u64,
@@ -409,8 +422,8 @@ pub struct PoolStats {
 /// [`Clock`], [`TelemetrySink`] — stay outside the config.
 #[derive(Debug, Clone)]
 pub struct StreamEngineBuilder {
-    /// All deterministic knobs, shared schema-for-schema with
-    /// [`crate::batch::BatchEngineBuilder`] and the serving daemon.
+    /// All deterministic knobs, shared schema-for-schema with the serving
+    /// daemon.
     config: EngineConfig,
     /// The cost model the engine starts from; `None` builds a default one.
     cost_model: Option<Arc<CostModel>>,
@@ -433,8 +446,7 @@ impl Default for StreamEngineBuilder {
 
 impl StreamEngineBuilder {
     /// Starts a builder from a validated [`EngineConfig`] — the exact
-    /// schema `bcc-served --config` reads from disk and both engine
-    /// builders consume.
+    /// schema `bcc-served --config` reads from disk.
     ///
     /// # Errors
     ///
@@ -520,12 +532,12 @@ impl StreamEngineBuilder {
     }
 
     /// Bounds the prepared-Laplacian cache to at most `capacity` entries
-    /// (default: unbounded), evicting per the configured
+    /// (default: unbounded, minimum 1), evicting per the configured
     /// [`StreamEngineBuilder::eviction_policy`]. Eviction re-pays
     /// preprocessing on the next request for the evicted topology but never
     /// changes results.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = Some(capacity);
+        self.config.cache_capacity = Some(capacity.max(1));
         self
     }
 
@@ -796,10 +808,11 @@ impl StreamEngine {
         self.core.cache.clear();
     }
 
-    /// The deterministic seed of submission `index` — the same derivation as
-    /// [`crate::batch::BatchEngine::request_seed`], so a sequential
-    /// [`Session`] loop over the submissions reproduces every stream result
-    /// bit for bit.
+    /// The deterministic seed of submission `index`: a splitmix64 finalizer
+    /// over the master seed and the index. A sequential [`Session`] seeded
+    /// with this value reproduces the submission's result bit for bit
+    /// (Laplacian preprocessing uses the master seed instead — it is shared
+    /// across every submission on the same graph).
     pub fn request_seed(&self, index: usize) -> u64 {
         self.core.request_seed(index)
     }
@@ -1165,33 +1178,6 @@ impl PoolState {
     }
 }
 
-/// How long the elastic pool is willing to let the queued backlog take to
-/// drain at the calibrated service rate before unparking more workers. One
-/// scheduling-horizon's worth of work per worker keeps deadlines in the
-/// tens-of-milliseconds range feasible without thrashing the pool on every
-/// small burst.
-const POOL_DRAIN_HORIZON: Duration = Duration::from_millis(10);
-
-/// The worker count the backlog currently calls for: enough workers to
-/// drain the queued rounds within [`POOL_DRAIN_HORIZON`] at the calibrated
-/// service rate — computed *from the estimates*, which is the whole point
-/// of calibrating them. While the service rate is uncalibrated (no
-/// completion yet) the estimate-free fallback is one worker per queued job,
-/// so a cold engine still fans out. The caller clamps to the pool bounds.
-fn desired_workers(shared: &Shared<'_>, queue: &StreamQueue) -> usize {
-    let queued = queue.q.queued();
-    if queued == 0 {
-        return shared.pool.min;
-    }
-    match shared.core.cost.expected_duration(queue.q.backlog_rounds()) {
-        Some(drain) => {
-            let horizon = POOL_DRAIN_HORIZON.as_nanos().max(1);
-            usize::try_from(drain.as_nanos().div_ceil(horizon)).unwrap_or(usize::MAX)
-        }
-        None => queued,
-    }
-}
-
 /// State shared between the serve scope's client and workers.
 struct Shared<'e> {
     core: &'e EngineCore,
@@ -1234,14 +1220,18 @@ impl Shared<'_> {
 }
 
 /// Re-evaluates the pool target against the live backlog (see
-/// [`desired_workers`]), emitting pool telemetry on a transition. Returns
+/// [`WfqQueue::desired_workers`]), emitting pool telemetry on a transition. Returns
 /// `true` when the pool grew — the caller must then wake parked workers.
 /// The before/after reads race concurrent resizes, which is fine: the
 /// events are observability, the authoritative counters live in
 /// [`PoolState`].
 fn resize_pool(shared: &Shared<'_>, lane: usize, queue: &StreamQueue) -> bool {
     let before = shared.pool.target();
-    let grew = shared.pool.resize_to(desired_workers(shared, queue));
+    let grew = shared.pool.resize_to(
+        queue
+            .q
+            .desired_workers(shared.pool.min, shared.core.cost.service_rate()),
+    );
     if let Some(tc) = &shared.tcounters {
         let after = shared.pool.target();
         if after > before {

@@ -1,7 +1,7 @@
-//! Live telemetry for the serving engines: a lock-free metrics registry, a
+//! Live telemetry for the serving engine: a lock-free metrics registry, a
 //! per-request lifecycle tracer, and exportable timelines.
 //!
-//! Every signal the engines emitted before this module existed was post-hoc:
+//! Every signal the engine emitted before this module existed was post-hoc:
 //! [`crate::stream::StreamReport`] and the `BENCH_*.json` artifacts summarize
 //! a run only after the serve scope closes. This module adds the *live* side
 //! — counters you can read while workers are running, and a timeline you can
@@ -24,11 +24,11 @@
 //!   timestamp read from the engine's injectable [`crate::clock::Clock`] —
 //!   under a [`crate::clock::VirtualClock`] the whole timeline is
 //!   deterministic and byte-stable.
-//! * [`TelemetrySink`] — the cheap, cloneable handle the engine builders
-//!   accept ([`crate::stream::StreamEngineBuilder::telemetry`],
-//!   [`crate::batch::BatchEngineBuilder::telemetry`]). A disabled sink is a
-//!   `None`: every emission site checks one `Option` and does nothing else,
-//!   so instrumentation is zero-cost when telemetry is off (the default).
+//! * [`TelemetrySink`] — the cheap, cloneable handle the engine builder
+//!   accepts ([`crate::stream::StreamEngineBuilder::telemetry`]). A disabled
+//!   sink is a `None`: every emission site checks one `Option` and does
+//!   nothing else, so instrumentation is zero-cost when telemetry is off
+//!   (the default).
 //!
 //! # Export formats
 //!
@@ -54,9 +54,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use std::time::Duration;
-//! use bcc_core::batch::Request;
 //! use bcc_core::clock::VirtualClock;
-//! use bcc_core::stream::{Priority, StreamEngine};
+//! use bcc_core::stream::{Priority, Request, StreamEngine};
 //! use bcc_core::telemetry::TelemetrySink;
 //!
 //! let sink = TelemetrySink::enabled();
@@ -649,7 +648,7 @@ struct TelemetryCore {
     tracer: Tracer,
 }
 
-/// The handle the engine builders accept: either disabled (the default — a
+/// The handle the engine builder accepts: either disabled (the default — a
 /// single `Option` check per emission site, no allocation, no atomics) or a
 /// shared registry-plus-tracer. Cloning is cheap; every clone observes the
 /// same metrics and traces, so callers keep a clone to export after the

@@ -1,4 +1,4 @@
-//! Multi-tenant routing and accounting over the serving engines.
+//! Multi-tenant routing and accounting over the serving engine.
 //!
 //! A *tenant* is one externally authenticated client population sharing a
 //! serving process — the unit of isolation the `bcc-served` daemon offers.

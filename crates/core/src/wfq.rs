@@ -12,6 +12,10 @@
 //! harness queues simulated arrivals, and both observe exactly the same
 //! dispatch order for the same (class, cost, deadline) sequence.
 //!
+//! The queue also owns the elastic worker pool's sizing rule
+//! ([`WfqQueue::desired_workers`]), so the engine and the load harness size
+//! their pools from the same backlog by the same arithmetic.
+//!
 //! Deadlines are expressed on the engine's [`crate::clock::Clock`] axis:
 //! a job's deadline is the clock reading (duration since the clock's
 //! epoch) past which it must not dispatch, and [`WfqQueue::take_expired`]
@@ -303,6 +307,13 @@ pub struct WfqJob<T> {
 /// below 2⁷² and the u128 clock cannot realistically overflow.
 const VT_UNIT: u128 = 1 << 32;
 
+/// How long the elastic worker pool lets the queued backlog take to drain
+/// at the service rate before unparking more workers
+/// ([`WfqQueue::desired_workers`]). One horizon's worth of work per worker
+/// keeps deadlines in the tens-of-milliseconds range feasible without
+/// thrashing the pool on every small burst.
+const POOL_DRAIN_HORIZON: Duration = Duration::from_millis(10);
+
 /// One class inside the scheduler: its FIFO queue, WFQ state, rate-limit
 /// window and counters.
 struct ClassState<T> {
@@ -420,6 +431,27 @@ impl<T> WfqQueue<T> {
     pub fn backlog_rounds(&self) -> u64 {
         let total: u128 = self.classes.iter().map(|c| c.queued_cost).sum();
         u64::try_from(total).unwrap_or(u64::MAX)
+    }
+
+    /// The worker count the queued backlog calls for — the elastic pool's
+    /// sizing rule, which the caller clamps to its pool bounds:
+    ///
+    /// * `min` when the queue is empty;
+    /// * one worker per queued job while `service` is `None` — with no
+    ///   service rate to convert rounds by, a cold pool still fans out;
+    /// * otherwise enough workers to drain the backlog within a 10 ms
+    ///   horizon when each serves `rounds` rounds per `nanos` nanoseconds:
+    ///   ⌈backlog × nanos / (rounds × horizon)⌉.
+    pub fn desired_workers(&self, min: usize, service: Option<(u64, u64)>) -> usize {
+        if self.queued == 0 {
+            return min;
+        }
+        let Some((nanos, rounds)) = service else {
+            return self.queued;
+        };
+        let work = u128::from(self.backlog_rounds()).saturating_mul(u128::from(nanos));
+        let capacity = (u128::from(rounds) * POOL_DRAIN_HORIZON.as_nanos()).max(1);
+        usize::try_from(work.div_ceil(capacity)).unwrap_or(usize::MAX)
     }
 
     /// The submission index the next admitted job will receive — i.e. how
@@ -979,5 +1011,25 @@ mod tests {
         s.reject_infeasible(Priority::Bulk);
         assert_eq!(s.stats().class(Priority::Bulk).unwrap().infeasible, 1);
         assert_eq!(s.stats().infeasible(), 1);
+    }
+
+    #[test]
+    fn desired_workers_sizes_the_pool_from_the_backlog_and_service_rate() {
+        let mut s = WfqQueue::new(&config(&[]));
+        // An empty queue parks the pool back to its floor, calibrated or not.
+        assert_eq!(s.desired_workers(2, None), 2);
+        assert_eq!(s.desired_workers(2, Some((1_000_000, 1_000))), 2);
+        for _ in 0..3 {
+            s.push(Priority::Bulk, (), None, 5_000);
+        }
+        // Uncalibrated: one worker per queued job.
+        assert_eq!(s.desired_workers(1, None), 3);
+        // 1,000 rounds per millisecond drain 10,000 rounds per 10 ms
+        // horizon, so the 15,000-round backlog calls for ⌈1.5⌉ = 2 workers.
+        assert_eq!(s.desired_workers(1, Some((1_000_000, 1_000))), 2);
+        // Exactly one horizon of work needs exactly one worker.
+        assert_eq!(s.desired_workers(1, Some((1_000_000, 1_500))), 1);
+        // A slower service rate (100 rounds per ms) needs 15.
+        assert_eq!(s.desired_workers(1, Some((1_000_000, 100))), 15);
     }
 }

@@ -17,9 +17,8 @@
 
 use std::time::Duration;
 
-use bcc_core::batch::Request;
 use bcc_core::graph::generators;
-use bcc_core::stream::{Priority, RateLimit, StreamEngine};
+use bcc_core::stream::{Priority, RateLimit, Request, StreamEngine};
 use bcc_core::EvictionPolicy;
 
 fn main() {

@@ -12,7 +12,7 @@
 # Run this after any intentional change to the report schemas, to a
 # pipeline's communication cost, or to the committed scenarios/*.json load
 # library, then commit the result. Bump the report schema tags
-# (BATCH_REPORT_SCHEMA / STREAM_REPORT_SCHEMA / bcc-bench/v1) if a schema
+# (STREAM_REPORT_SCHEMA / ENGINE_CONFIG_SCHEMA / bcc-bench/v1) if a schema
 # change is not purely additive.
 #
 # BENCH_pipelines.json points also carry a `wall_ns` wall-clock field (the
@@ -24,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== regenerating tests/golden/*.json =="
-UPDATE_GOLDEN=1 cargo test -q --test batch --test stream --test config golden
+UPDATE_GOLDEN=1 cargo test -q --test stream --test config golden
 
 echo "== regenerating BENCH_*.json (quick trajectories + load scenarios) =="
 cargo run -p bench --release --bin expts -- --quick-json

@@ -1,261 +1,27 @@
-//! Integration tests of the `bcc_core::batch` serving engine: bit-identity
-//! with a sequential `Session` loop across all four pipelines, cache-hit
-//! amortization of the Laplacian preprocessing, error isolation inside a
-//! batch, and a golden snapshot of the `BatchReport` JSON schema that
-//! `BENCH_*.json` consumers rely on.
+//! Integration tests of serving a closed batch: every request submitted into
+//! one `StreamEngine::serve` scope, then its tickets waited on in submission
+//! order. A malformed request fails alone, with a typed error, and neither
+//! poisons the rest of the batch nor is rebuilt when it comes back.
 
-use std::collections::HashMap;
-
-use bcc_core::batch::{BatchEngine, BatchReport, PreprocessingCost, Request, RequestCost};
 use bcc_core::prelude::*;
-use bcc_core::{graph::generators, Error, Response};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use bcc_core::stream::{StreamEngine, StreamOutput};
+use bcc_core::{graph::generators, Error, Request, Response};
 
 const MASTER_SEED: u64 = 2022;
 
-/// A mixed workload touching all four pipelines, with a repeated Laplacian
-/// topology so the cache has something to amortize.
-fn mixed_workload() -> Vec<Request> {
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let grid = generators::grid(4, 4);
-    let mut b1 = vec![0.0; grid.n()];
-    b1[0] = 1.0;
-    b1[15] = -1.0;
-    let mut b2 = vec![0.0; grid.n()];
-    b2[3] = 1.0;
-    b2[12] = -1.0;
-    let other = generators::random_connected(12, 0.4, 4, &mut rng);
-    let mut b3 = vec![0.0; other.n()];
-    b3[0] = 2.0;
-    b3[11] = -2.0;
+type BatchResults = Vec<Result<bcc_core::Outcome<Response>, Error>>;
 
-    let lp = LpInstance {
-        a: bcc_core::linalg::CsrMatrix::from_triplets(2, 1, &[(0, 0, 1.0), (1, 0, 1.0)]),
-        b: vec![1.0],
-        c: vec![0.0, 1.0],
-        lower: vec![0.0, 0.0],
-        upper: vec![1.0, 1.0],
-    };
-    let lp_request = LpRequest::new(
-        vec![0.5, 0.5],
-        LpOptions::new(1e-3, lp.m(), 7).with_uniform_weights(),
-    );
-
-    let flow = generators::random_flow_instance(5, 0.3, 3, &mut rng);
-
-    vec![
-        Request::sparsify(generators::complete(14), 0.5),
-        Request::laplacian(grid.clone(), b1),
-        Request::laplacian(grid, b2), // same topology: cache hit
-        Request::laplacian(other, b3),
-        Request::lp(lp, lp_request),
-        Request::min_cost_max_flow(flow),
-    ]
-}
-
-/// The documented sequential equivalent of `BatchEngine::run`: per-request
-/// sessions at the derived seed for sparsify/lp/mcmf, one prepared handle per
-/// distinct graph at the master seed for Laplacian solves.
-fn sequential_reference(requests: &[Request]) -> Vec<Result<bcc_core::Outcome<Response>, Error>> {
-    let engine = BatchEngine::builder().seed(MASTER_SEED).build();
-    let mut prepared: HashMap<u128, Result<PreparedLaplacian, Error>> = HashMap::new();
-    requests
-        .iter()
-        .enumerate()
-        .map(|(i, request)| {
-            let mut session = Session::builder().seed(engine.request_seed(i)).build();
-            match request {
-                Request::Sparsify { graph, epsilon } => session
-                    .sparsify(graph, *epsilon)
-                    .map(|o| o.map(Response::Sparsify)),
-                Request::Laplacian { graph, b, .. } => {
-                    let key = bcc_core::graph::fingerprint::fingerprint(graph).as_u128();
-                    let handle = prepared.entry(key).or_insert_with(|| {
-                        Session::builder()
-                            .seed(MASTER_SEED)
-                            .build()
-                            .laplacian(graph)
-                            .preprocess()
-                    });
-                    match handle {
-                        Ok(handle) => handle.solve(b).map(|o| o.map(Response::Laplacian)),
-                        Err(e) => Err(e.clone()),
-                    }
-                }
-                Request::Lp { instance, request } => {
-                    session.lp(instance, request).map(|o| o.map(Response::Lp))
-                }
-                Request::MinCostMaxFlow { instance, options } => match options {
-                    Some(opts) => session.min_cost_max_flow_with(instance, opts),
-                    None => session.min_cost_max_flow(instance),
-                }
-                .map(|o| o.map(Response::MinCostMaxFlow)),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Bit-identity: batch == sequential Session loop at equal seeds.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn batch_is_bit_identical_to_the_sequential_session_loop() {
-    let requests = mixed_workload();
-    let mut engine = BatchEngine::builder().seed(MASTER_SEED).workers(4).build();
-    let batch = engine.run(&requests);
-    let reference = sequential_reference(&requests);
-
-    assert_eq!(batch.results.len(), reference.len());
-    for (i, (got, want)) in batch.results.iter().zip(&reference).enumerate() {
-        match (got, want) {
-            (Ok(got), Ok(want)) => {
-                assert_eq!(got.value, want.value, "request {i} value");
-                assert_eq!(got.report, want.report, "request {i} report");
-            }
-            (Err(got), Err(want)) => assert_eq!(got, want, "request {i} error"),
-            other => panic!("request {i}: batch and sequential disagree: {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn worker_count_does_not_change_any_result() {
-    let requests = mixed_workload();
-    let mut one = BatchEngine::builder().seed(MASTER_SEED).workers(1).build();
-    let mut many = BatchEngine::builder().seed(MASTER_SEED).workers(7).build();
-    let sequential = one.run(&requests);
-    let parallel = many.run(&requests);
-    for (a, b) in sequential.results.iter().zip(&parallel.results) {
-        assert_eq!(
-            a.as_ref().ok().map(|o| &o.value),
-            b.as_ref().ok().map(|o| &o.value)
-        );
-    }
-    // The whole report — per-request costs, cache accounting, totals — is
-    // scheduling-independent too.
-    assert_eq!(sequential.report, parallel.report);
-}
-
-#[test]
-fn request_seeds_are_deterministic_and_distinct() {
-    let engine = BatchEngine::builder().seed(MASTER_SEED).build();
-    let again = BatchEngine::builder().seed(MASTER_SEED).build();
-    let seeds: Vec<u64> = (0..64).map(|i| engine.request_seed(i)).collect();
-    for (i, &s) in seeds.iter().enumerate() {
-        assert_eq!(s, again.request_seed(i), "derivation is a pure function");
-    }
-    let distinct: std::collections::HashSet<u64> = seeds.iter().copied().collect();
-    assert_eq!(
-        distinct.len(),
-        seeds.len(),
-        "derived seeds must not collide"
-    );
-    assert_ne!(
-        BatchEngine::builder().seed(1).build().request_seed(0),
-        engine.request_seed(0),
-        "different master seeds derive different request seeds"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Cache amortization: preprocessing charged once per distinct fingerprint.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn preprocessing_is_charged_once_per_distinct_fingerprint() {
-    let grid = generators::grid(5, 5);
-    let requests: Vec<Request> = (1..6)
-        .map(|k| {
-            let mut b = vec![0.0; grid.n()];
-            b[0] = 1.0;
-            b[grid.n() - k] = -1.0;
-            Request::laplacian(grid.clone(), b)
-        })
-        .collect();
-
-    let mut engine = BatchEngine::builder().seed(MASTER_SEED).build();
-    let output = engine.run(&requests);
-    assert!(output.results.iter().all(|r| r.is_ok()));
-
-    let report = &output.report;
-    assert_eq!(report.requests, 5);
-    assert_eq!(report.preprocessing.len(), 1, "one distinct topology");
-    assert_eq!(report.cache_misses, 1);
-    assert_eq!(report.cache_hits, 4);
-    assert!(!report.preprocessing[0].cached);
-    assert_eq!(report.preprocessing[0].requests, 5);
-
-    let preprocessing_rounds = report.preprocessing[0].report.total_rounds;
-    assert!(preprocessing_rounds > 0);
-    let solve_rounds: u64 = report
-        .per_request
-        .iter()
-        .map(|r| r.report.total_rounds)
-        .sum();
-    assert!(solve_rounds > 0);
-    // The batch total is exactly "preprocessing once + every solve".
-    assert_eq!(
-        report.total.total_rounds,
-        preprocessing_rounds + solve_rounds
-    );
-    // Amortization: one solve is far cheaper than the preprocessing it skips.
-    assert!(solve_rounds / 5 < preprocessing_rounds);
-
-    // A second batch on the same engine reuses the cache: the entry reports
-    // as pre-cached and its preprocessing is no longer part of the total.
-    let second = engine.run(&requests);
-    assert_eq!(second.report.cache_hits, 5);
-    assert_eq!(second.report.cache_misses, 0);
-    assert!(second.report.preprocessing[0].cached);
-    assert_eq!(
-        second.report.total.total_rounds,
-        second
-            .report
-            .per_request
+/// Serves `requests` as one closed batch: submit them all into one scope,
+/// then wait on the tickets in submission order.
+fn serve_batch(engine: &mut StreamEngine, requests: &[Request]) -> StreamOutput<BatchResults> {
+    engine.serve(|client| {
+        let tickets: Vec<_> = requests
             .iter()
-            .map(|r| r.report.total_rounds)
-            .sum::<u64>()
-    );
-    assert_eq!(engine.cached_graphs(), 1);
-
-    // The engine's cumulative ledger agrees: two batches of solves, one
-    // preprocessing.
-    assert_eq!(
-        engine.cumulative_report().total_rounds,
-        output.report.total.total_rounds + second.report.total.total_rounds
-    );
-
-    // Clearing the cache makes the next batch pay preprocessing again.
-    engine.clear_cache();
-    assert_eq!(engine.cached_graphs(), 0);
-    let third = engine.run(&requests);
-    assert_eq!(third.report.cache_misses, 1);
-    assert!(!third.report.preprocessing[0].cached);
+            .map(|r| client.submit(r.clone(), Priority::Bulk).unwrap())
+            .collect();
+        tickets.into_iter().map(|t| client.wait(t)).collect()
+    })
 }
-
-#[test]
-fn batch_cost_can_be_absorbed_into_a_session_ledger() {
-    let requests = vec![
-        Request::sparsify(generators::complete(10), 0.5),
-        Request::sparsify(generators::complete(12), 0.5),
-    ];
-    let mut engine = BatchEngine::builder().seed(MASTER_SEED).build();
-    let output = engine.run(&requests);
-
-    let mut session = Session::builder().seed(MASTER_SEED).build();
-    session.absorb_report(&output.report.total);
-    assert_eq!(
-        session.cumulative_report().total_rounds,
-        output.report.total.total_rounds
-    );
-    assert_eq!(session.cumulative_report(), output.report.total);
-}
-
-// ---------------------------------------------------------------------------
-// Error isolation: one malformed request must not poison the batch.
-// ---------------------------------------------------------------------------
 
 #[test]
 fn a_malformed_request_fails_alone_without_poisoning_the_batch() {
@@ -272,22 +38,20 @@ fn a_malformed_request_fails_alone_without_poisoning_the_batch() {
         Request::laplacian(grid.clone(), b.clone()),
         Request::sparsify(generators::complete(10), 0.5),
     ];
-    let mut engine = BatchEngine::builder().seed(MASTER_SEED).workers(3).build();
-    let output = engine.run(&requests);
+    let mut engine = StreamEngine::builder().seed(MASTER_SEED).workers(3).build();
+    let output = serve_batch(&mut engine, &requests);
 
-    assert!(output.results[0].is_ok());
+    let results = &output.value;
+    assert!(results[0].is_ok());
     assert!(matches!(
-        output.results[1],
+        results[1],
         Err(Error::Laplacian(
             bcc_core::laplacian::LaplacianError::Disconnected
         ))
     ));
-    assert!(matches!(
-        output.results[2],
-        Err(Error::InvalidEpsilon { .. })
-    ));
-    assert!(output.results[3].is_ok());
-    assert!(output.results[4].is_ok());
+    assert!(matches!(results[2], Err(Error::InvalidEpsilon { .. })));
+    assert!(results[3].is_ok());
+    assert!(results[4].is_ok());
 
     let report = &output.report;
     assert_eq!(report.failures, 2);
@@ -304,19 +68,23 @@ fn a_malformed_request_fails_alone_without_poisoning_the_batch() {
         .contains("epsilon"));
     assert_eq!(report.per_request[1].report.total_rounds, 0);
 
-    // The healthy requests on the shared grid still amortized correctly, and
-    // the two solves are identical to an unpoisoned batch.
-    let mut clean_engine = BatchEngine::builder().seed(MASTER_SEED).build();
-    let clean = clean_engine.run(&[
-        Request::laplacian(grid.clone(), b.clone()),
-        Request::laplacian(grid, b),
-    ]);
-    let poisoned_first = output.results[0].as_ref().unwrap();
-    let clean_first = clean.results[0].as_ref().unwrap();
+    // The healthy solves on the shared grid are identical to those of an
+    // unpoisoned batch.
+    let mut clean_engine = StreamEngine::builder().seed(MASTER_SEED).build();
+    let clean = serve_batch(
+        &mut clean_engine,
+        &[
+            Request::laplacian(grid.clone(), b.clone()),
+            Request::laplacian(grid, b),
+        ],
+    );
+    let poisoned_first = results[0].as_ref().unwrap();
+    let clean_first = clean.value[0].as_ref().unwrap();
     assert_eq!(poisoned_first.value, clean_first.value);
 
-    // The failed preprocessing is cached too (same typed error on retry,
-    // without re-running the sparsifier), and it contributes no rounds.
+    // The failed preprocessing is cached too, and contributes no rounds:
+    // resubmitting the disconnected graph in a later batch returns the same
+    // typed error without building (or charging) the sparsifier again.
     let failed_entry = report
         .preprocessing
         .iter()
@@ -325,13 +93,16 @@ fn a_malformed_request_fails_alone_without_poisoning_the_batch() {
         })
         .unwrap();
     assert_eq!(failed_entry.report.total_rounds, 0);
-    let retry = engine.run(&[Request::laplacian(disconnected, vec![0.0; 6])]);
-    assert!(matches!(
-        retry.results[0],
-        Err(Error::Laplacian(
-            bcc_core::laplacian::LaplacianError::Disconnected
-        ))
-    ));
+    let misses = engine.cache_stats().misses;
+    let retry = serve_batch(
+        &mut engine,
+        &[Request::laplacian(disconnected, vec![0.0; 6])],
+    );
+    assert_eq!(retry.value[0].as_ref().err(), results[1].as_ref().err());
+    assert_eq!(retry.report.cache_misses, 0);
+    assert_eq!(retry.report.cache_hits, 1);
+    assert!(retry.report.preprocessing[0].cached);
+    assert_eq!(engine.cache_stats().misses, misses);
 }
 
 #[test]
@@ -339,7 +110,7 @@ fn sdd_gram_choice_on_a_general_lp_is_a_typed_error_not_a_panic() {
     // A generic box LP whose AᵀDA is not diagonally dominant (row (1, 3)
     // makes the (0, 1) off-diagonal 3·d₀ overwhelm the column-0 diagonal
     // d₀ + d₂): the Gremban route's precondition fails and the batch reports
-    // it as a typed error — the ROADMAP caveat this PR closes.
+    // it as a typed error.
     let lp = LpInstance {
         a: bcc_core::linalg::CsrMatrix::from_triplets(
             3,
@@ -357,9 +128,9 @@ fn sdd_gram_choice_on_a_general_lp_is_a_typed_error_not_a_panic() {
     )
     .with_sdd_gram(1e-8);
 
-    let mut engine = BatchEngine::builder().seed(MASTER_SEED).build();
-    let output = engine.run(&[Request::lp(lp, request)]);
-    match &output.results[0] {
+    let mut engine = StreamEngine::builder().seed(MASTER_SEED).build();
+    let output = serve_batch(&mut engine, &[Request::lp(lp, request)]);
+    match &output.value[0] {
         Err(Error::Lp(bcc_core::lp::LpError::GramSolve { solver, message })) => {
             assert_eq!(*solver, "gremban-laplacian");
             assert!(message.contains("diagonally dominant"), "{message}");
@@ -367,189 +138,4 @@ fn sdd_gram_choice_on_a_general_lp_is_a_typed_error_not_a_panic() {
         other => panic!("expected a typed GramSolve error, got {other:?}"),
     }
     assert_eq!(output.report.failures, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Golden snapshot: the BatchReport / RoundReport JSON schema is stable.
-// ---------------------------------------------------------------------------
-
-/// A small handcrafted report with every field populated deterministically.
-fn golden_report() -> BatchReport {
-    let phase = |rounds: u64, bits: u64, operations: u64| bcc_core::runtime::PhaseStats {
-        rounds,
-        bits,
-        operations,
-    };
-    BatchReport {
-        schema: "bcc-batch-report/v1".to_string(),
-        requests: 2,
-        failures: 1,
-        cache_hits: 1,
-        cache_misses: 1,
-        cache: bcc_core::CacheStats {
-            hits: 1,
-            misses: 1,
-            evictions: 0,
-            lru_evictions: 0,
-            cost_evictions: 0,
-            entries: 1,
-            capacity: None,
-            policy: "lru".to_string(),
-            rebuild_predicted_rounds: 10,
-            rebuild_actual_rounds: 9,
-        },
-        total: RoundReport {
-            total_rounds: 12,
-            total_bits: 340,
-            total_operations: 4,
-            breakdown: vec![
-                ("laplacian preprocessing".to_string(), phase(9, 300, 2)),
-                ("laplacian solve".to_string(), phase(3, 40, 2)),
-            ],
-        },
-        preprocessing: vec![PreprocessingCost {
-            fingerprint: "000102030405060708090a0b0c0d0e0f".to_string(),
-            requests: 2,
-            cached: false,
-            report: RoundReport {
-                total_rounds: 9,
-                total_bits: 300,
-                total_operations: 2,
-                breakdown: vec![("laplacian preprocessing".to_string(), phase(9, 300, 2))],
-            },
-        }],
-        per_request: vec![
-            RequestCost {
-                index: 0,
-                kind: "laplacian".to_string(),
-                seed: 42,
-                fingerprint: Some("000102030405060708090a0b0c0d0e0f".to_string()),
-                cache_hit: false,
-                ok: true,
-                error: None,
-                report: RoundReport {
-                    total_rounds: 3,
-                    total_bits: 40,
-                    total_operations: 2,
-                    breakdown: vec![("laplacian solve".to_string(), phase(3, 40, 2))],
-                },
-            },
-            RequestCost {
-                index: 1,
-                kind: "sparsify".to_string(),
-                seed: 43,
-                fingerprint: None,
-                cache_hit: false,
-                ok: false,
-                error: Some("sparsifier: the graph has no edges".to_string()),
-                report: RoundReport {
-                    total_rounds: 0,
-                    total_bits: 0,
-                    total_operations: 0,
-                    breakdown: vec![],
-                },
-            },
-        ],
-    }
-}
-
-#[test]
-fn batch_report_json_schema_matches_the_golden_snapshot() {
-    let json = serde_json::to_string_pretty(&golden_report()).unwrap();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/batch_report.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, format!("{json}\n")).unwrap();
-    }
-    let golden = std::fs::read_to_string(path)
-        .expect("tests/golden/batch_report.json exists (regenerate with scripts/regen-goldens.sh)");
-    assert_eq!(
-        json,
-        golden.trim_end(),
-        "BatchReport JSON schema changed — regenerate tests/golden/batch_report.json with \
-         scripts/regen-goldens.sh and bump BATCH_REPORT_SCHEMA if the change is not additive"
-    );
-    // And it round-trips.
-    let back: BatchReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, golden_report());
-}
-
-#[test]
-fn a_real_batch_report_exposes_the_documented_field_names() {
-    let grid = generators::grid(3, 3);
-    let mut b = vec![0.0; 9];
-    b[0] = 1.0;
-    b[8] = -1.0;
-    let mut engine = BatchEngine::builder().seed(MASTER_SEED).build();
-    let output = engine.run(&[Request::laplacian(grid, b)]);
-    let json = serde_json::to_string(&output.report).unwrap();
-    for field in [
-        "\"schema\"",
-        "\"requests\"",
-        "\"failures\"",
-        "\"cache_hits\"",
-        "\"cache_misses\"",
-        "\"cache\"",
-        "\"hits\"",
-        "\"misses\"",
-        "\"evictions\"",
-        "\"lru_evictions\"",
-        "\"cost_evictions\"",
-        "\"entries\"",
-        "\"capacity\"",
-        "\"policy\"",
-        "\"rebuild_predicted_rounds\"",
-        "\"rebuild_actual_rounds\"",
-        "\"total\"",
-        "\"preprocessing\"",
-        "\"per_request\"",
-        "\"total_rounds\"",
-        "\"total_bits\"",
-        "\"total_operations\"",
-        "\"breakdown\"",
-        "\"fingerprint\"",
-        "\"cache_hit\"",
-        "\"seed\"",
-        "\"kind\"",
-        "\"index\"",
-        "\"ok\"",
-        "\"error\"",
-        "\"cached\"",
-    ] {
-        assert!(json.contains(field), "missing field {field} in {json}");
-    }
-    assert_eq!(output.report.schema, "bcc-batch-report/v1");
-}
-
-#[test]
-fn the_batch_engine_supports_the_cost_aware_eviction_policy() {
-    use bcc_core::EvictionPolicy;
-
-    let grid = generators::grid(4, 4);
-    let mut b = vec![0.0; grid.n()];
-    b[0] = 1.0;
-    b[15] = -1.0;
-    let requests = vec![Request::laplacian(grid, b)];
-
-    let mut engine = BatchEngine::builder()
-        .seed(MASTER_SEED)
-        .cache_capacity(2)
-        .eviction_policy(EvictionPolicy::CostAware)
-        .build();
-    assert_eq!(engine.eviction_policy(), EvictionPolicy::CostAware);
-    let output = engine.run(&requests);
-    assert!(output.results[0].is_ok());
-    assert_eq!(output.report.cache.policy, "cost-aware");
-
-    // The policy only decides eviction victims — results are identical to
-    // the LRU default.
-    let mut lru = BatchEngine::builder().seed(MASTER_SEED).build();
-    assert_eq!(lru.eviction_policy(), EvictionPolicy::Lru);
-    let lru_out = lru.run(&requests);
-    match (&output.results[0], &lru_out.results[0]) {
-        (Ok(a), Ok(b)) => assert_eq!(a.value, b.value),
-        other => panic!("results must agree across policies: {other:?}"),
-    }
 }

@@ -8,7 +8,7 @@ use bcc_core::config::{
 };
 use bcc_core::stream::StreamEngineBuilder;
 use bcc_core::tenant::{TenantConfig, TenantDirectory};
-use bcc_core::{BatchEngineBuilder, ConfigError};
+use bcc_core::ConfigError;
 
 /// The committed example config: every field populated, so the snapshot
 /// pins the complete schema.
@@ -90,13 +90,6 @@ fn both_builders_consume_the_same_config() {
         stream.class_rate_limit(Priority::Bulk),
         Some(RateLimit::new(2, 8))
     );
-
-    let batch = BatchEngineBuilder::from_config(config.clone())
-        .unwrap()
-        .build();
-    assert_eq!(batch.seed(), config.seed);
-    assert_eq!(batch.workers(), 2);
-    assert_eq!(batch.cache_capacity(), Some(128));
 }
 
 #[test]
@@ -104,11 +97,7 @@ fn invalid_configs_are_rejected_by_both_builders() {
     let mut config = golden_config();
     config.queue_capacity = 0;
     assert_eq!(
-        StreamEngineBuilder::from_config(config.clone()).err(),
-        Some(ConfigError::ZeroQueueCapacity)
-    );
-    assert_eq!(
-        BatchEngineBuilder::from_config(config).err(),
+        StreamEngineBuilder::from_config(config).err(),
         Some(ConfigError::ZeroQueueCapacity)
     );
 }
@@ -118,6 +107,7 @@ fn a_config_built_by_setters_round_trips_through_json() {
     let builder = StreamEngineBuilder::default()
         .seed(77)
         .backpressure(BackpressurePolicy::Reject)
+        .cache_capacity(0)
         .class_rate_limit(Priority::custom(9), RateLimit::new(1, 4));
     let json = serde_json::to_string(&builder.to_config()).unwrap();
     let back: EngineConfig = serde_json::from_str(&json).unwrap();

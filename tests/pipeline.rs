@@ -2,9 +2,6 @@
 //! (spanner → sparsifier → Laplacian solver → LP solver → min-cost max-flow)
 //! exercised end-to-end on seeded random instances.
 
-// The legacy free functions stay under test until they are removed.
-#![allow(deprecated)]
-
 use bcc_core::prelude::*;
 use bcc_core::{graph::generators, linalg::vector, sparsifier::quality};
 use rand::SeedableRng;
@@ -25,7 +22,15 @@ fn spanner_feeds_sparsifier_feeds_laplacian_solver() {
     ));
 
     // Stage 2: a spectral sparsifier (Broadcast CONGEST), certified.
-    let (sparsifier, sparsifier_report) = bcc_core::spectral_sparsify(&graph, 0.5, 3);
+    let Outcome {
+        value: sparsified,
+        report: sparsifier_report,
+    } = Session::builder()
+        .seed(3)
+        .build()
+        .sparsify(&graph, 0.5)
+        .unwrap();
+    let sparsifier = sparsified.sparsifier;
     assert!(sparsifier.is_connected());
     let eps = quality::achieved_epsilon(&graph, &sparsifier);
     assert!(
@@ -38,7 +43,14 @@ fn spanner_feeds_sparsifier_feeds_laplacian_solver() {
     let mut b = vec![0.0; graph.n()];
     b[3] = 2.0;
     b[17] = -2.0;
-    let (x, _) = bcc_core::solve_laplacian_bcc(&graph, &b, 1e-8, 4);
+    let mut prepared = Session::builder()
+        .seed(4)
+        .build()
+        .laplacian(&graph)
+        .epsilon(1e-8)
+        .preprocess()
+        .unwrap();
+    let x = prepared.solve(&b).unwrap().value.solution;
     let exact = bcc_core::laplacian::exact_solve(&graph, &b);
     let diff = vector::sub(&x, &exact);
     let rel = bcc_core::graph::laplacian::laplacian_norm(&graph, &diff)
@@ -51,7 +63,14 @@ fn full_flow_pipeline_matches_the_combinatorial_baseline() {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let instance = generators::random_flow_instance(6, 0.3, 3, &mut rng);
     let baseline = ssp_min_cost_max_flow(&instance);
-    let (result, report) = bcc_core::min_cost_max_flow_bcc(&instance, 5);
+    let Outcome {
+        value: result,
+        report,
+    } = Session::builder()
+        .seed(5)
+        .build()
+        .min_cost_max_flow(&instance)
+        .unwrap();
     assert!(result.rounded_feasible);
     assert_eq!(result.flow.value, baseline.value);
     assert_eq!(result.flow.cost, baseline.cost);
@@ -74,8 +93,9 @@ fn round_counts_scale_sublinearly_in_the_number_of_edges() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let sparse = generators::random_connected(40, 0.1, 4, &mut rng);
     let dense = generators::random_connected(40, 0.8, 4, &mut rng);
-    let (_, sparse_report) = bcc_core::spectral_sparsify(&sparse, 0.5, 1);
-    let (_, dense_report) = bcc_core::spectral_sparsify(&dense, 0.5, 1);
+    let mut session = Session::builder().seed(1).build();
+    let sparse_report = session.sparsify(&sparse, 0.5).unwrap().report;
+    let dense_report = session.sparsify(&dense, 0.5).unwrap().report;
     let edge_ratio = dense.m() as f64 / sparse.m() as f64;
     let round_ratio = dense_report.total_rounds as f64 / sparse_report.total_rounds as f64;
     assert!(edge_ratio > 3.0, "edge ratio {edge_ratio}");

@@ -1,66 +1,9 @@
-//! Integration tests of the `bcc_core::Session` API: equivalence with the
-//! legacy free functions, typed error paths on malformed input, and the
-//! preprocess-once / solve-many amortization of Theorem 1.3.
-
-// The deprecated free functions stay under test until they are removed:
-// these suites prove `Session` is bit-identical to them.
-#![allow(deprecated)]
+//! Integration tests of the `bcc_core::Session` API: typed error paths on
+//! malformed input, and the preprocess-once / solve-many amortization of
+//! Theorem 1.3.
 
 use bcc_core::prelude::*;
 use bcc_core::{graph::generators, Error};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-// ---------------------------------------------------------------------------
-// Equivalence: the legacy free functions are wrappers over `Session`, so at
-// equal seeds the results must be bit-identical.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn session_sparsify_is_bit_identical_to_the_legacy_function() {
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let graph = generators::random_connected(30, 0.4, 6, &mut rng);
-    for seed in [1u64, 7, 2022] {
-        let (legacy, legacy_report) = bcc_core::spectral_sparsify(&graph, 0.5, seed);
-        let mut session = Session::builder().seed(seed).build();
-        let outcome = session.sparsify(&graph, 0.5).unwrap();
-        assert_eq!(outcome.value.sparsifier, legacy, "seed {seed}");
-        assert_eq!(outcome.report, legacy_report, "seed {seed}");
-    }
-}
-
-#[test]
-fn session_laplacian_is_bit_identical_to_the_legacy_function() {
-    let graph = generators::grid(5, 4);
-    let mut b = vec![0.0; graph.n()];
-    b[0] = 2.0;
-    b[19] = -2.0;
-    for seed in [3u64, 42] {
-        let (legacy, legacy_report) = bcc_core::solve_laplacian_bcc(&graph, &b, 1e-6, seed);
-        let session = Session::builder().seed(seed).build();
-        let mut prepared = session
-            .laplacian(&graph)
-            .epsilon(1e-6)
-            .preprocess()
-            .unwrap();
-        let outcome = prepared.solve(&b).unwrap();
-        assert_eq!(outcome.value.solution, legacy, "seed {seed}");
-        assert_eq!(prepared.report(), legacy_report, "seed {seed}");
-    }
-}
-
-#[test]
-fn session_flow_is_bit_identical_to_the_legacy_function() {
-    let mut rng = ChaCha8Rng::seed_from_u64(55);
-    let instance = generators::random_flow_instance(5, 0.3, 3, &mut rng);
-    let (legacy, legacy_report) = bcc_core::min_cost_max_flow_bcc(&instance, 13);
-    let mut session = Session::builder().seed(13).build();
-    let outcome = session.min_cost_max_flow(&instance).unwrap();
-    assert_eq!(outcome.value.flow, legacy.flow);
-    assert_eq!(outcome.value.fractional, legacy.fractional);
-    assert_eq!(outcome.value.rounds, legacy.rounds);
-    assert_eq!(outcome.report, legacy_report);
-}
 
 // ---------------------------------------------------------------------------
 // Error paths: malformed input returns `Err`, never panics.

@@ -7,9 +7,8 @@
 
 use std::collections::HashMap;
 
-use bcc_core::batch::{BatchEngine, PreprocessingCost, RequestCost};
 use bcc_core::prelude::*;
-use bcc_core::stream::{StreamEngine, StreamReport, Ticket};
+use bcc_core::stream::{PreprocessingCost, RequestCost, StreamEngine, StreamReport, Ticket};
 use bcc_core::{graph::generators, CacheStats, Error, Request, Response};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -62,8 +61,8 @@ fn mixed_workload() -> Vec<(Request, Priority)> {
 
 /// The documented sequential equivalent of a stream scope: per-submission
 /// sessions at the derived seed for sparsify/lp/mcmf, one prepared handle
-/// per distinct graph at the master seed for Laplacian solves — exactly the
-/// batch engine's contract, keyed by submission index.
+/// per distinct graph at the master seed for Laplacian solves, keyed by
+/// submission index.
 fn sequential_reference(requests: &[Request]) -> Vec<Result<bcc_core::Outcome<Response>, Error>> {
     let engine = StreamEngine::builder().seed(MASTER_SEED).build();
     let mut prepared: HashMap<u128, Result<PreparedLaplacian, Error>> = HashMap::new();
@@ -165,8 +164,8 @@ fn interleaved_stream_is_bit_identical_to_the_sequential_session_loop() {
     assert_eq!(output.report.cache_hits, 1, "repeated grid topology");
     assert_eq!(output.report.cache_misses, 2, "two distinct topologies");
 
-    // The per-request accounting mirrors the batch vocabulary: submission
-    // order, derived seeds, per-solve reports.
+    // The per-request accounting: submission order, derived seeds,
+    // per-solve reports.
     for (i, cost) in output.report.per_request.iter().enumerate() {
         assert_eq!(cost.index, i as u64);
         assert_eq!(cost.seed, engine.request_seed(i));
@@ -214,13 +213,27 @@ fn worker_count_and_interleaving_do_not_change_results_or_report() {
     // totals, even the cache-level counters (the cache is unbounded here) —
     // is scheduling-independent.
     assert_eq!(out_one.report, out_many.report);
+}
 
-    // And identical to the batch engine serving the same requests as one
-    // closed slice at the same master seed.
-    let requests: Vec<Request> = workload.iter().map(|(r, _)| r.clone()).collect();
-    let mut batch = BatchEngine::builder().seed(MASTER_SEED).workers(3).build();
-    let batch_out = batch.run(&requests);
-    assert_results_match(&out_one.value, &batch_out.results);
+#[test]
+fn request_seeds_are_deterministic_and_distinct() {
+    let engine = StreamEngine::builder().seed(MASTER_SEED).build();
+    let again = StreamEngine::builder().seed(MASTER_SEED).build();
+    let seeds: Vec<u64> = (0..64).map(|i| engine.request_seed(i)).collect();
+    for (i, &s) in seeds.iter().enumerate() {
+        assert_eq!(s, again.request_seed(i), "derivation is a pure function");
+    }
+    let distinct: std::collections::HashSet<u64> = seeds.iter().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        seeds.len(),
+        "derived seeds must not collide"
+    );
+    assert_ne!(
+        StreamEngine::builder().seed(1).build().request_seed(0),
+        engine.request_seed(0),
+        "different master seeds derive different request seeds"
+    );
 }
 
 #[test]
@@ -386,45 +399,72 @@ fn failures_are_isolated_and_metered_as_in_batch() {
     b[0] = 1.0;
     b[15] = -1.0;
     let disconnected = Graph::from_edges(6, [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)]);
+    // A generic box LP whose AᵀDA is not diagonally dominant (row (1, 3)
+    // makes the (0, 1) off-diagonal 3·d₀ overwhelm the column-0 diagonal
+    // d₀ + d₂): the Gremban route's precondition fails, which must surface
+    // as a typed error, not a panic.
+    let lp = LpInstance {
+        a: bcc_core::linalg::CsrMatrix::from_triplets(
+            3,
+            2,
+            &[(0, 0, 1.0), (0, 1, 3.0), (1, 1, 1.0), (2, 0, 1.0)],
+        ),
+        b: vec![0.7, 1.4],
+        c: vec![1.0, 1.0, 1.0],
+        lower: vec![0.0, 0.0, 0.0],
+        upper: vec![1.0, 1.0, 1.0],
+    };
+    let sdd_gram = LpRequest::new(
+        vec![0.3, 0.5, 0.4],
+        LpOptions::new(1e-2, lp.m(), 3).with_uniform_weights(),
+    )
+    .with_sdd_gram(1e-8);
+    let workload = [
+        (Request::laplacian(grid.clone(), b.clone()), Priority::Bulk),
+        (
+            Request::laplacian(disconnected.clone(), vec![0.0; 6]),
+            Priority::Interactive,
+        ),
+        (
+            Request::sparsify(generators::complete(10), f64::NAN),
+            Priority::Bulk,
+        ),
+        (Request::laplacian(grid, b), Priority::Bulk),
+        (Request::lp(lp, sdd_gram), Priority::Bulk),
+    ];
 
+    // Collect the broken submission before the rest are even submitted.
     let mut engine = StreamEngine::builder().seed(MASTER_SEED).workers(3).build();
     let output = engine.serve(|client| {
-        let healthy = client
-            .submit(Request::laplacian(grid.clone(), b.clone()), Priority::Bulk)
-            .unwrap();
-        let broken = client
-            .submit(
-                Request::laplacian(disconnected.clone(), vec![0.0; 6]),
-                Priority::Interactive,
-            )
-            .unwrap();
-        let nan = client
-            .submit(
-                Request::sparsify(generators::complete(10), f64::NAN),
-                Priority::Bulk,
-            )
-            .unwrap();
-        let again = client
-            .submit(Request::laplacian(grid.clone(), b.clone()), Priority::Bulk)
-            .unwrap();
-        (
-            client.wait(healthy),
-            client.wait(broken),
-            client.wait(nan),
-            client.wait(again),
-        )
+        let submit = |k: usize| {
+            let (request, priority) = &workload[k];
+            client.submit(request.clone(), *priority).unwrap()
+        };
+        let healthy = submit(0);
+        let broken = client.wait(submit(1));
+        let rest: Vec<Ticket> = (2..workload.len()).map(submit).collect();
+        let mut results = vec![client.wait(healthy), broken];
+        results.extend(rest.into_iter().map(|t| client.wait(t)));
+        results
     });
-    let (healthy, broken, nan, again) = output.value;
-    assert!(healthy.is_ok());
+    let results = &output.value;
+    assert!(results[0].is_ok());
     assert!(matches!(
-        broken,
+        results[1],
         Err(Error::Laplacian(
             bcc_core::laplacian::LaplacianError::Disconnected
         ))
     ));
-    assert!(matches!(nan, Err(Error::InvalidEpsilon { .. })));
-    assert!(again.is_ok());
-    assert_eq!(output.report.failures, 2);
+    assert!(matches!(results[2], Err(Error::InvalidEpsilon { .. })));
+    assert!(results[3].is_ok());
+    match &results[4] {
+        Err(Error::Lp(bcc_core::lp::LpError::GramSolve { solver, message })) => {
+            assert_eq!(*solver, "gremban-laplacian");
+            assert!(message.contains("diagonally dominant"), "{message}");
+        }
+        other => panic!("expected a typed GramSolve error, got {other:?}"),
+    }
+    assert_eq!(output.report.failures, 3);
     assert!(!output.report.per_request[1].ok);
     assert!(output.report.per_request[1]
         .error
@@ -453,6 +493,117 @@ fn failures_are_isolated_and_metered_as_in_batch() {
     assert_eq!(interactive.predicted_rounds, 0);
     assert_eq!(interactive.actual_rounds, 0);
     assert_eq!(interactive.estimation_error(), None);
+
+    // The same submissions served as a closed batch (submit all, then wait
+    // in order, on one worker) fail and are metered identically.
+    let mut batch_engine = StreamEngine::builder().seed(MASTER_SEED).workers(1).build();
+    let batch = batch_engine.serve(|client| {
+        let tickets: Vec<Ticket> = workload
+            .iter()
+            .map(|(r, p)| client.submit(r.clone(), *p).unwrap())
+            .collect();
+        tickets
+            .into_iter()
+            .map(|t| client.wait(t))
+            .collect::<Vec<_>>()
+    });
+    // (Compared through `Debug`: the NaN epsilon never equals itself.)
+    for (i, (got, want)) in output.value.iter().zip(&batch.value).enumerate() {
+        match (got, want) {
+            (Ok(got), Ok(want)) => assert_eq!(got.value, want.value, "submission {i}"),
+            (Err(got), Err(want)) => assert_eq!(format!("{got:?}"), format!("{want:?}")),
+            other => panic!("submission {i}: stream and batch disagree: {other:?}"),
+        }
+    }
+    assert_eq!(output.report, batch.report);
+}
+
+// ---------------------------------------------------------------------------
+// Cache amortization: preprocessing charged once per distinct fingerprint.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn preprocessing_is_charged_once_per_distinct_fingerprint() {
+    let grid = generators::grid(5, 5);
+    let requests: Vec<Request> = (1..6)
+        .map(|k| {
+            let mut b = vec![0.0; grid.n()];
+            b[0] = 1.0;
+            b[grid.n() - k] = -1.0;
+            Request::laplacian(grid.clone(), b)
+        })
+        .collect();
+    // One closed batch per scope: submit everything, then wait in order.
+    let serve_batch = |engine: &mut StreamEngine| {
+        engine.serve(|client| {
+            let tickets: Vec<Ticket> = requests
+                .iter()
+                .map(|r| client.submit(r.clone(), Priority::Bulk).unwrap())
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| client.wait(t))
+                .collect::<Vec<_>>()
+        })
+    };
+
+    let mut engine = StreamEngine::builder().seed(MASTER_SEED).build();
+    let first = serve_batch(&mut engine);
+    assert!(first.value.iter().all(|r| r.is_ok()));
+    let report = &first.report;
+    assert_eq!(report.requests, 5);
+    assert_eq!(report.preprocessing.len(), 1, "one distinct topology");
+    assert_eq!(report.cache_misses, 1);
+    assert_eq!(report.cache_hits, 4);
+    assert!(!report.preprocessing[0].cached);
+    assert_eq!(report.preprocessing[0].requests, 5);
+
+    let preprocessing_rounds = report.preprocessing[0].report.total_rounds;
+    assert!(preprocessing_rounds > 0);
+    let solve_rounds: u64 = report
+        .per_request
+        .iter()
+        .map(|r| r.report.total_rounds)
+        .sum();
+    assert!(solve_rounds > 0);
+    // The scope total is exactly "preprocessing once + every solve".
+    assert_eq!(
+        report.total.total_rounds,
+        preprocessing_rounds + solve_rounds
+    );
+    // Amortization: one solve is far cheaper than the preprocessing it skips.
+    assert!(solve_rounds / 5 < preprocessing_rounds);
+
+    // A second scope on the same engine reuses the cache: the entry reports
+    // as pre-cached and its preprocessing is no longer part of the total.
+    let second = serve_batch(&mut engine);
+    assert_eq!(second.report.cache_hits, 5);
+    assert_eq!(second.report.cache_misses, 0);
+    assert!(second.report.preprocessing[0].cached);
+    assert_eq!(
+        second.report.total.total_rounds,
+        second
+            .report
+            .per_request
+            .iter()
+            .map(|r| r.report.total_rounds)
+            .sum::<u64>()
+    );
+    assert_eq!(engine.cached_graphs(), 1);
+
+    // The engine's cumulative ledger agrees: two scopes of solves, one
+    // preprocessing.
+    assert_eq!(
+        engine.cumulative_report().total_rounds,
+        first.report.total.total_rounds + second.report.total.total_rounds
+    );
+
+    // Clearing the cache makes the next scope pay preprocessing again.
+    engine.clear_cache();
+    assert_eq!(engine.cached_graphs(), 0);
+    let third = serve_batch(&mut engine);
+    assert_eq!(third.report.cache_misses, 1);
+    assert!(!third.report.preprocessing[0].cached);
 }
 
 // ---------------------------------------------------------------------------
@@ -508,17 +659,6 @@ fn cache_eviction_under_capacity_one_is_correct_and_bounded() {
         stats.misses >= 2,
         "at least one build per distinct topology: {stats:?}"
     );
-
-    // The batch engine shares the same bounded-cache machinery.
-    let mut bounded_batch = BatchEngine::builder()
-        .seed(MASTER_SEED)
-        .workers(4)
-        .cache_capacity(1)
-        .build();
-    let batch_out = bounded_batch.run(&requests);
-    assert_results_match(&batch_out.results, &reference);
-    assert!(bounded_batch.cached_graphs() <= 1);
-    assert_eq!(batch_out.report.cache.capacity, Some(1));
 }
 
 // ---------------------------------------------------------------------------
@@ -1238,7 +1378,7 @@ fn stream_cumulative_ledger_accumulates_and_absorbs_into_sessions() {
         first.report.total.total_rounds + second.report.total.total_rounds
     );
 
-    // Stream totals merge into a serving Session exactly like batch totals.
+    // Scope totals merge into a serving Session's ledger.
     let mut session = Session::builder().seed(MASTER_SEED).build();
     session.absorb_report(&first.report.total);
     assert_eq!(session.cumulative_report(), first.report.total);
