@@ -101,7 +101,7 @@ impl ServedClient {
     }
 
     /// The serving engine's effective configuration, as reported in the
-    /// handshake — the same `bcc-engine-config/v1` document the in-process
+    /// handshake — the same `bcc-engine-config/v2` document the in-process
     /// builders consume.
     pub fn config(&self) -> &EngineConfig {
         &self.config

@@ -26,7 +26,7 @@
 //!   bit-identical to driving the engine in-process with the same
 //!   [`EngineConfig`] — determinism survives the IPC boundary.
 //! * **One config schema, three consumers.** The handshake returns the
-//!   engine's effective [`EngineConfig`] (`bcc-engine-config/v1`), the
+//!   engine's effective [`EngineConfig`] (`bcc-engine-config/v2`), the
 //!   exact document `StreamEngineBuilder::from_config` consumes and
 //!   `bcc-served --config` loads.
 //! * **Typed failure, never panic.** Malformed frames, oversized length

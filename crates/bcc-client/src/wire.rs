@@ -736,7 +736,7 @@ pub enum ClientMsg {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerMsg {
     /// Handshake answer: the tenant's scheduling class and the engine's
-    /// effective config — the same `bcc-engine-config/v1` schema the
+    /// effective config — the same `bcc-engine-config/v2` schema the
     /// in-process builders consume.
     Hello {
         /// Echoes [`WIRE_SCHEMA`].

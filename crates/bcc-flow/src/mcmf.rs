@@ -20,7 +20,7 @@ use crate::baselines::IntegralFlow;
 use crate::error::FlowError;
 use crate::formulation::{build_flow_lp, FlowLp, FlowLpConfig};
 
-/// Options of [`min_cost_max_flow_bcc`].
+/// Options of [`try_min_cost_max_flow_bcc`].
 #[derive(Debug, Clone)]
 pub struct McmfOptions {
     /// Seed for the cost perturbation and the solver randomness.
@@ -262,20 +262,6 @@ pub fn try_min_cost_max_flow_bcc(
     })
 }
 
-/// Panicking variant of [`try_min_cost_max_flow_bcc`], kept for the
-/// pre-`Session` API.
-///
-/// # Panics
-///
-/// Panics if the instance is empty or its LP encoding is rejected.
-pub fn min_cost_max_flow_bcc(
-    net: &mut Network,
-    instance: &FlowInstance,
-    options: &McmfOptions,
-) -> McmfResult {
-    try_min_cost_max_flow_bcc(net, instance, options).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +317,8 @@ mod tests {
         let inst = diamond();
         let baseline = ssp_min_cost_max_flow(&inst);
         let mut net = Network::clique(ModelConfig::bcc(), inst.graph.n());
-        let result = min_cost_max_flow_bcc(&mut net, &inst, &McmfOptions::default());
+        let result = try_min_cost_max_flow_bcc(&mut net, &inst, &McmfOptions::default())
+            .expect("a valid flow instance");
         assert!(result.rounded_feasible);
         assert_eq!(result.flow.value, baseline.value);
         assert_eq!(result.flow.cost, baseline.cost);
@@ -349,7 +336,8 @@ mod tests {
             strategy: WeightStrategyChoice::Uniform,
             ..McmfOptions::default()
         };
-        let result = min_cost_max_flow_bcc(&mut net, &inst, &options);
+        let result =
+            try_min_cost_max_flow_bcc(&mut net, &inst, &options).expect("a valid flow instance");
         assert!(result.rounded_feasible);
         assert_eq!(result.flow.value, baseline.value);
         assert_eq!(result.flow.cost, baseline.cost);
@@ -368,7 +356,8 @@ mod tests {
                 seed: 100 + trial,
                 ..McmfOptions::default()
             };
-            let result = min_cost_max_flow_bcc(&mut net, &inst, &options);
+            let result = try_min_cost_max_flow_bcc(&mut net, &inst, &options)
+                .expect("a valid flow instance");
             assert!(
                 result.rounded_feasible,
                 "trial {trial} rounded flow infeasible"

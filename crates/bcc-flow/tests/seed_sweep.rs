@@ -2,7 +2,7 @@
 //! successive-shortest-path optimum exactly, flow vector included, on small
 //! random instances, each solved with its own seed.
 
-use bcc_flow::{min_cost_max_flow_bcc, ssp_min_cost_max_flow, McmfOptions};
+use bcc_flow::{ssp_min_cost_max_flow, try_min_cost_max_flow_bcc, McmfOptions};
 use bcc_graph::generators;
 use bcc_runtime::{ModelConfig, Network};
 use rand::SeedableRng;
@@ -21,7 +21,8 @@ fn mcmf_matches_the_ssp_baseline_on_every_seed() {
             seed,
             ..McmfOptions::default()
         };
-        let result = min_cost_max_flow_bcc(&mut net, &instance, &options);
+        let result = try_min_cost_max_flow_bcc(&mut net, &instance, &options)
+            .expect("a valid flow instance");
         assert!(
             result.rounded_feasible,
             "seed {seed}: rounded flow infeasible"

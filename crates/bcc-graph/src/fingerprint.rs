@@ -49,16 +49,6 @@ impl GraphFingerprint {
     pub fn to_hex(&self) -> String {
         format!("{:032x}", self.0)
     }
-
-    /// A shard index in `0..shards` derived from the digest's low bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn shard(&self, shards: usize) -> usize {
-        assert!(shards > 0, "shard count must be positive");
-        (self.0 % shards as u128) as usize
-    }
 }
 
 impl std::fmt::Display for GraphFingerprint {
@@ -164,21 +154,5 @@ mod tests {
         assert_eq!(hex, fingerprint(&g).to_hex());
         assert_eq!(fp.to_string(), hex);
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn shards_partition_the_digest_space() {
-        let g = Graph::from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]);
-        let fp = fingerprint(&g);
-        assert!(fp.shard(8) < 8);
-        assert_eq!(fp.shard(1), 0);
-        assert_eq!(fp.as_u128() % 8, fp.shard(8) as u128);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_shards_rejected() {
-        let g = Graph::from_edges(2, [(0, 1, 1.0)]);
-        let _ = fingerprint(&g).shard(0);
     }
 }

@@ -1,11 +1,8 @@
 //! Typed errors of the Laplacian solver.
 
-/// Errors raised by the Laplacian solver on malformed input.
-///
-/// The panicking entry points ([`crate::LaplacianSolver::preprocess`],
-/// [`crate::LaplacianSolver::solve`]) are thin wrappers over the fallible
-/// `try_*` variants that surface these values; new code — in particular the
-/// `bcc_core::Session` facade — should call the fallible variants.
+/// Errors raised by the Laplacian solver on malformed input, as its `try_*`
+/// entry points ([`crate::LaplacianSolver::try_preprocess`],
+/// [`crate::LaplacianSolver::try_solve`]) return them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LaplacianError {
     /// The input graph is disconnected; the solver's error guarantee is

@@ -85,13 +85,9 @@ impl ScratchArena {
 pub struct LaplacianSolver {
     graph: Graph,
     sparsifier: Graph,
-    /// Dense copy of `(1 + 1/2)·L_H`, factor-solved internally by every vertex.
-    preconditioner: DenseMatrix,
-    /// The preconditioner factored once at preprocessing time; `None` when
-    /// the regularized matrix is numerically singular, in which case each
-    /// solve falls back to eliminating per iteration (and panics exactly
-    /// where the unfactored path always did).
-    factored: Option<FactoredPsd>,
+    /// The preconditioner `(1 + 1/2)·L_H`, factored once at preprocessing
+    /// time and solved internally by every vertex.
+    factored: FactoredPsd,
     /// The condition number of the Chebyshev iteration, computed once at
     /// preprocessing time (for a sparsifier, the certificate behind it is an
     /// `O(n³)` eigensolve — far too expensive to repeat per request; for the
@@ -99,6 +95,17 @@ pub struct LaplacianSolver {
     kappa: f64,
     preprocessing_rounds: u64,
     max_weight: f64,
+}
+
+/// Factors the Chebyshev preconditioner `(1 + 1/2)·L_H` of `sparsifier`.
+fn factor_preconditioner(sparsifier: &Graph) -> FactoredPsd {
+    let scaled = sparsifier.map_weights(|e| 1.5 * e.weight);
+    DenseMatrix::from_rows(&laplacian::laplacian_dense(&scaled))
+        .factor_psd()
+        .expect(
+            "L_H + λI with λ > 0 is a strictly diagonally dominant M-matrix for finite \
+             weights, so no elimination pivot falls below the singularity cut-off",
+        )
 }
 
 /// The relative condition number the Chebyshev iteration uses for the pair
@@ -140,27 +147,14 @@ impl LaplacianSolver {
         net.begin_phase("laplacian preprocessing");
         let SparsifierOutput { sparsifier, .. } = sparsify_ad_hoc(net, graph, config);
         let preprocessing_rounds = net.ledger().total_rounds() - rounds_before;
-        let scaled = sparsifier.map_weights(|e| 1.5 * e.weight);
-        let preconditioner = DenseMatrix::from_rows(&laplacian::laplacian_dense(&scaled));
         Ok(LaplacianSolver {
             max_weight: graph.max_weight().max(1.0),
             kappa: kappa_of(graph, &sparsifier),
-            factored: preconditioner.factor_psd(),
+            factored: factor_preconditioner(&sparsifier),
             graph: graph.clone(),
             sparsifier,
-            preconditioner,
             preprocessing_rounds,
         })
-    }
-
-    /// Panicking variant of [`LaplacianSolver::try_preprocess`], kept for the
-    /// pre-`Session` API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is disconnected or the network size is wrong.
-    pub fn preprocess(net: &mut Network, graph: &Graph, config: &SparsifierConfig) -> Self {
-        Self::try_preprocess(net, graph, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds a solver whose "sparsifier" is the graph itself (no
@@ -183,26 +177,14 @@ impl LaplacianSolver {
         if !graph.is_connected() {
             return Err(LaplacianError::Disconnected);
         }
-        let scaled = graph.map_weights(|e| 1.5 * e.weight);
-        let preconditioner = DenseMatrix::from_rows(&laplacian::laplacian_dense(&scaled));
         Ok(LaplacianSolver {
             max_weight: graph.max_weight().max(1.0),
             kappa: 3.0,
-            factored: preconditioner.factor_psd(),
+            factored: factor_preconditioner(graph),
             graph: graph.clone(),
             sparsifier: graph.clone(),
-            preconditioner,
             preprocessing_rounds: 0,
         })
-    }
-
-    /// Panicking variant of [`LaplacianSolver::try_exact_preconditioner`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is disconnected.
-    pub fn exact_preconditioner(graph: &Graph) -> Self {
-        Self::try_exact_preconditioner(graph).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The sparsifier computed during preprocessing.
@@ -301,17 +283,6 @@ impl LaplacianSolver {
         Ok(self.solve_unchecked_into(net, b, epsilon, arena, out))
     }
 
-    /// Panicking variant of [`LaplacianSolver::try_solve`], kept for the
-    /// pre-`Session` API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is not in `(0, 1/2]` or `b` has the wrong length.
-    pub fn solve(&self, net: &mut Network, b: &[f64], epsilon: f64) -> LaplacianSolve {
-        self.try_solve(net, b, epsilon)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn solve_unchecked_into(
         &self,
         net: &mut Network,
@@ -342,31 +313,15 @@ impl LaplacianSolver {
         }
 
         let graph = &self.graph;
-        match &self.factored {
-            Some(factored) => chebyshev::preconditioned_chebyshev_fixed_with(
-                |x, product| laplacian::laplacian_apply_into(graph, x, product),
-                |r, z| factored.solve_into(r, z, true),
-                kappa,
-                rhs,
-                iterations,
-                scratch,
-            ),
-            None => {
-                let preconditioner = &self.preconditioner;
-                chebyshev::preconditioned_chebyshev_fixed_with(
-                    |x, product| laplacian::laplacian_apply_into(graph, x, product),
-                    |r, z| {
-                        z.copy_from_slice(&preconditioner.solve_psd(r, true).expect(
-                            "the scaled sparsifier Laplacian is solvable on mean-zero vectors",
-                        ));
-                    },
-                    kappa,
-                    rhs,
-                    iterations,
-                    scratch,
-                )
-            }
-        };
+        let factored = &self.factored;
+        chebyshev::preconditioned_chebyshev_fixed_with(
+            |x, product| laplacian::laplacian_apply_into(graph, x, product),
+            |r, z| factored.solve_into(r, z, true),
+            kappa,
+            rhs,
+            iterations,
+            scratch,
+        );
         out.clear();
         out.extend_from_slice(&scratch.x);
         vector::remove_mean_in_place(out);
@@ -430,11 +385,13 @@ mod tests {
     #[test]
     fn exact_preconditioner_reaches_requested_accuracy() {
         let g = generators::grid(4, 4);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
         let b = random_rhs(g.n(), 1);
         let mut net = bcc_net(g.n());
         for eps in [0.5f64, 1e-2, 1e-6] {
-            let solve = solver.solve(&mut net, &b, eps.min(0.5));
+            let solve = solver
+                .try_solve(&mut net, &b, eps.min(0.5))
+                .expect("a valid right-hand side");
             let err = solver.relative_error(&b, &solve.solution);
             assert!(err <= eps * 1.01, "eps {eps}: error {err}");
         }
@@ -443,11 +400,15 @@ mod tests {
     #[test]
     fn iteration_count_grows_logarithmically_in_accuracy() {
         let g = generators::grid(3, 5);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
         let b = random_rhs(g.n(), 2);
         let mut net = bcc_net(g.n());
-        let coarse = solver.solve(&mut net, &b, 0.5);
-        let fine = solver.solve(&mut net, &b, 1e-8);
+        let coarse = solver
+            .try_solve(&mut net, &b, 0.5)
+            .expect("a valid right-hand side");
+        let fine = solver
+            .try_solve(&mut net, &b, 1e-8)
+            .expect("a valid right-hand side");
         assert!(fine.iterations > coarse.iterations);
         // O(log(1/eps)): 1e-8 needs ~ 19/0.7 extra iterations over 0.5, i.e.
         // well under 10x.
@@ -462,11 +423,14 @@ mod tests {
             .with_t(8)
             .with_k(2);
         let mut net = bcc_net(g.n());
-        let solver = LaplacianSolver::preprocess(&mut net, &g, &cfg);
+        let solver = LaplacianSolver::try_preprocess(&mut net, &g, &cfg)
+            .expect("a connected graph on a matching network");
         assert!(solver.preprocessing_rounds() > 0);
         assert!(solver.sparsifier().is_connected());
         let b = random_rhs(g.n(), 4);
-        let solve = solver.solve(&mut net, &b, 1e-4);
+        let solve = solver
+            .try_solve(&mut net, &b, 1e-4)
+            .expect("a valid right-hand side");
         let err = solver.relative_error(&b, &solve.solution);
         assert!(err <= 1e-3, "error {err}");
         assert!(solve.rounds > 0);
@@ -475,11 +439,13 @@ mod tests {
     #[test]
     fn solve_rounds_scale_with_log_accuracy_not_n() {
         let g = generators::complete(32);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
         let b = random_rhs(g.n(), 5);
         let mut net = bcc_net(g.n());
         let before = net.ledger().total_rounds();
-        let _ = solver.solve(&mut net, &b, 1e-4);
+        let _ = solver
+            .try_solve(&mut net, &b, 1e-4)
+            .expect("a valid right-hand side");
         let rounds = net.ledger().total_rounds() - before;
         // Far below n (which a gather-everything approach would need m rounds for).
         assert!(rounds < 600, "rounds = {rounds}");
@@ -488,10 +454,12 @@ mod tests {
     #[test]
     fn solution_is_mean_zero_and_matches_cg_baseline() {
         let g = generators::grid(4, 5);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
         let b = random_rhs(g.n(), 6);
         let mut net = bcc_net(g.n());
-        let solve = solver.solve(&mut net, &b, 1e-8);
+        let solve = solver
+            .try_solve(&mut net, &b, 1e-8)
+            .expect("a valid right-hand side");
         assert!(solve.solution.iter().sum::<f64>().abs() < 1e-8);
         let cg = cg_baseline(&g, &b, 1e-10);
         assert!(cg.converged);
@@ -512,18 +480,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn disconnected_graph_is_rejected() {
         let g = Graph::from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]);
-        let _ = LaplacianSolver::exact_preconditioner(&g);
+        assert_eq!(
+            LaplacianSolver::try_exact_preconditioner(&g).unwrap_err(),
+            LaplacianError::Disconnected
+        );
     }
 
     #[test]
-    #[should_panic]
     fn epsilon_above_half_is_rejected() {
         let g = generators::cycle(5);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
         let mut net = bcc_net(5);
-        let _ = solver.solve(&mut net, &[0.0; 5], 0.9);
+        assert_eq!(
+            solver.try_solve(&mut net, &[0.0; 5], 0.9).unwrap_err(),
+            LaplacianError::InvalidEpsilon { epsilon: 0.9 }
+        );
     }
 }

@@ -12,14 +12,14 @@
 //! * [`lewis`] — regularized ℓ_p Lewis weights (Algorithms 7/8).
 //! * [`mixed_ball`] — projection onto the mixed-norm ball (Lemma 4.10).
 //! * [`path_following`] — weighted path following (Algorithms 10/11).
-//! * [`lp_solve`] — the top-level solver (Algorithm 9, Theorem 1.4), with a
+//! * [`try_lp_solve`] — the top-level solver (Algorithm 9, Theorem 1.4), with a
 //!   uniform-weight ablation mode.
 //!
 //! ## Example
 //!
 //! ```
 //! use bcc_linalg::CsrMatrix;
-//! use bcc_lp::{lp_solve, LpInstance, LpOptions};
+//! use bcc_lp::{try_lp_solve, LpInstance, LpOptions};
 //! use bcc_lp::gram::DenseGramSolver;
 //! use bcc_runtime::{ModelConfig, Network};
 //!
@@ -33,7 +33,8 @@
 //! };
 //! let mut net = Network::clique(ModelConfig::bcc(), 2);
 //! let options = LpOptions::new(1e-3, lp.m(), 7).with_uniform_weights();
-//! let solution = lp_solve(&mut net, &lp, &[0.5, 0.5], &options, &DenseGramSolver::new());
+//! let solution = try_lp_solve(&mut net, &lp, &[0.5, 0.5], &options, &DenseGramSolver::new())
+//!     .expect("an interior, feasible start");
 //! assert!(solution.objective < 0.01);
 //! ```
 
@@ -54,4 +55,4 @@ pub use error::LpError;
 pub use gram::{DenseGramSolver, GramSolver, ScaledMatrix};
 pub use instance::LpInstance;
 pub use mixed_ball::{project_mixed_ball, MixedBallProjection};
-pub use solver::{lp_solve, try_lp_solve, LpOptions, LpSolution, WeightStrategy};
+pub use solver::{try_lp_solve, LpOptions, LpSolution, WeightStrategy};

@@ -92,7 +92,7 @@ impl WeightStrategy {
     }
 }
 
-/// Options of [`lp_solve`].
+/// Options of [`try_lp_solve`].
 #[derive(Debug, Clone)]
 pub struct LpOptions {
     /// Additive objective accuracy `ε`.
@@ -125,7 +125,7 @@ impl LpOptions {
     }
 }
 
-/// Result of [`lp_solve`].
+/// Result of [`try_lp_solve`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     /// The returned feasible point `x ∈ Ω°` with `cᵀx ≤ OPT + ε` (up to the
@@ -186,22 +186,6 @@ pub fn try_lp_solve(
         return Err(LpError::InfeasibleStart { residual });
     }
     lp_solve_unchecked(net, instance, x0, options, gram_solver)
-}
-
-/// Panicking variant of [`try_lp_solve`], kept for the pre-`Session` API.
-///
-/// # Panics
-///
-/// Panics if the instance is malformed, `x0` is not strictly interior, or
-/// `Aᵀx0 ≠ b` beyond a small tolerance.
-pub fn lp_solve(
-    net: &mut Network,
-    instance: &LpInstance,
-    x0: &[f64],
-    options: &LpOptions,
-    gram_solver: &dyn GramSolver,
-) -> LpSolution {
-    try_lp_solve(net, instance, x0, options, gram_solver).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn lp_solve_unchecked(
@@ -313,13 +297,14 @@ mod tests {
         let lp = simple_lp();
         let mut net = Network::clique(ModelConfig::bcc(), 2);
         let options = LpOptions::new(1e-3, lp.m(), 1).with_uniform_weights();
-        let solution = lp_solve(
+        let solution = try_lp_solve(
             &mut net,
             &lp,
             &[0.5, 0.5],
             &options,
             &DenseGramSolver::new(),
-        );
+        )
+        .expect("a valid LP and interior start");
         assert!(lp.is_feasible(&solution.x, 1e-6));
         assert!(
             solution.objective < 5e-3,
@@ -339,13 +324,14 @@ mod tests {
             lewis.exact_leverage = true;
             lewis.iterations = 6;
         }
-        let solution = lp_solve(
+        let solution = try_lp_solve(
             &mut net,
             &lp,
             &[0.5, 0.5],
             &options,
             &DenseGramSolver::new(),
-        );
+        )
+        .expect("a valid LP and interior start");
         assert!(lp.is_feasible(&solution.x, 1e-6));
         assert!(
             solution.objective < 5e-3,
@@ -363,7 +349,8 @@ mod tests {
         // Optimal cost = 0.7 + 0.9 + 0 = 1.6.
         let mut net = Network::clique(ModelConfig::bcc(), 2);
         let options = LpOptions::new(1e-3, lp.m(), 3).with_uniform_weights();
-        let solution = lp_solve(&mut net, &lp, &x0, &options, &DenseGramSolver::new());
+        let solution = try_lp_solve(&mut net, &lp, &x0, &options, &DenseGramSolver::new())
+            .expect("a valid LP and interior start");
         assert!(lp.is_feasible(&solution.x, 1e-5));
         assert!(
             (solution.objective - 1.6).abs() < 2e-2,
@@ -376,51 +363,56 @@ mod tests {
     fn tighter_epsilon_costs_more_iterations() {
         let lp = simple_lp();
         let mut net = Network::clique(ModelConfig::bcc(), 2);
-        let coarse = lp_solve(
+        let coarse = try_lp_solve(
             &mut net,
             &lp,
             &[0.5, 0.5],
             &LpOptions::new(1e-1, lp.m(), 4).with_uniform_weights(),
             &DenseGramSolver::new(),
-        );
-        let fine = lp_solve(
+        )
+        .expect("a valid LP and interior start");
+        let fine = try_lp_solve(
             &mut net,
             &lp,
             &[0.5, 0.5],
             &LpOptions::new(1e-5, lp.m(), 4).with_uniform_weights(),
             &DenseGramSolver::new(),
-        );
+        )
+        .expect("a valid LP and interior start");
         assert!(fine.path_iterations() > coarse.path_iterations());
         assert!(fine.objective <= coarse.objective + 1e-9);
     }
 
     #[test]
-    #[should_panic]
     fn non_interior_start_is_rejected() {
         let lp = simple_lp();
         let mut net = Network::clique(ModelConfig::bcc(), 2);
         let options = LpOptions::new(1e-2, lp.m(), 5).with_uniform_weights();
-        let _ = lp_solve(
+        let result = try_lp_solve(
             &mut net,
             &lp,
             &[1.0, 0.0],
             &options,
             &DenseGramSolver::new(),
         );
+        assert_eq!(result.unwrap_err(), LpError::NotInterior);
     }
 
     #[test]
-    #[should_panic]
     fn infeasible_start_is_rejected() {
         let lp = simple_lp();
         let mut net = Network::clique(ModelConfig::bcc(), 2);
         let options = LpOptions::new(1e-2, lp.m(), 6).with_uniform_weights();
-        let _ = lp_solve(
+        let result = try_lp_solve(
             &mut net,
             &lp,
             &[0.4, 0.4],
             &options,
             &DenseGramSolver::new(),
         );
+        assert!(matches!(
+            result.unwrap_err(),
+            LpError::InfeasibleStart { residual } if residual > 0.1
+        ));
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! * `--socket PATH` — where to listen. A stale socket file is replaced.
-//! * `--config FILE` — a `bcc-engine-config/v1` JSON document, the same
+//! * `--config FILE` — a `bcc-engine-config/v2` JSON document, the same
 //!   schema [`StreamEngineBuilder::from_config`] consumes in-process.
 //!   Defaults to [`EngineConfig::default`].
 //! * `--tenants FILE` — a `bcc-tenants/v1` directory. When given,

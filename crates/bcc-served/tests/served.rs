@@ -384,7 +384,7 @@ fn shutdown_drains_in_flight_submissions() {
     assert_eq!(report.per_request.len() as u64, submitted);
 
     // The handshake schema sanity: the report itself is versioned.
-    assert_eq!(report.schema, "bcc-stream-report/v1");
+    assert_eq!(report.schema, "bcc-stream-report/v2");
     assert_eq!(WIRE_SCHEMA, "bcc-wire/v1");
 }
 

@@ -122,7 +122,8 @@ fn bench_laplacian_solve(c: &mut Criterion) {
         .with_t(6)
         .with_k(2);
     let mut net = Network::clique(ModelConfig::bcc(), g.n());
-    let solver = LaplacianSolver::preprocess(&mut net, &g, &cfg);
+    let solver = LaplacianSolver::try_preprocess(&mut net, &g, &cfg)
+        .expect("a connected graph on a matching network");
     let raw: Vec<f64> = (0..g.n()).map(|_| rng.gen::<f64>() - 0.5).collect();
     let b = vector::remove_mean(&raw);
     let mut group = c.benchmark_group("laplacian_solve");

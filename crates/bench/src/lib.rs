@@ -265,11 +265,14 @@ pub fn e4_laplacian(seed: u64) -> Table {
             .with_t(6)
             .with_k(2);
         let mut net = Network::clique(ModelConfig::bcc(), g.n());
-        let solver = LaplacianSolver::preprocess(&mut net, &g, &cfg);
+        let solver = LaplacianSolver::try_preprocess(&mut net, &g, &cfg)
+            .expect("a connected graph on a matching network");
         let raw: Vec<f64> = (0..g.n()).map(|_| rng.gen::<f64>() - 0.5).collect();
         let b = vector::remove_mean(&raw);
         for eps in [0.5, 1e-2, 1e-4, 1e-8] {
-            let solve = solver.solve(&mut net, &b, eps);
+            let solve = solver
+                .try_solve(&mut net, &b, eps)
+                .expect("a valid right-hand side");
             let err = solver.relative_error(&b, &solve.solution);
             table.push(vec![
                 name.into(),
@@ -449,13 +452,14 @@ pub fn e8_lp_iterations(sizes: &[usize], seed: u64) -> Table {
                 options.path.weight_refresh_sweeps = 1;
             }
             let mut net = Network::clique(ModelConfig::bcc(), instance.graph.n());
-            let solution = lp_solve(
+            let solution = try_lp_solve(
                 &mut net,
                 &flow_lp.lp,
                 &flow_lp.interior_point,
                 &options,
                 &solver,
-            );
+            )
+            .expect("the flow LP starts at its interior point");
             iterations.push(solution.path_iterations());
         }
         table.push(vec![
@@ -493,14 +497,15 @@ pub fn e9_flow(sizes: &[usize], seed: u64) -> Table {
         let instance = generators::random_flow_instance(v, 0.25, 3, &mut rng);
         let baseline = ssp_min_cost_max_flow(&instance);
         let mut net = Network::clique(ModelConfig::bcc(), instance.graph.n());
-        let result = bcc_core::flow::min_cost_max_flow_bcc(
+        let result = bcc_core::flow::try_min_cost_max_flow_bcc(
             &mut net,
             &instance,
             &McmfOptions {
                 seed,
                 ..McmfOptions::default()
             },
-        );
+        )
+        .expect("a non-empty flow instance");
         let exact = result.flow.value == baseline.value && result.flow.cost == baseline.cost;
         table.push(vec![
             v.to_string(),

@@ -27,8 +27,12 @@
 //! `service_rounds_per_ms` (how many rounds one server retires per
 //! simulated millisecond), a bounded admission queue
 //! (`queue_capacity`, `0` = unbounded) and a bounded preprocessing cache
-//! (`cache_capacity` LRU slots, `0` = unbounded) that Laplacian topologies
-//! churn through.
+//! (`cache_capacity` slots, `0` = unbounded) that Laplacian topologies
+//! churn through. The simulator decides nothing the engine decides
+//! differently: the cache evicts through the engine's
+//! [`bcc_core::cache::Lru`], and a deadline is infeasible at admission by
+//! the engine's [`bcc_core::wfq::WfqQueue::infeasible_wait`], both at the
+//! scenario's fixed service rate.
 //!
 //! # Virtual-clock guarantees
 //!
@@ -82,6 +86,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use bcc_core::cache::Lru;
 use bcc_core::graph::generators;
 use bcc_core::prelude::*;
 use bcc_core::telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceRecord};
@@ -141,8 +146,9 @@ pub struct Scenario {
     /// Admission queue bound (`0` = unbounded): arrivals past it are
     /// rejected, mirroring [`bcc_core::stream::BackpressurePolicy::Reject`].
     pub queue_capacity: u64,
-    /// Preprocessing-cache LRU slots (`0` = unbounded): a Laplacian job
-    /// whose topology fingerprint misses pays its preprocessing rounds.
+    /// Preprocessing-cache slots (`0` = unbounded), evicted least recently
+    /// used first ([`bcc_core::cache::Lru`]): a Laplacian job whose topology
+    /// fingerprint misses pays its preprocessing rounds.
     pub cache_capacity: u64,
     /// The request mix, one entry per scheduling class.
     pub classes: Vec<ClassSpec>,
@@ -770,37 +776,6 @@ fn push_trace(
     }
 }
 
-/// A bounded LRU set of preprocessing fingerprints (capacity `0` =
-/// unbounded), mirroring the engine's fingerprint-keyed cache shape.
-struct SimCache {
-    capacity: usize,
-    /// Most-recently-used last.
-    entries: Vec<u64>,
-}
-
-impl SimCache {
-    fn new(capacity: u64) -> Self {
-        SimCache {
-            capacity: capacity as usize,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Touches `fp`, returning whether it was already cached.
-    fn touch(&mut self, fp: u64) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&e| e == fp) {
-            self.entries.remove(pos);
-            self.entries.push(fp);
-            return true;
-        }
-        self.entries.push(fp);
-        if self.capacity > 0 && self.entries.len() > self.capacity {
-            self.entries.remove(0);
-        }
-        false
-    }
-}
-
 #[derive(Default)]
 struct ClassAccum {
     offered: u64,
@@ -876,7 +851,10 @@ fn simulate_core(
     };
 
     let mut queue: WfqQueue<SimPayload> = WfqQueue::new(&class_cfg);
-    let mut cache = SimCache::new(scenario.cache_capacity);
+    // The engine's eviction rule over preprocessing fingerprints; a
+    // `cache_capacity` of 0 means unbounded.
+    let mut cache: Lru<u64, ()> =
+        Lru::new((scenario.cache_capacity > 0).then_some(scenario.cache_capacity as usize));
     let mut acc: Vec<ClassAccum> = scenario
         .classes
         .iter()
@@ -937,10 +915,11 @@ fn simulate_core(
                 let demand = &demands[c][job.payload.variant];
                 let mut rounds = demand.rounds;
                 if let Some(fp) = demand.fingerprint {
-                    if cache.touch(fp) {
+                    if cache.get(&fp).is_some() {
                         cache_hits += 1;
                         push_trace(trace, now, SIM_LANE_DISPATCH, TraceEvent::CacheHit, req, 0);
                     } else {
+                        cache.insert(fp, ());
                         cache_misses += 1;
                         rounds += demand.prep_rounds;
                         push_trace(
@@ -1037,9 +1016,17 @@ fn simulate_core(
                 let variant = (seq as usize) % demands[c].len();
                 let cost = demands[c][variant].rounds;
                 let deadline = scenario.classes[c].deadline_ms.map(|d| d * NS_PER_MS);
+                // The engine's admission rule at the scenario's fixed
+                // service rate.
                 let infeasible = deadline.is_some_and(|d| {
-                    let wait_rounds = queue.expected_wait_rounds(priority, pool_target);
-                    wait_rounds > 0 && service_ns(wait_rounds) > d
+                    queue
+                        .infeasible_wait(
+                            priority,
+                            pool_target,
+                            Duration::from_nanos(d),
+                            (NS_PER_MS, rate),
+                        )
+                        .is_some()
                 });
                 if infeasible {
                     acc[c].infeasible += 1;

@@ -41,19 +41,19 @@
 //!
 //! `BENCH_batch.json` is an object `{schema, seed, workers, cold, warm}`
 //! where `cold` and `warm` are serialized [`StreamReport`]s
-//! (`bcc-stream-report/v1`, laid out below); `cold` pays every
+//! (`bcc-stream-report/v2`, laid out below); `cold` pays every
 //! preprocessing, `warm` reuses the fingerprint-keyed cache.
 //!
 //! `BENCH_stream.json` is an object `{schema, seed, workers, report}` where
-//! `report` is a serialized [`StreamReport`] (`bcc-stream-report/v1`, see
+//! `report` is a serialized [`StreamReport`] (`bcc-stream-report/v2`, see
 //! `bcc_core::stream`): request/class/backpressure/deadline counters, the
 //! per-class WFQ scheduler counters (`report.scheduler.classes[*]` with
 //! `{class, weight, rate_limit, submitted, dispatched, expired, throttled,
 //! infeasible, predicted_rounds, actual_rounds}`, see
 //! [`bcc_core::SchedulerStats`]), the bounded cache's
-//! [`bcc_core::CacheStats`] (including its eviction `policy`, per-policy
-//! eviction counters and the `rebuild_predicted_rounds` /
-//! `rebuild_actual_rounds` build-estimation sums), the submission-order
+//! [`bcc_core::CacheStats`] (hit, miss and eviction counters, occupancy and
+//! capacity, and the `rebuild_predicted_rounds` / `rebuild_actual_rounds`
+//! build-estimation sums), the submission-order
 //! `per_request` costs and the once-per-fingerprint `preprocessing` costs.
 //!
 //! The estimation-error fields (`predicted_rounds` / `actual_rounds` per
@@ -61,10 +61,13 @@
 //! unified cost-model layer (`bcc_core::cost`), and the `calibration`
 //! array (one entry per observed `(kind, size-bucket)` cell, with its
 //! basis-unit and actual-round sums) by the size-bucketed rebuild of that
-//! layer. Both additions are purely additive, so the schema tags stay
-//! `bcc-bench/v1` / `bcc-stream-report/v1`; the numbers are produced by a
-//! deterministic submission-order replay of the calibration loop, which is
-//! what makes them safe for [`check_trend`] to guard.
+//! layer. Both additions were purely additive and kept the tags; the
+//! report moved to `bcc-stream-report/v2` only when the cache's eviction
+//! `policy` and per-policy `lru_evictions` / `cost_evictions` keys were
+//! removed along with the cost-aware eviction policy. The estimation
+//! numbers are produced by a deterministic submission-order replay of the
+//! calibration loop, which is what makes them safe for [`check_trend`] to
+//! guard.
 //!
 //! Field names in all three files are covered by golden-snapshot tests
 //! (`tests/stream.rs` in the workspace root), so
@@ -1189,7 +1192,7 @@ mod tests {
     fn stream_trajectory_covers_mixed_priorities_without_failures() {
         let t = stream_trajectory(7, true);
         assert_eq!(t.schema, BENCH_SCHEMA);
-        assert_eq!(t.report.schema, "bcc-stream-report/v1");
+        assert_eq!(t.report.schema, "bcc-stream-report/v2");
         assert_eq!(t.report.failures, 0);
         assert_eq!(t.report.rejected, 0);
         assert_eq!(t.report.expired, 0, "the tracked workload has no deadlines");

@@ -1,38 +1,25 @@
-//! A bounded, sharded cache of prepared Laplacian solvers with selectable
-//! eviction policies.
+//! The prepared-solver cache and the one eviction rule it shares with the
+//! load simulator.
+//!
+//! [`Lru`] is that rule: a map with an optional capacity that evicts the
+//! least recently used entry. It reads no clock and takes no lock: the
+//! serving engine wraps it in one mutex, `bench::load` drives it
+//! single-threaded, and both evict exactly the same keys for the same
+//! sequence of lookups and inserts.
 //!
 //! The serving engine ([`crate::stream::StreamEngine`]) routes every
-//! Laplacian request through one of these caches, keyed by the deterministic
-//! graph fingerprint of [`bcc_graph::fingerprint()`]: repeated solves on the
-//! same topology pay the sparsifier preprocessing of Theorem 1.3 once, no
-//! matter which worker (or which serve scope) serves them.
-//!
-//! The cache is **sharded** for concurrency (fingerprints are spread over
-//! independently locked shards) and **bounded**: when a capacity is
-//! configured, inserting beyond it evicts entries across all shards per the
-//! configured [`EvictionPolicy`], so long-lived serving processes cannot
-//! grow without limit:
-//!
-//! * [`EvictionPolicy::Lru`] (the default) evicts the globally
-//!   least-recently-used entry — the right choice when request recency
-//!   predicts reuse.
-//! * [`EvictionPolicy::CostAware`] evicts the entry with the lowest
-//!   *retention score* — `(1 + hits since insertion) × (1 + estimated
-//!   rebuild rounds)`, where the rebuild estimate comes from the engine's
-//!   shared [`CostModel`] ([`crate::cost::CostKind::LaplacianPreprocess`] at
-//!   the entry's graph dimensions, calibrated online by the builds the
-//!   cache itself observes) — so a rarely-hit, cheap-to-rebuild entry goes
-//!   before an expensive, hot preprocessing even if the latter was used
-//!   less recently. Ties break toward the least recently used. This is the
-//!   policy to pick when topologies differ wildly in preprocessing cost
-//!   (recomputation-heavy deadline-sensitive serving): the evicted rounds,
-//!   not the evicted entry count, are what the next miss re-pays.
+//! Laplacian request through a cache of prepared solvers, keyed by the
+//! deterministic graph fingerprint of [`bcc_graph::fingerprint()`]:
+//! repeated solves on the same topology pay the sparsifier preprocessing of
+//! Theorem 1.3 once, no matter which worker (or which serve scope) serves
+//! them. When a capacity is configured, inserting beyond it evicts the
+//! least recently used entry, so long-lived serving processes cannot grow
+//! without limit.
 //!
 //! Eviction never changes results — a prepared solver is a pure function of
 //! `(master seed, graph)`, so a rebuilt entry is bit-identical to the
 //! evicted one; the only observable effect is the re-paid preprocessing,
-//! surfaced through the [`CacheStats`] counters (which also carry the
-//! configured policy and per-policy eviction counts).
+//! surfaced through the [`CacheStats`] counters.
 //!
 //! Concurrent misses on the same fingerprint are collapsed: one worker
 //! builds, the others wait on the build and then share the entry, so a
@@ -43,6 +30,7 @@
 //! fail over to building instead of hanging.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -55,66 +43,103 @@ use crate::report::RoundReport;
 use crate::session::PreparedLaplacian;
 use crate::telemetry::{Counter, MetricsRegistry, TelemetrySink};
 
+/// A map with an optional capacity that evicts the least recently used
+/// entry — the one eviction rule of the engine's prepared-solver cache and
+/// of the load simulator's cache model.
+///
+/// Recency is a logical use counter, not a clock: [`Lru::get`] and
+/// [`Lru::insert`] mark their key used, [`Lru::contains`] does not, so a
+/// probe can never reorder eviction. Evicting scans every entry for the
+/// least recently used one, which the capacity bounds.
+///
+/// ```
+/// use bcc_core::cache::Lru;
+///
+/// let mut lru = Lru::new(Some(2));
+/// assert!(lru.insert("a", 1).is_empty());
+/// assert!(lru.insert("b", 2).is_empty());
+/// assert_eq!(lru.get(&"a"), Some(&1)); // `b` is now the least recent
+/// assert_eq!(lru.insert("c", 3), vec!["b"]);
+/// assert!(lru.contains(&"a") && lru.contains(&"c"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Lru<K, V> {
+    /// Each value with the use stamp of its last `get` or `insert`.
+    entries: HashMap<K, (V, u64)>,
+    capacity: Option<usize>,
+    /// The latest use stamp; stamps are unique, so the victim is too.
+    uses: u64,
+}
+
+impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+    /// An empty map holding at most `capacity` entries; `None` is
+    /// unbounded.
+    pub fn new(capacity: Option<usize>) -> Self {
+        Lru {
+            entries: HashMap::new(),
+            capacity,
+            uses: 0,
+        }
+    }
+
+    /// The capacity bound; `None` means unbounded.
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the map holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Whether `key` is present. Does not mark it used.
+    pub fn contains(&self, key: &K) -> bool {
+        self.entries.contains_key(key)
+    }
+
+    /// The value of `key`, marking it used.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        let (value, used) = self.entries.get_mut(key)?;
+        self.uses += 1;
+        *used = self.uses;
+        Some(value)
+    }
+
+    /// Inserts (or replaces) the value of `key` and marks it used, then
+    /// evicts least recently used keys while the map is over capacity.
+    /// Returns the evicted keys, oldest first.
+    pub fn insert(&mut self, key: K, value: V) -> Vec<K> {
+        self.uses += 1;
+        self.entries.insert(key, (value, self.uses));
+        let mut evicted = Vec::new();
+        while self.capacity.is_some_and(|c| self.entries.len() > c) {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(key, _)| key.clone())
+                .expect("a map over capacity is not empty");
+            self.entries.remove(&victim);
+            evicted.push(victim);
+        }
+        evicted
+    }
+
+    /// Drops every entry.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
 /// A cache entry: the prepared handle (or the typed preprocessing error,
 /// which is served to every request on that graph) plus its preprocessing
 /// cost snapshot.
 pub(crate) type CacheEntry = (Result<PreparedLaplacian, Error>, RoundReport);
-
-/// Which entry a bounded [`crate::stream::StreamEngine`] cache evicts when
-/// it exceeds its capacity. Selected on the engine builder
-/// ([`crate::stream::StreamEngineBuilder::eviction_policy`]); the policy
-/// only affects *which* preprocessing is re-paid later, never any result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the globally least-recently-used entry (the default).
-    #[default]
-    Lru,
-    /// Evict the entry with the lowest rebuild-cost × recent-hit retention
-    /// score, so hot or expensive preprocessings outlive cold, cheap ones.
-    /// Rebuild costs are the shared [`CostModel`]'s calibrated estimates at
-    /// the entry's graph dimensions.
-    CostAware,
-}
-
-impl EvictionPolicy {
-    /// The policy name surfaced in [`CacheStats::policy`]: `"lru"` or
-    /// `"cost-aware"`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::CostAware => "cost-aware",
-        }
-    }
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Serializes as the policy name string ([`EvictionPolicy::as_str`]).
-impl Serialize for EvictionPolicy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.as_str().to_string())
-    }
-}
-
-/// Deserializes from the policy name: `"lru"` or `"cost-aware"`.
-impl Deserialize for EvictionPolicy {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::String(name) => match name.as_str() {
-                "lru" => Ok(EvictionPolicy::Lru),
-                "cost-aware" => Ok(EvictionPolicy::CostAware),
-                other => Err(serde::Error::custom(format!(
-                    "unknown eviction policy `{other}` (expected `lru` or `cost-aware`)"
-                ))),
-            },
-            _ => Err(serde::Error::custom("expected an eviction-policy string")),
-        }
-    }
-}
 
 /// Serializable counters of a Laplacian cache, surfaced in
 /// [`crate::stream::StreamReport`].
@@ -123,10 +148,9 @@ impl Deserialize for EvictionPolicy {
 /// that waited for a concurrent build of the same fingerprint — collapsed
 /// waiters are hits, never misses), `misses` counts completed preprocessing
 /// builds, and `evictions` counts entries dropped to enforce the capacity
-/// bound (attributed per policy in `lru_evictions` / `cost_evictions`). The
-/// counters accumulate over the owning engine's lifetime; under capacity
-/// pressure with concurrent workers they may depend on scheduling (an
-/// evicted entry is rebuilt by whichever request needs it next), while
+/// bound. The counters accumulate over the owning engine's lifetime; under
+/// capacity pressure with concurrent workers they may depend on scheduling
+/// (an evicted entry is rebuilt by whichever request needs it next), while
 /// results never do.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -134,25 +158,18 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that built (and cached) a new entry.
     pub misses: u64,
-    /// Entries evicted to enforce the capacity bound (all policies).
+    /// Entries evicted to enforce the capacity bound.
     pub evictions: u64,
-    /// Evictions decided by [`EvictionPolicy::Lru`].
-    pub lru_evictions: u64,
-    /// Evictions decided by [`EvictionPolicy::CostAware`].
-    pub cost_evictions: u64,
     /// Entries currently cached (including cached preprocessing failures).
     pub entries: u64,
     /// The configured capacity bound; `None` means unbounded.
     pub capacity: Option<u64>,
-    /// The configured eviction policy ([`EvictionPolicy::as_str`]).
-    pub policy: String,
     /// Sum of the cost model's **prior** (uncalibrated) rebuild estimates
     /// over every completed preprocessing build — the predicted half of the
     /// cache's estimation error. The prior is a pure function of the graph
     /// dimensions, so with an unbounded cache this sum is
     /// scheduling-independent (the calibrated estimate is not: it depends
-    /// on build completion order, so it steers eviction but is never
-    /// reported).
+    /// on build completion order, so it is never reported).
     pub rebuild_predicted_rounds: u64,
     /// Sum of the actual preprocessing rounds over every completed build —
     /// the measured half of the cache's estimation error. Compare against
@@ -160,31 +177,6 @@ pub struct CacheStats {
     /// uncalibrated prior is from reality (the calibrated model closes
     /// exactly this gap).
     pub rebuild_actual_rounds: u64,
-}
-
-/// One cached slot: the entry plus the recency/usage bookkeeping the
-/// eviction policies rank by.
-struct Slot {
-    entry: Arc<CacheEntry>,
-    /// Graph dimensions of the cached topology — what the cost model prices
-    /// a rebuild of this slot from.
-    dims: CostDims,
-    /// Last-use tick (LRU order; tie-break for cost-aware eviction).
-    tick: u64,
-    /// Hits served from this slot since it was inserted.
-    uses: u64,
-}
-
-impl Slot {
-    /// The cost-aware retention score: entries with many recent hits or an
-    /// expensive *estimated* rebuild (per the shared [`CostModel`]) score
-    /// high and survive, cold cheap entries score low and go first. `+1` on
-    /// both factors keeps never-hit and zero-estimate entries comparable
-    /// instead of collapsing to 0.
-    fn retention_score(&self, cost: &CostModel) -> u128 {
-        let rebuild = cost.estimate(CostKind::LaplacianPreprocess, self.dims);
-        (1 + self.uses as u128) * (1 + rebuild as u128)
-    }
 }
 
 /// Live telemetry counters mirroring the cache's own atomics into the
@@ -196,22 +188,14 @@ struct CacheCounters {
     evictions: Arc<Counter>,
 }
 
-/// The sharded, bounded, fingerprint-keyed cache every engine worker
-/// shares.
+/// The bounded, fingerprint-keyed cache every engine worker shares.
 pub(crate) struct LaplacianCache {
-    shards: Vec<Mutex<HashMap<u128, Slot>>>,
-    capacity: Option<usize>,
-    policy: EvictionPolicy,
-    /// The engine's shared cost model: calibrated by every completed build,
-    /// consulted by cost-aware eviction for rebuild estimates.
+    entries: Mutex<Lru<u128, Arc<CacheEntry>>>,
+    /// The engine's shared cost model, calibrated by every completed build.
     cost: Arc<CostModel>,
-    /// Monotonic logical clock; every lookup/insert stamps its slot.
-    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    lru_evictions: AtomicU64,
-    cost_evictions: AtomicU64,
     /// Sum of prior rebuild estimates over completed builds (see
     /// [`CacheStats::rebuild_predicted_rounds`]).
     rebuild_predicted: AtomicU64,
@@ -228,9 +212,6 @@ pub(crate) struct LaplacianCache {
 impl std::fmt::Debug for LaplacianCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LaplacianCache")
-            .field("shards", &self.shards.len())
-            .field("capacity", &self.capacity)
-            .field("policy", &self.policy)
             .field("stats", &self.stats())
             .finish()
     }
@@ -255,31 +236,21 @@ impl Drop for BuildClaim<'_> {
 }
 
 impl LaplacianCache {
-    /// An empty cache with `shards` shards, an optional capacity bound
-    /// (total entries across all shards; `None` = unbounded), an eviction
-    /// policy, the engine's shared cost model and the engine's telemetry
-    /// sink (hit/miss/eviction counters mirror into `cache.*` metrics when
-    /// the sink is enabled).
+    /// An empty cache with an optional capacity bound (`None` = unbounded),
+    /// the engine's shared cost model and the engine's telemetry sink
+    /// (hit/miss/eviction counters mirror into `cache.*` metrics when the
+    /// sink is enabled).
     pub(crate) fn new(
-        shards: usize,
         capacity: Option<usize>,
-        policy: EvictionPolicy,
         cost: Arc<CostModel>,
         telemetry: &TelemetrySink,
     ) -> Self {
         LaplacianCache {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            capacity,
-            policy,
+            entries: Mutex::new(Lru::new(capacity)),
             cost,
-            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            lru_evictions: AtomicU64::new(0),
-            cost_evictions: AtomicU64::new(0),
             rebuild_predicted: AtomicU64::new(0),
             rebuild_actual: AtomicU64::new(0),
             building: Mutex::new(HashSet::new()),
@@ -296,48 +267,37 @@ impl LaplacianCache {
     /// metrics registry; the event counters stream in live instead.
     pub(crate) fn publish_metrics(&self, registry: &MetricsRegistry) {
         registry.gauge("cache.entries").set(self.len() as u64);
-        if let Some(capacity) = self.capacity {
+        if let Some(capacity) = self.capacity() {
             registry.gauge("cache.capacity").set(capacity as u64);
         }
     }
 
-    fn shard(&self, fp: GraphFingerprint) -> &Mutex<HashMap<u128, Slot>> {
-        &self.shards[fp.shard(self.shards.len())]
+    fn lru(&self) -> std::sync::MutexGuard<'_, Lru<u128, Arc<CacheEntry>>> {
+        self.entries.lock().expect("cache entries")
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Number of cached entries across all shards.
+    /// Number of cached entries.
     pub(crate) fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard").len())
-            .sum()
+        self.lru().len()
     }
 
     /// The configured capacity bound.
     pub(crate) fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// The configured eviction policy.
-    pub(crate) fn policy(&self) -> EvictionPolicy {
-        self.policy
+        self.lru().capacity()
     }
 
     /// Snapshot of the hit/miss/eviction counters.
     pub(crate) fn stats(&self) -> CacheStats {
+        let (entries, capacity) = {
+            let lru = self.lru();
+            (lru.len() as u64, lru.capacity().map(|c| c as u64))
+        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            lru_evictions: self.lru_evictions.load(Ordering::Relaxed),
-            cost_evictions: self.cost_evictions.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-            capacity: self.capacity.map(|c| c as u64),
-            policy: self.policy.as_str().to_string(),
+            entries,
+            capacity,
             rebuild_predicted_rounds: self.rebuild_predicted.load(Ordering::Relaxed),
             rebuild_actual_rounds: self.rebuild_actual.load(Ordering::Relaxed),
         }
@@ -346,28 +306,17 @@ impl LaplacianCache {
     /// Whether an entry for this fingerprint is currently cached (no counter
     /// or recency effect).
     pub(crate) fn contains(&self, fp: GraphFingerprint) -> bool {
-        self.shard(fp)
-            .lock()
-            .expect("shard")
-            .contains_key(&fp.as_u128())
+        self.lru().contains(&fp.as_u128())
     }
 
     /// Drops every cached entry (counters are kept).
     pub(crate) fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("shard").clear();
-        }
+        self.lru().clear();
     }
 
-    /// Looks an entry up, bumping its recency, usage count and the hit
-    /// counter on success.
-    fn lookup(&self, fp: GraphFingerprint) -> Option<Arc<CacheEntry>> {
-        let mut shard = self.shard(fp).lock().expect("shard");
-        let slot = shard.get_mut(&fp.as_u128())?;
-        slot.tick = self.tick();
-        slot.uses += 1;
-        let entry = Arc::clone(&slot.entry);
-        drop(shard);
+    /// Looks an entry up, marking it used and counting a hit on success.
+    fn lookup(&self, key: u128) -> Option<Arc<CacheEntry>> {
+        let entry = self.lru().get(&key).map(Arc::clone)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(live) = &self.live {
             live.hits.incr();
@@ -395,7 +344,7 @@ impl LaplacianCache {
     ) -> (Arc<CacheEntry>, bool) {
         let key = fp.as_u128();
         loop {
-            if let Some(entry) = self.lookup(fp) {
+            if let Some(entry) = self.lookup(key) {
                 return (entry, false);
             }
             let mut building = self.building.lock().expect("building set");
@@ -415,7 +364,7 @@ impl LaplacianCache {
             let claim = BuildClaim { cache: self, key };
             // Re-check: a build may have completed (insert + claim release)
             // between our failed lookup and claiming the build.
-            if let Some(entry) = self.lookup(fp) {
+            if let Some(entry) = self.lookup(key) {
                 return (entry, false);
             }
             let entry = Arc::new(build());
@@ -435,99 +384,15 @@ impl LaplacianCache {
                 .fetch_add(entry.1.total_rounds, Ordering::Relaxed);
             self.cost
                 .observe(CostKind::LaplacianPreprocess, dims, entry.1.total_rounds);
-            self.insert(fp, dims, Arc::clone(&entry));
+            let evicted = self.lru().insert(key, Arc::clone(&entry)).len() as u64;
+            if evicted > 0 {
+                self.evictions.fetch_add(evicted, Ordering::Relaxed);
+                if let Some(live) = &self.live {
+                    live.evictions.add(evicted);
+                }
+            }
             drop(claim);
             return (entry, true);
-        }
-    }
-
-    /// Inserts an entry, then evicts per the configured policy until the
-    /// capacity bound holds again.
-    fn insert(&self, fp: GraphFingerprint, dims: CostDims, entry: Arc<CacheEntry>) {
-        let tick = self.tick();
-        self.shard(fp).lock().expect("shard").insert(
-            fp.as_u128(),
-            Slot {
-                entry,
-                dims,
-                tick,
-                uses: 0,
-            },
-        );
-        self.enforce_capacity();
-    }
-
-    /// Evicts entries while the cache exceeds its capacity, choosing the
-    /// victim per the configured [`EvictionPolicy`]. Shards are locked one
-    /// at a time, so this never deadlocks with concurrent lookups; a
-    /// concurrent eviction of the same victim just re-checks the size and
-    /// converges.
-    ///
-    /// Each eviction scans every shard for the global victim — O(n) in the
-    /// entry count, which the capacity bounds. That favours exact global
-    /// victim selection and simplicity over per-insert throughput; a
-    /// per-shard bound or an ordered index would trade accuracy or memory
-    /// for speed if bounded caches ever grow past a few hundred entries
-    /// (each of which holds a full prepared solver, so in practice they do
-    /// not).
-    fn enforce_capacity(&self) {
-        let Some(capacity) = self.capacity else {
-            return;
-        };
-        while self.len() > capacity {
-            // Rank = (primary score, tick): strictly smaller loses. LRU
-            // ranks by recency alone; cost-aware ranks by retention score
-            // with recency as the tie-break.
-            let rank = |slot: &Slot| -> (u128, u64) {
-                match self.policy {
-                    EvictionPolicy::Lru => (0, slot.tick),
-                    EvictionPolicy::CostAware => (slot.retention_score(&self.cost), slot.tick),
-                }
-            };
-            // The most recently stamped slot (normally the entry whose
-            // insert triggered this pass) is exempt while alternatives
-            // exist: without the exemption the cost-aware policy would
-            // evict every fresh zero-hit entry right after building it.
-            let mut newest: Option<(usize, u128, u64)> = None;
-            let mut entries = 0usize;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard = shard.lock().expect("shard");
-                entries += shard.len();
-                for (key, slot) in shard.iter() {
-                    if newest.is_none_or(|(_, _, tick)| slot.tick > tick) {
-                        newest = Some((i, *key, slot.tick));
-                    }
-                }
-            }
-            let exempt = (entries > 1).then_some(newest).flatten();
-            let mut victim: Option<(usize, u128, (u128, u64))> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard = shard.lock().expect("shard");
-                for (key, slot) in shard.iter() {
-                    if exempt.is_some_and(|(ei, ek, _)| ei == i && ek == *key) {
-                        continue;
-                    }
-                    let r = rank(slot);
-                    if victim.is_none_or(|(_, _, best)| r < best) {
-                        victim = Some((i, *key, r));
-                    }
-                }
-            }
-            let Some((i, key, _)) = victim else {
-                break;
-            };
-            if self.shards[i].lock().expect("shard").remove(&key).is_some() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(live) = &self.live {
-                    live.evictions.incr();
-                }
-                match self.policy {
-                    EvictionPolicy::Lru => self.lru_evictions.fetch_add(1, Ordering::Relaxed),
-                    EvictionPolicy::CostAware => {
-                        self.cost_evictions.fetch_add(1, Ordering::Relaxed)
-                    }
-                };
-            }
         }
     }
 }
@@ -539,15 +404,9 @@ mod tests {
     use bcc_graph::{fingerprint, generators};
 
     /// A test cache with a fresh default cost model.
-    fn cache_with(
-        shards: usize,
-        capacity: Option<usize>,
-        policy: EvictionPolicy,
-    ) -> LaplacianCache {
+    fn cache_with(capacity: Option<usize>) -> LaplacianCache {
         LaplacianCache::new(
-            shards,
             capacity,
-            policy,
             Arc::new(CostModel::new()),
             &TelemetrySink::disabled(),
         )
@@ -583,8 +442,42 @@ mod tests {
     }
 
     #[test]
+    fn lru_get_marks_a_key_used_but_contains_does_not() {
+        let mut lru = Lru::new(Some(2));
+        assert!(lru.insert(1u64, ()).is_empty());
+        assert!(lru.insert(2, ()).is_empty());
+        // A probe leaves 1 the least recently used key…
+        assert!(lru.contains(&1));
+        assert_eq!(lru.insert(3, ()), vec![1]);
+        // …a lookup does not, and re-inserting a present key evicts nothing.
+        assert!(lru.get(&2).is_some());
+        assert!(lru.insert(2, ()).is_empty());
+        assert_eq!(lru.insert(4, ()), vec![3]);
+        assert!(lru.get(&1).is_none());
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.capacity(), Some(2));
+    }
+
+    #[test]
+    fn lru_without_capacity_never_evicts_and_zero_capacity_holds_nothing() {
+        let mut lru = Lru::new(None);
+        for k in 0..100u64 {
+            assert!(lru.insert(k, k).is_empty());
+        }
+        assert!(lru.insert(7, 70).is_empty());
+        assert_eq!(lru.get(&7), Some(&70));
+        assert_eq!(lru.len(), 100);
+        lru.clear();
+        assert!(lru.is_empty());
+
+        let mut zero = Lru::new(Some(0));
+        assert_eq!(zero.insert("k", 1), vec!["k"]);
+        assert!(zero.is_empty());
+    }
+
+    #[test]
     fn capacity_one_evicts_the_least_recently_used_entry() {
-        let cache = cache_with(16, Some(1), EvictionPolicy::Lru);
+        let cache = cache_with(Some(1));
         let a = generators::grid(3, 3);
         let b = generators::grid(2, 4);
         let fa = fingerprint(&a);
@@ -603,11 +496,8 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.lru_evictions, 1);
-        assert_eq!(stats.cost_evictions, 0);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.capacity, Some(1));
-        assert_eq!(stats.policy, "lru");
 
         // Re-requesting the evicted graph rebuilds it (a pure function of the
         // seed and graph, so the rebuilt entry is identical) and evicts the
@@ -622,7 +512,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_counts_hits_and_never_evicts() {
-        let cache = cache_with(4, None, EvictionPolicy::Lru);
+        let cache = cache_with(None);
         let g = generators::grid(3, 3);
         let _fp = fingerprint(&g);
         let _ = get_or_build_for(&cache, &g, || entry_for(1, &g));
@@ -641,7 +531,7 @@ mod tests {
 
     #[test]
     fn lru_order_follows_recency_of_use_not_insertion() {
-        let cache = cache_with(8, Some(2), EvictionPolicy::Lru);
+        let cache = cache_with(Some(2));
         let a = generators::grid(3, 3);
         let b = generators::grid(2, 4);
         let c = generators::grid(2, 5);
@@ -658,78 +548,11 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_eviction_keeps_the_hot_entry_where_lru_would_drop_it() {
-        // `a` is inserted first and hit three times; `b` is newer but hit
-        // only once. LRU is decided by raw recency; the cost-aware policy
-        // by hits × rebuild cost.
-        let a = generators::grid(3, 3);
-        let b = generators::grid(2, 4);
-        let c = generators::grid(2, 5);
-        let (fa, fb, _fc) = (fingerprint(&a), fingerprint(&b), fingerprint(&c));
-        let exercise = |cache: &LaplacianCache| {
-            let _ = get_or_build_for(cache, &a, || entry_for(1, &a));
-            for _ in 0..3 {
-                let _ = get_or_build_for(cache, &a, || entry_for(1, &a));
-            }
-            let _ = get_or_build_for(cache, &b, || entry_for(1, &b));
-            let _ = get_or_build_for(cache, &b, || entry_for(1, &b));
-            // The insert that overflows capacity 2.
-            let _ = get_or_build_for(cache, &c, || entry_for(1, &c));
-        };
-
-        let lru = cache_with(8, Some(2), EvictionPolicy::Lru);
-        exercise(&lru);
-        assert!(!lru.contains(fa), "LRU drops the older-touched entry");
-        assert!(lru.contains(fb));
-        assert_eq!(lru.stats().lru_evictions, 1);
-
-        let cost = cache_with(8, Some(2), EvictionPolicy::CostAware);
-        exercise(&cost);
-        assert!(
-            cost.contains(fa),
-            "the thrice-hit entry outscores the once-hit one"
-        );
-        assert!(!cost.contains(fb));
-        let stats = cost.stats();
-        assert_eq!(stats.policy, "cost-aware");
-        assert_eq!(stats.cost_evictions, 1);
-        assert_eq!(stats.lru_evictions, 0);
-    }
-
-    #[test]
-    fn cost_aware_eviction_prefers_dropping_cheap_rebuilds() {
-        // Never-hit entries tie on the usage factor, so the retention score
-        // reduces to rebuild cost: the cheaper preprocessing goes first,
-        // whatever the insertion order says.
-        let cheap = generators::grid(2, 2);
-        let dear = generators::grid(5, 5);
-        let next = generators::grid(2, 3);
-        let (fc_, fd, _fn_) = (fingerprint(&cheap), fingerprint(&dear), fingerprint(&next));
-        let cheap_entry = entry_for(1, &cheap);
-        let dear_entry = entry_for(1, &dear);
-        assert!(
-            dear_entry.1.total_rounds > cheap_entry.1.total_rounds,
-            "the larger grid must cost more to preprocess"
-        );
-
-        let cache = cache_with(8, Some(2), EvictionPolicy::CostAware);
-        // Insert the expensive entry FIRST so pure LRU would evict it.
-        let _ = get_or_build_for(&cache, &dear, || entry_for(1, &dear));
-        let _ = get_or_build_for(&cache, &cheap, || entry_for(1, &cheap));
-        let _ = get_or_build_for(&cache, &next, || entry_for(1, &next));
-        assert!(
-            cache.contains(fd),
-            "the expensive preprocessing must survive"
-        );
-        assert!(!cache.contains(fc_), "the cheap rebuild is the victim");
-    }
-
-    #[test]
     fn collapsed_concurrent_misses_count_the_waiters_as_hits() {
         // Regression test for the collapsed-miss accounting: N workers race
         // on one uncached fingerprint; exactly one build happens, and the
         // N-1 collapsed waiters are hits, never misses.
-        let cache = cache_with(4, None, EvictionPolicy::Lru);
+        let cache = cache_with(None);
         let g = generators::grid(4, 4);
         let _fp = fingerprint(&g);
         let threads = 6;
@@ -772,7 +595,7 @@ mod tests {
     fn a_panicking_build_releases_its_claim_so_waiters_take_over() {
         // The claim is RAII-released: if a build dies, a waiter must be able
         // to build instead of blocking forever on the never-notified claim.
-        let cache = cache_with(4, None, EvictionPolicy::Lru);
+        let cache = cache_with(None);
         let g = generators::grid(3, 3);
         let fp = fingerprint(&g);
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

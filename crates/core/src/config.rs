@@ -2,8 +2,8 @@
 //!
 //! [`EngineConfig`] is the single source of truth for the engine's
 //! deterministic knobs: worker bounds, queue capacity, backpressure, cache
-//! capacity and eviction policy, WFQ class weights and rate limits, seed,
-//! epsilon and shard count. Three consumers share the one schema:
+//! capacity, WFQ class weights and rate limits, seed and epsilon. Three
+//! consumers share the one schema:
 //!
 //! * **The engine builder.** [`crate::stream::StreamEngineBuilder`] holds
 //!   an `EngineConfig` internally; every fluent setter is a thin wrapper
@@ -16,11 +16,15 @@
 //! * **Operators.** The schema is versioned ([`ENGINE_CONFIG_SCHEMA`]) and
 //!   validated ([`EngineConfig::validate`] returns a typed
 //!   [`ConfigError`]), so a config file that drifts from the binary fails
-//!   loudly instead of silently misconfiguring a serving process.
+//!   loudly instead of silently misconfiguring a serving process. Unknown
+//!   keys are ignored when parsing, so a change that removes or reinterprets
+//!   a key bumps the tag: a `v1` file that still spells the removed
+//!   `shards`, `eviction_policy` or `cost_aware_tags` keys fails validation
+//!   instead of running with them dropped.
 //!
 //! This module also re-exports the serving vocabulary — [`Priority`],
-//! [`RateLimit`], [`BackpressurePolicy`], [`EvictionPolicy`] — so `use
-//! bcc_core::config::*` brings in everything a config file can spell.
+//! [`RateLimit`], [`BackpressurePolicy`] — so `use bcc_core::config::*`
+//! brings in everything a config file can spell.
 //!
 //! # Example
 //!
@@ -45,12 +49,11 @@
 use bcc_runtime::ModelConfig;
 use serde::{Deserialize, Serialize};
 
-pub use crate::cache::EvictionPolicy;
 pub use crate::stream::BackpressurePolicy;
 pub use crate::wfq::{Priority, RateLimit};
 
 /// The version tag written into [`EngineConfig::schema`].
-pub const ENGINE_CONFIG_SCHEMA: &str = "bcc-engine-config/v1";
+pub const ENGINE_CONFIG_SCHEMA: &str = "bcc-engine-config/v2";
 
 /// One scheduling class in an [`EngineConfig`]: the class, its WFQ weight
 /// and an optional token-bucket rate limit. Classes serialize by label
@@ -101,18 +104,13 @@ pub struct EngineConfig {
     /// Upper bound of an elastic pool; `None` pins the pool at
     /// [`EngineConfig::workers`].
     pub max_workers: Option<usize>,
-    /// Number of Laplacian-cache shards.
-    pub shards: usize,
     /// Bound of the stream engine's admission queue.
     pub queue_capacity: usize,
     /// What a full admission queue does to new submissions.
     pub backpressure: BackpressurePolicy,
     /// Entry bound of the prepared-Laplacian cache; `None` = unbounded.
+    /// Beyond it the least recently used entry is evicted.
     pub cache_capacity: Option<usize>,
-    /// Which cache entry is evicted beyond the capacity bound.
-    pub eviction_policy: EvictionPolicy,
-    /// Whether WFQ tags charge estimated cost (`true`) or one unit.
-    pub cost_aware_tags: bool,
     /// Scheduling-class overrides, in configuration order. Classes absent
     /// here run at their default weight with no rate limit; the built-in
     /// classes always exist.
@@ -128,12 +126,9 @@ impl Default for EngineConfig {
             epsilon: 1e-6,
             workers: None,
             max_workers: None,
-            shards: 16,
             queue_capacity: 64,
             backpressure: BackpressurePolicy::Block,
             cache_capacity: None,
-            eviction_policy: EvictionPolicy::Lru,
-            cost_aware_tags: true,
             classes: Vec::new(),
         }
     }
@@ -178,9 +173,6 @@ impl EngineConfig {
             if max < min.max(1) {
                 return Err(ConfigError::InvalidWorkerBounds { min, max });
             }
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
         }
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
@@ -232,8 +224,6 @@ pub enum ConfigError {
         /// The configured maximum.
         max: usize,
     },
-    /// A cache with zero shards cannot hold anything.
-    ZeroShards,
     /// An admission queue of capacity zero would reject everything.
     ZeroQueueCapacity,
     /// A cache capacity of zero; use `None` for "no cache bound".
@@ -290,7 +280,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "elastic worker bounds must satisfy max >= min >= 1, got min {min}, max {max}"
             ),
-            ConfigError::ZeroShards => write!(f, "shard count must be at least 1"),
             ConfigError::ZeroQueueCapacity => {
                 write!(f, "admission queue capacity must be at least 1")
             }
@@ -339,12 +328,9 @@ mod tests {
             epsilon: 1e-4,
             workers: Some(2),
             max_workers: Some(6),
-            shards: 4,
             queue_capacity: 16,
             backpressure: BackpressurePolicy::Reject,
             cache_capacity: Some(32),
-            eviction_policy: EvictionPolicy::CostAware,
-            cost_aware_tags: false,
             ..EngineConfig::default()
         };
         config.class_entry(Priority::Interactive).weight = 8;
@@ -370,6 +356,21 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_config_spelling_a_removed_key_parses_but_fails_validation() {
+        let json = serde_json::to_string(&EngineConfig::default())
+            .unwrap()
+            .replace(ENGINE_CONFIG_SCHEMA, "bcc-engine-config/v1")
+            .replacen('{', "{\"eviction_policy\":\"cost-aware\",\"shards\":4,", 1);
+        let parsed: EngineConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            parsed.validate(),
+            Err(ConfigError::UnsupportedSchema {
+                found: "bcc-engine-config/v1".to_string()
+            })
+        );
+    }
+
+    #[test]
     fn class_labels_round_trip() {
         for class in [
             Priority::Interactive,
@@ -388,7 +389,6 @@ mod tests {
         assert!(serde_json::from_str::<Priority>("\"custom-256\"").is_err());
         assert!(serde_json::from_str::<Priority>("\"urgent\"").is_err());
         assert!(serde_json::from_str::<BackpressurePolicy>("\"drop\"").is_err());
-        assert!(serde_json::from_str::<EvictionPolicy>("\"mru\"").is_err());
     }
 
     #[test]
@@ -418,10 +418,6 @@ mod tests {
             c.validate(),
             Err(ConfigError::InvalidWorkerBounds { min: 4, max: 2 })
         );
-
-        let mut c = sample();
-        c.shards = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroShards));
 
         let mut c = sample();
         c.queue_capacity = 0;

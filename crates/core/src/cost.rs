@@ -9,24 +9,20 @@
 //! [`RoundLedger`](bcc_runtime::RoundLedger) charges every completed request
 //! reports back.
 //!
-//! Three engine layers consume the predictions:
+//! Two engine layers consume the predictions:
 //!
 //! 1. **Scheduling** — [`crate::stream::StreamEngine`]'s weighted fair queue
 //!    charges each job's virtual finish tag with its estimated cost instead
-//!    of one unit ([`crate::stream::StreamEngineBuilder::cost_aware_tags`],
-//!    default on), so one enormous LP no longer counts like one tiny solve
+//!    of one unit, so one enormous LP does not count like one tiny solve
 //!    when apportioning class shares.
 //! 2. **Admission** — [`crate::stream::StreamClient::submit_with_deadline`]
 //!    rejects at submit time with [`crate::Error::DeadlineInfeasible`] when
 //!    the class's expected wait (backlog cost ÷ weight share, converted to
-//!    wall-clock through the calibrated service rate) already exceeds the
+//!    wall-clock through the calibrated service rate,
+//!    [`crate::wfq::WfqQueue::infeasible_wait`]) already exceeds the
 //!    deadline — instead of queueing work that is doomed to expire.
-//! 3. **Eviction** — [`crate::cache::EvictionPolicy::CostAware`] retention
-//!    scores use the model's *rebuild* estimates
-//!    ([`CostKind::LaplacianPreprocess`]), so the cache keeps the entries
-//!    whose loss would cost the most rounds to re-pay.
 //!
-//! A fourth consumer spends the estimates directly on capacity: the stream
+//! A third consumer spends the estimates directly on capacity: the stream
 //! engine's **elastic worker pool**
 //! ([`crate::stream::StreamEngineBuilder::elastic_workers`]) sizes itself
 //! from backlog cost ÷ the calibrated service rate.
@@ -83,7 +79,7 @@
 //! per charged round, [`CostModel::observe_service`]): rounds are the
 //! model's native currency, deadlines are wall-clock, and the service rate
 //! is the bridge. Until the first completion calibrates it,
-//! [`CostModel::expected_duration`] returns `None` and deadline admission
+//! [`CostModel::service_rate`] returns `None` and deadline admission
 //! stays permissive — an engine that has never served anything cannot call
 //! any deadline infeasible.
 //!
@@ -515,26 +511,15 @@ impl CostModel {
     /// The calibrated service rate as `(nanos, rounds)`: `rounds` charged
     /// rounds took `nanos` nanoseconds of wall-clock execution. `None` until
     /// the first [`CostModel::observe_service`]. The elastic pool sizes
-    /// itself from it ([`crate::wfq::WfqQueue::desired_workers`]).
-    pub(crate) fn service_rate(&self) -> Option<(u64, u64)> {
+    /// itself from it ([`crate::wfq::WfqQueue::desired_workers`]), and
+    /// deadline admission converts expected waits by it
+    /// ([`crate::wfq::WfqQueue::infeasible_wait`]).
+    pub fn service_rate(&self) -> Option<(u64, u64)> {
         let rounds = self.service_rounds.load(Ordering::Relaxed);
         if rounds == 0 {
             return None;
         }
         Some((self.service_nanos.load(Ordering::Relaxed), rounds))
-    }
-
-    /// Converts a round estimate into expected wall-clock time through the
-    /// calibrated service rate. `None` until the first
-    /// [`CostModel::observe_service`] — an uncalibrated model refuses to
-    /// predict durations, which keeps deadline admission permissive on a
-    /// fresh engine.
-    pub fn expected_duration(&self, rounds: u64) -> Option<Duration> {
-        let (nanos, service_rounds) = self.service_rate()?;
-        let expected = rounds as u128 * nanos as u128 / service_rounds as u128;
-        Some(Duration::from_nanos(
-            u64::try_from(expected).unwrap_or(u64::MAX),
-        ))
     }
 }
 
@@ -767,21 +752,17 @@ mod tests {
     fn service_rate_is_none_until_calibrated_then_scales_linearly() {
         let model = CostModel::new();
         assert_eq!(model.service_rate(), None);
-        assert_eq!(model.expected_duration(1000), None);
         model.observe_service(100, Duration::from_micros(200));
         assert_eq!(model.service_rate(), Some((200_000, 100)));
-        // 2 microseconds per round.
-        assert_eq!(
-            model.expected_duration(50),
-            Some(Duration::from_micros(100))
-        );
-        assert_eq!(model.expected_duration(0), Some(Duration::ZERO));
+        model.observe_service(100, Duration::from_micros(600));
+        assert_eq!(model.service_rate(), Some((800_000, 200)));
     }
 
     #[test]
     fn replicas_copy_priors_but_not_observations() {
         let model = CostModel::new().with_prior(CostKind::Mcmf, 7);
         model.observe(CostKind::Mcmf, CostDims { n: 1, m: 1 }, 9999);
+        model.observe_service(100, Duration::from_micros(200));
         let replica = model.fresh_replica();
         let dims = CostDims { n: 2, m: 3 };
         assert_eq!(
@@ -789,6 +770,6 @@ mod tests {
             CostKind::Mcmf.basis(dims) * 7
         );
         assert_eq!(replica.observations(CostKind::Mcmf), 0);
-        assert_eq!(replica.expected_duration(10), None);
+        assert_eq!(replica.service_rate(), None);
     }
 }

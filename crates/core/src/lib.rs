@@ -127,7 +127,7 @@ pub use algorithm::{
     BccAlgorithm, LaplacianAlgorithm, LaplacianProblem, LpAlgorithm, LpProblem, McmfAlgorithm,
     SparsifyAlgorithm,
 };
-pub use cache::{CacheStats, EvictionPolicy};
+pub use cache::CacheStats;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use config::{ClassEntry, ConfigError, EngineConfig, ENGINE_CONFIG_SCHEMA};
 pub use cost::{CostDims, CostKind, CostModel};
@@ -147,7 +147,6 @@ pub use tenant::{TenantAccounts, TenantConfig, TenantDirectory};
 /// Commonly used types, re-exported for `use bcc_core::prelude::*`.
 pub mod prelude {
     pub use crate::algorithm::BccAlgorithm;
-    pub use crate::cache::EvictionPolicy;
     pub use crate::clock::{Clock, SystemClock, VirtualClock};
     pub use crate::config::EngineConfig;
     pub use crate::cost::{CostDims, CostKind, CostModel};
@@ -157,10 +156,10 @@ pub mod prelude {
     pub use crate::session::{LpRequest, Outcome, PreparedLaplacian, Session};
     pub use crate::stream::{BackpressurePolicy, Priority, RateLimit, StreamEngine};
     pub use crate::telemetry::{MetricsSnapshot, TelemetrySink, TraceEvent};
-    pub use bcc_flow::{min_cost_max_flow_bcc, ssp_min_cost_max_flow, McmfOptions};
+    pub use bcc_flow::{ssp_min_cost_max_flow, try_min_cost_max_flow_bcc, McmfOptions};
     pub use bcc_graph::{DiGraph, FlowInstance, Graph};
     pub use bcc_laplacian::LaplacianSolver;
-    pub use bcc_lp::{lp_solve, LpInstance, LpOptions};
+    pub use bcc_lp::{try_lp_solve, LpInstance, LpOptions};
     pub use bcc_runtime::{Model, ModelConfig, Network, RoundLedger};
     pub use bcc_spanner::{baswana_sen_spanner, SpannerParams};
     pub use bcc_sparsifier::{sparsify_ad_hoc, SparsifierConfig};

@@ -19,7 +19,7 @@ use bcc_runtime::{ModelConfig, RoundLedger};
 use bcc_sparsifier::SparsifierOutput;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheEntry, EvictionPolicy, LaplacianCache};
+use crate::cache::{CacheEntry, LaplacianCache};
 use crate::cost::{CostDims, CostKind, CostModel};
 use crate::error::Error;
 use crate::report::RoundReport;
@@ -243,8 +243,8 @@ pub(crate) struct EngineCore {
     pub(crate) epsilon: f64,
     pub(crate) cache: LaplacianCache,
     /// The unified cost model: calibrated by completions (and cache
-    /// builds), consulted by the scheduler, deadline admission and
-    /// cost-aware eviction.
+    /// builds), consulted by the scheduler, deadline admission and the
+    /// elastic pool.
     pub(crate) cost: Arc<CostModel>,
     /// The engine's telemetry sink: disabled by default, in which case
     /// every emission site is a single `Option` check. Telemetry is
@@ -257,9 +257,7 @@ impl EngineCore {
         model: ModelConfig,
         seed: u64,
         epsilon: f64,
-        shards: usize,
         cache_capacity: Option<usize>,
-        eviction_policy: EvictionPolicy,
         cost: Arc<CostModel>,
         telemetry: TelemetrySink,
     ) -> Self {
@@ -267,13 +265,7 @@ impl EngineCore {
             model,
             seed,
             epsilon,
-            cache: LaplacianCache::new(
-                shards,
-                cache_capacity,
-                eviction_policy,
-                Arc::clone(&cost),
-                &telemetry,
-            ),
+            cache: LaplacianCache::new(cache_capacity, Arc::clone(&cost), &telemetry),
             cost,
             telemetry,
         }

@@ -37,30 +37,28 @@
 //!
 //! # Size-aware tags: the unified cost model
 //!
-//! By default the virtual-clock tags are **size-aware**
-//! ([`StreamEngineBuilder::cost_aware_tags`], default on): instead of one
-//! unit per job, a job charges its *estimated rounds* as predicted by the
-//! engine's shared [`crate::cost::CostModel`] — `max(V, F_class) +
-//! cost / weight` — so a giant LP consumes proportionally more of its
-//! class's share than a tiny solve, which is what "weighted fair" should
-//! mean under the paper's round-complexity cost model. The model calibrates
-//! itself online from completed requests (see [`crate::cost`]); its
-//! predictions steer dispatch order, deadline admission and cost-aware
-//! cache eviction, and per-class predicted-vs-actual sums are reported in
-//! [`ClassStats::predicted_rounds`] / [`ClassStats::actual_rounds`]
-//! (computed by a deterministic submission-order replay of the calibration
-//! loop, so the report never depends on scheduling). With
-//! `cost_aware_tags(false)` every job charges one unit, which is exactly
-//! the previous behaviour.
+//! The virtual-clock tags are **size-aware**: instead of one unit per job,
+//! a job charges its *estimated rounds* as predicted by the engine's shared
+//! [`crate::cost::CostModel`] — `max(V, F_class) + cost / weight` — so a
+//! giant LP consumes proportionally more of its class's share than a tiny
+//! solve, which is what "weighted fair" should mean under the paper's
+//! round-complexity cost model. The model calibrates itself online from
+//! completed requests (see [`crate::cost`]); its predictions steer dispatch
+//! order, deadline admission and the elastic pool, and per-class
+//! predicted-vs-actual sums are reported in [`ClassStats::predicted_rounds`]
+//! / [`ClassStats::actual_rounds`] (computed by a deterministic
+//! submission-order replay of the calibration loop, so the report never
+//! depends on scheduling).
 //!
 //! # Deadlines
 //!
 //! [`StreamClient::submit_with_deadline`] attaches a deadline to one
 //! submission. Admission is **deadline-aware**: when the class's expected
 //! wait — queued backlog cost divided by the class's weight share, converted
-//! to wall-clock through the model's calibrated service rate — already
-//! exceeds the deadline, the submission is rejected *at submit time* with
-//! the typed [`Error::DeadlineInfeasible`] (counted in
+//! to wall-clock through the model's calibrated service rate
+//! ([`WfqQueue::infeasible_wait`], the rule the load simulator applies too)
+//! — already exceeds the deadline, the submission is rejected *at submit
+//! time* with the typed [`Error::DeadlineInfeasible`] (counted in
 //! [`ClassStats::infeasible`]; like [`Error::Overloaded`] rejections it
 //! consumes no submission index). An engine that has never completed a
 //! request has no calibrated service rate and admits everything — an idle
@@ -119,11 +117,10 @@
 //! ```
 //!
 //! It holds for **any** worker count, class/weight vector, rate limit, queue
-//! capacity, cost-model configuration (size-aware tags on or off, whatever
-//! the model predicts — including adversarial zero or enormous estimates)
-//! and submission/collection interleaving — WFQ may only reorder
-//! *completion*, never change a per-submission seed — and cache eviction
-//! (whatever the [`crate::cache::EvictionPolicy`]) only re-pays
+//! capacity, cost-model configuration (whatever the model predicts —
+//! including adversarial zero or enormous estimates) and
+//! submission/collection interleaving — WFQ may only reorder *completion*,
+//! never change a per-submission seed — and cache eviction only re-pays
 //! preprocessing rounds, it never changes a result. Deadlines are the one
 //! deliberate exception: whether a deadline expires (or is rejected as
 //! infeasible at admission) depends on wall-clock scheduling, so only
@@ -198,7 +195,7 @@ use bcc_laplacian::ScratchArena;
 use bcc_runtime::{ModelConfig, RoundLedger};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, EvictionPolicy};
+use crate::cache::CacheStats;
 use crate::clock::{Clock, SystemClock};
 use crate::config::{ConfigError, EngineConfig};
 use crate::cost::{CalibrationCell, CostDims, CostKind, CostModel};
@@ -297,7 +294,7 @@ impl Ticket {
 }
 
 /// The version tag written into [`StreamReport::schema`].
-pub const STREAM_REPORT_SCHEMA: &str = "bcc-stream-report/v1";
+pub const STREAM_REPORT_SCHEMA: &str = "bcc-stream-report/v2";
 
 /// Aggregated, serializable accounting of one [`StreamEngine::serve`] scope
 /// — the payload of the `BENCH_stream.json` and `BENCH_batch.json`
@@ -306,7 +303,7 @@ pub const STREAM_REPORT_SCHEMA: &str = "bcc-stream-report/v1";
 /// and calibration counters of the scope.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamReport {
-    /// Schema tag consumers can dispatch on (`"bcc-stream-report/v1"`).
+    /// Schema tag consumers can dispatch on (`"bcc-stream-report/v2"`).
     pub schema: String,
     /// Number of admitted submissions.
     pub requests: u64,
@@ -510,12 +507,6 @@ impl StreamEngineBuilder {
         self
     }
 
-    /// Sets the number of cache shards (default 16).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards.max(1);
-        self
-    }
-
     /// Bounds the admission queue to `capacity` waiting submissions
     /// (default 64, minimum 1). What happens beyond the bound is decided by
     /// [`StreamEngineBuilder::backpressure`].
@@ -532,31 +523,11 @@ impl StreamEngineBuilder {
     }
 
     /// Bounds the prepared-Laplacian cache to at most `capacity` entries
-    /// (default: unbounded, minimum 1), evicting per the configured
-    /// [`StreamEngineBuilder::eviction_policy`]. Eviction re-pays
-    /// preprocessing on the next request for the evicted topology but never
-    /// changes results.
+    /// (default: unbounded, minimum 1), evicting the least recently used
+    /// entry ([`crate::cache::Lru`]). Eviction re-pays preprocessing on the
+    /// next request for the evicted topology but never changes results.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// Selects the cache eviction policy (default
-    /// [`EvictionPolicy::Lru`]). Only relevant under a
-    /// [`StreamEngineBuilder::cache_capacity`] bound.
-    pub fn eviction_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.config.eviction_policy = policy;
-        self
-    }
-
-    /// Enables or disables size-aware WFQ tags (default **on**): when on,
-    /// each job's virtual finish tag charges its estimated cost per the
-    /// engine's shared [`CostModel`]; when off, every job charges one unit
-    /// (the pre-cost-model discipline). Either way results stay
-    /// bit-identical to the sequential [`Session`] loop — the tags decide
-    /// dispatch order only.
-    pub fn cost_aware_tags(mut self, enabled: bool) -> Self {
-        self.config.cost_aware_tags = enabled;
         self
     }
 
@@ -657,9 +628,7 @@ impl StreamEngineBuilder {
                 self.config.model,
                 self.config.seed,
                 self.config.epsilon,
-                self.config.shards,
                 self.config.cache_capacity,
-                self.config.eviction_policy,
                 self.cost_model
                     .unwrap_or_else(|| Arc::new(CostModel::new())),
                 self.telemetry,
@@ -668,7 +637,6 @@ impl StreamEngineBuilder {
             max_workers,
             queue_capacity: self.config.queue_capacity,
             backpressure: self.config.backpressure,
-            cost_aware_tags: self.config.cost_aware_tags,
             clock: self.clock.unwrap_or_else(|| Arc::new(SystemClock::new())),
             classes,
             ledger: RoundLedger::new(),
@@ -690,8 +658,6 @@ pub struct StreamEngine {
     max_workers: usize,
     queue_capacity: usize,
     backpressure: BackpressurePolicy,
-    /// Whether WFQ tags charge estimated cost (true) or one unit (false).
-    cost_aware_tags: bool,
     /// The engine's time source (see [`crate::clock`]).
     clock: Arc<dyn Clock>,
     /// Normalized class configuration, sorted by class key.
@@ -709,7 +675,7 @@ impl Default for StreamEngine {
 
 impl StreamEngine {
     /// Starts a builder with laboratory defaults (BCC model, seed 2022,
-    /// `ε = 1e-6`, 16 shards, queue capacity 64, blocking backpressure,
+    /// `ε = 1e-6`, queue capacity 64, blocking backpressure,
     /// unbounded LRU cache, interactive:bulk weights 4:1, no rate limits).
     pub fn builder() -> StreamEngineBuilder {
         StreamEngineBuilder::default()
@@ -743,14 +709,8 @@ impl StreamEngine {
         self.backpressure
     }
 
-    /// Whether WFQ tags are size-aware (charge estimated cost) or unit
-    /// jobs.
-    pub fn cost_aware_tags(&self) -> bool {
-        self.cost_aware_tags
-    }
-
     /// The engine's shared cost model — calibrated by completions, consulted
-    /// by the scheduler, deadline admission and cost-aware eviction.
+    /// by the scheduler, deadline admission and the elastic pool.
     pub fn cost_model(&self) -> &CostModel {
         &self.core.cost
     }
@@ -798,11 +758,6 @@ impl StreamEngine {
         self.core.cache.capacity()
     }
 
-    /// The configured cache eviction policy.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.core.cache.policy()
-    }
-
     /// Drops every cached prepared solver (counters are kept).
     pub fn clear_cache(&mut self) {
         self.core.cache.clear();
@@ -839,7 +794,6 @@ impl StreamEngine {
             scope: self.scopes,
             queue_capacity: self.queue_capacity,
             policy: self.backpressure,
-            cost_aware_tags: self.cost_aware_tags,
             pool: PoolState::new(self.min_workers, self.max_workers),
             clock: self.clock.as_ref(),
             queue: Mutex::new(StreamQueue::new(&self.classes)),
@@ -1185,8 +1139,6 @@ struct Shared<'e> {
     scope: u64,
     queue_capacity: usize,
     policy: BackpressurePolicy,
-    /// Whether WFQ tags charge estimated cost or one unit.
-    cost_aware_tags: bool,
     /// The elastic pool's live sizing state; its current target is also the
     /// worker count expected-wait estimates at admission divide by.
     pool: PoolState,
@@ -1581,16 +1533,11 @@ impl StreamClient<'_> {
         let (cost_kind, dims) = request.cost_profile();
         // The job's estimated cost: its execution, plus the preprocessing
         // rebuild it will trigger if its topology is not cached right now.
-        let cost = if self.shared.cost_aware_tags {
-            let model = &self.shared.core.cost;
-            let mut cost = model.estimate(cost_kind, dims);
-            if fp.is_some() && !pre_cached {
-                cost = cost.saturating_add(model.estimate(CostKind::LaplacianPreprocess, dims));
-            }
-            cost
-        } else {
-            1
-        };
+        let model = &self.shared.core.cost;
+        let mut cost = model.estimate(cost_kind, dims);
+        if fp.is_some() && !pre_cached {
+            cost = cost.saturating_add(model.estimate(CostKind::LaplacianPreprocess, dims));
+        }
 
         let mut queue = self.shared.queue.lock().expect("stream queue");
         while queue.q.queued() >= self.shared.queue_capacity {
@@ -1629,28 +1576,30 @@ impl StreamClient<'_> {
         // wait divides by the pool's *current* target, so the verdict is
         // contemporaneous with the capacity that will serve the backlog.
         if let Some(deadline) = deadline {
-            if self.shared.core.cost.is_calibrated(cost_kind, dims) {
-                let wait_rounds = queue
-                    .q
-                    .expected_wait_rounds(priority, self.shared.pool.target());
-                if let Some(expected_wait) = self.shared.core.cost.expected_duration(wait_rounds) {
-                    if expected_wait > deadline {
-                        queue.q.reject_infeasible(priority);
-                        if let Some(tc) = &self.shared.tcounters {
-                            tc.infeasible.incr();
-                            self.shared.trace(
-                                0,
-                                TraceEvent::Infeasible,
-                                NO_REQUEST,
-                                u64::try_from(expected_wait.as_nanos()).unwrap_or(u64::MAX),
-                            );
-                        }
-                        return Err(Error::DeadlineInfeasible {
-                            deadline,
-                            expected_wait,
-                        });
-                    }
+            let expected_wait = model
+                .service_rate()
+                .filter(|_| model.is_calibrated(cost_kind, dims))
+                .and_then(|service| {
+                    let workers = self.shared.pool.target();
+                    queue
+                        .q
+                        .infeasible_wait(priority, workers, deadline, service)
+                });
+            if let Some(expected_wait) = expected_wait {
+                queue.q.reject_infeasible(priority);
+                if let Some(tc) = &self.shared.tcounters {
+                    tc.infeasible.incr();
+                    self.shared.trace(
+                        0,
+                        TraceEvent::Infeasible,
+                        NO_REQUEST,
+                        u64::try_from(expected_wait.as_nanos()).unwrap_or(u64::MAX),
+                    );
                 }
+                return Err(Error::DeadlineInfeasible {
+                    deadline,
+                    expected_wait,
+                });
             }
         }
         let index = queue.q.push(

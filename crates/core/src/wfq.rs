@@ -13,8 +13,10 @@
 //! dispatch order for the same (class, cost, deadline) sequence.
 //!
 //! The queue also owns the elastic worker pool's sizing rule
-//! ([`WfqQueue::desired_workers`]), so the engine and the load harness size
-//! their pools from the same backlog by the same arithmetic.
+//! ([`WfqQueue::desired_workers`]) and the deadline-admission rule
+//! ([`WfqQueue::infeasible_wait`]), so the engine and the load harness size
+//! their pools and refuse infeasible deadlines from the same backlog by the
+//! same arithmetic.
 //!
 //! Deadlines are expressed on the engine's [`crate::clock::Clock`] axis:
 //! a job's deadline is the clock reading (duration since the clock's
@@ -301,8 +303,8 @@ pub struct WfqJob<T> {
 /// Virtual-time charge of one estimated round at weight 1. Tags are
 /// `max(V, F_class) + cost × VT_UNIT / weight` in fixed-point arithmetic,
 /// so any weight up to `u32::MAX` keeps a non-zero, exactly representable
-/// per-round charge; with unit costs (size-aware tags off) this degenerates
-/// to the classic unit-job virtual clock. Costs are clamped to
+/// per-round charge; with unit costs this degenerates to the classic
+/// unit-job virtual clock. Costs are clamped to
 /// [`crate::cost::MAX_ESTIMATE_ROUNDS`] (2⁴⁰), so `cost × VT_UNIT` stays
 /// below 2⁷² and the u128 clock cannot realistically overflow.
 const VT_UNIT: u128 = 1 << 32;
@@ -546,6 +548,25 @@ impl<T> WfqQueue<T> {
         // the whole backlog, which a work-conserving scheduler never exceeds.
         let scaled = (class_backlog * active_weight / class_weight).min(total_backlog);
         u64::try_from(scaled / workers.max(1) as u128).unwrap_or(u64::MAX)
+    }
+
+    /// The deadline-admission rule: the wall-clock wait a new submission of
+    /// `priority` should expect ([`WfqQueue::expected_wait_rounds`] over
+    /// `workers`, converted at `rounds` rounds per `nanos` nanoseconds),
+    /// returned only when it exceeds `deadline` — i.e. when the deadline is
+    /// already infeasible. An idle queue expects no wait, so it never calls
+    /// a deadline infeasible, not even a zero one.
+    pub fn infeasible_wait(
+        &self,
+        priority: Priority,
+        workers: usize,
+        deadline: Duration,
+        (nanos, rounds): (u64, u64),
+    ) -> Option<Duration> {
+        let wait_rounds = self.expected_wait_rounds(priority, workers);
+        let wait = u128::from(wait_rounds) * u128::from(nanos) / u128::from(rounds.max(1));
+        let wait = Duration::from_nanos(u64::try_from(wait).unwrap_or(u64::MAX));
+        (wait > deadline).then_some(wait)
     }
 
     /// Charges one infeasible-deadline admission rejection to a class.
@@ -1011,6 +1032,34 @@ mod tests {
         s.reject_infeasible(Priority::Bulk);
         assert_eq!(s.stats().class(Priority::Bulk).unwrap().infeasible, 1);
         assert_eq!(s.stats().infeasible(), 1);
+    }
+
+    #[test]
+    fn infeasible_wait_converts_the_expected_wait_at_the_service_rate() {
+        // 2 microseconds per round.
+        let service = (200_000, 100);
+        let mut s = WfqQueue::new(&config(&[]));
+        // An idle queue expects no wait, so no deadline is infeasible.
+        assert_eq!(
+            s.infeasible_wait(Priority::Bulk, 1, Duration::ZERO, service),
+            None
+        );
+        s.push(Priority::Bulk, (), None, 50);
+        // 50 queued rounds wait 100 µs: infeasible for a shorter deadline…
+        assert_eq!(
+            s.infeasible_wait(Priority::Bulk, 1, Duration::from_micros(99), service),
+            Some(Duration::from_micros(100))
+        );
+        // …but not for a deadline it merely meets.
+        assert_eq!(
+            s.infeasible_wait(Priority::Bulk, 1, Duration::from_micros(100), service),
+            None
+        );
+        // Two workers halve the wait.
+        assert_eq!(
+            s.infeasible_wait(Priority::Bulk, 2, Duration::from_micros(40), service),
+            Some(Duration::from_micros(50))
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Streaming serving with weighted fair queueing: requests trickle in one
 //! at a time across three scheduling classes and are collected as they
-//! finish, while the engine's bounded, cost-aware Laplacian cache amortizes
+//! finish, while the engine's bounded LRU Laplacian cache amortizes
 //! preprocessing across submissions.
 //!
 //! Interactive telemetry queries (load-flow solves against two shared grid
@@ -19,7 +19,6 @@ use std::time::Duration;
 
 use bcc_core::graph::generators;
 use bcc_core::stream::{Priority, RateLimit, Request, StreamEngine};
-use bcc_core::EvictionPolicy;
 
 fn main() {
     let small_grid = generators::grid(5, 5);
@@ -30,18 +29,16 @@ fn main() {
         .seed(2022)
         .queue_capacity(8)
         .cache_capacity(4)
-        .eviction_policy(EvictionPolicy::CostAware)
         .class_weight(Priority::Interactive, 4)
         .class_weight(Priority::Bulk, 2)
         .class_weight(analytics, 1)
         .class_rate_limit(analytics, RateLimit::new(1, 4))
         .build();
     println!(
-        "stream engine: {} workers, queue capacity {}, cache capacity {:?} ({} eviction)",
+        "stream engine: {} workers, queue capacity {}, cache capacity {:?} (LRU eviction)",
         engine.workers(),
         engine.queue_capacity(),
         engine.cache_capacity(),
-        engine.eviction_policy(),
     );
     println!(
         "classes: interactive weight {}, bulk weight {}, analytics weight {} at {:?}\n",
@@ -172,8 +169,7 @@ fn main() {
         );
     }
     println!(
-        "laplacian cache ({}): {} distinct topologies, {} hits / {} misses (engine lifetime: {} hits, {} misses, {} evictions, {} entries)",
-        report.cache.policy,
+        "laplacian cache: {} distinct topologies, {} hits / {} misses (engine lifetime: {} hits, {} misses, {} evictions, {} entries)",
         report.preprocessing.len(),
         report.cache_hits,
         report.cache_misses,

@@ -7,13 +7,17 @@
 #                                scenario-library load replay BENCH_load.json
 #                                and its per-scenario telemetry snapshots
 #                                BENCH_load_metrics.json
-#                                (`expts --check-trend` in the `bench` job)
+#                                (`expts --check-trend` in the `bench` job,
+#                                which also requires every file but
+#                                BENCH_pipelines.json to be committed
+#                                byte-for-byte as this script writes it)
 #
 # Run this after any intentional change to the report schemas, to a
 # pipeline's communication cost, or to the committed scenarios/*.json load
-# library, then commit the result. Bump the report schema tags
-# (STREAM_REPORT_SCHEMA / ENGINE_CONFIG_SCHEMA / bcc-bench/v1) if a schema
-# change is not purely additive.
+# library, then commit the result. A schema change that removes or
+# reinterprets a key bumps the tag of the document it changes
+# (STREAM_REPORT_SCHEMA = bcc-stream-report/v2, ENGINE_CONFIG_SCHEMA =
+# bcc-engine-config/v2, or bcc-bench/v1); a purely additive one keeps it.
 #
 # BENCH_pipelines.json points also carry a `wall_ns` wall-clock field (the
 # median of WALL_CLOCK_REPEATS deterministic repeats, see

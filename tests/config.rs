@@ -1,11 +1,9 @@
 //! Integration tests of the unified `EngineConfig` schema: the golden JSON
-//! snapshot (the `bcc-engine-config/v1` wire shape three consumers parse),
+//! snapshot (the `bcc-engine-config/v2` wire shape three consumers parse),
 //! equivalence between the fluent builder setters and `from_config`, and
 //! the tenant directory's class mapping.
 
-use bcc_core::config::{
-    BackpressurePolicy, ClassEntry, EngineConfig, EvictionPolicy, Priority, RateLimit,
-};
+use bcc_core::config::{BackpressurePolicy, ClassEntry, EngineConfig, Priority, RateLimit};
 use bcc_core::stream::StreamEngineBuilder;
 use bcc_core::tenant::{TenantConfig, TenantDirectory};
 use bcc_core::ConfigError;
@@ -18,12 +16,9 @@ fn golden_config() -> EngineConfig {
         epsilon: 1e-6,
         workers: Some(2),
         max_workers: Some(8),
-        shards: 16,
         queue_capacity: 64,
         backpressure: BackpressurePolicy::Block,
         cache_capacity: Some(128),
-        eviction_policy: EvictionPolicy::CostAware,
-        cost_aware_tags: true,
         ..EngineConfig::default()
     };
     config.class_entry(Priority::Interactive).weight = 4;
@@ -64,7 +59,6 @@ fn from_config_equals_the_fluent_setter_chain() {
         .seed(2022)
         .elastic_workers(2, 8)
         .cache_capacity(128)
-        .eviction_policy(EvictionPolicy::CostAware)
         .class_weight(Priority::Interactive, 4)
         .class_weight(Priority::Bulk, 1)
         .class_rate_limit(Priority::Bulk, RateLimit::new(2, 8))
@@ -84,7 +78,6 @@ fn both_builders_consume_the_same_config() {
     assert_eq!(stream.worker_bounds(), (2, 8));
     assert_eq!(stream.queue_capacity(), 64);
     assert_eq!(stream.cache_capacity(), Some(128));
-    assert_eq!(stream.eviction_policy(), EvictionPolicy::CostAware);
     assert_eq!(stream.class_weight(Priority::custom(0)), 3);
     assert_eq!(
         stream.class_rate_limit(Priority::Bulk),

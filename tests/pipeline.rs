@@ -114,17 +114,22 @@ fn laplacian_solver_handles_multiple_right_hand_sides_cheaply() {
         .with_t(6)
         .with_k(2);
     let mut net = Network::clique(ModelConfig::bcc(), graph.n());
-    let solver = LaplacianSolver::preprocess(&mut net, &graph, &cfg);
+    let solver = LaplacianSolver::try_preprocess(&mut net, &graph, &cfg)
+        .expect("a connected graph on a matching network");
     let preprocessing = solver.preprocessing_rounds();
 
     let mut b1 = vec![0.0; graph.n()];
     b1[0] = 1.0;
     b1[24] = -1.0;
-    let solve1 = solver.solve(&mut net, &b1, 1e-6);
+    let solve1 = solver
+        .try_solve(&mut net, &b1, 1e-6)
+        .expect("a valid right-hand side");
     let mut b2 = vec![0.0; graph.n()];
     b2[4] = 1.0;
     b2[20] = -1.0;
-    let solve2 = solver.solve(&mut net, &b2, 1e-6);
+    let solve2 = solver
+        .try_solve(&mut net, &b2, 1e-6)
+        .expect("a valid right-hand side");
 
     assert!(solve1.rounds < preprocessing);
     assert!(solve2.rounds < preprocessing);

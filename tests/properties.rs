@@ -51,10 +51,10 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let raw: Vec<f64> = (0..g.n()).map(|_| rng.gen::<f64>() - 0.5).collect();
         let b = vector::remove_mean(&raw);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
         let mut net = Network::clique(ModelConfig::bcc(), g.n());
         for eps in [0.25, 1e-3] {
-            let solve = solver.solve(&mut net, &b, eps);
+            let solve = solver.try_solve(&mut net, &b, eps).expect("a valid right-hand side");
             let err = solver.relative_error(&b, &solve.solution);
             prop_assert!(err <= eps * 1.05, "eps {} err {}", eps, err);
         }

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use bcc_core::cache::Lru;
 use bcc_core::prelude::*;
 use bcc_core::stream::{PreprocessingCost, RequestCost, StreamEngine, StreamReport, Ticket};
 use bcc_core::{graph::generators, CacheStats, Error, Request, Response};
@@ -659,6 +660,52 @@ fn cache_eviction_under_capacity_one_is_correct_and_bounded() {
         stats.misses >= 2,
         "at least one build per distinct topology: {stats:?}"
     );
+
+    // With one worker, dispatch follows submission order, so the engine's
+    // hit, miss and eviction counts are exactly a replay of the same
+    // fingerprint sequence through the shared eviction rule — the rule the
+    // load simulator charges preprocessing by.
+    let topologies = [a, c, generators::grid(2, 7)];
+    let sequence = [0, 1, 0, 2, 1, 0, 2];
+    let mut serial = StreamEngine::builder()
+        .seed(MASTER_SEED)
+        .workers(1)
+        .cache_capacity(2)
+        .build();
+    serial.serve(|client| {
+        let tickets: Vec<Ticket> = sequence
+            .iter()
+            .map(|&t| {
+                let g = &topologies[t];
+                let mut b = vec![0.0; g.n()];
+                b[0] = 1.0;
+                b[g.n() - 1] = -1.0;
+                client
+                    .submit(Request::laplacian(g.clone(), b), Priority::Bulk)
+                    .unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            client.wait(ticket).unwrap();
+        }
+    });
+    let mut lru = Lru::new(Some(2));
+    let (mut hits, mut misses, mut evictions) = (0, 0, 0);
+    for t in sequence {
+        if lru.get(&t).is_some() {
+            hits += 1;
+        } else {
+            misses += 1;
+            evictions += lru.insert(t, ()).len() as u64;
+        }
+    }
+    assert!(evictions > 0, "the sequence overflows capacity 2");
+    let stats = serial.cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.evictions),
+        (hits, misses, evictions),
+        "the engine evicts by the shared rule: {stats:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -726,53 +773,6 @@ fn wfq_weights_rate_limits_and_custom_classes_never_change_results() {
     );
     assert_eq!(scheduler.class(Priority::Bulk).unwrap().weight, 6);
     assert_eq!(output.report.expired, 0);
-}
-
-#[test]
-fn cost_aware_eviction_is_result_identical_under_capacity_pressure() {
-    // The capacity-1 alternating-topology workload of the LRU test, under
-    // the cost-aware policy: eviction victims may differ, results may not.
-    let a = generators::grid(4, 4);
-    let c = generators::grid(3, 5);
-    let mut requests = Vec::new();
-    for k in 1..=3 {
-        for g in [&a, &c] {
-            let mut b = vec![0.0; g.n()];
-            b[k % g.n()] = 1.0;
-            b[g.n() - 1 - k % g.n()] -= 1.0;
-            requests.push(Request::laplacian(g.clone(), b));
-        }
-    }
-    let reference = sequential_reference(&requests);
-
-    let mut engine = StreamEngine::builder()
-        .seed(MASTER_SEED)
-        .workers(4)
-        .cache_capacity(1)
-        .eviction_policy(EvictionPolicy::CostAware)
-        .build();
-    assert_eq!(engine.eviction_policy(), EvictionPolicy::CostAware);
-    let output = engine.serve(|client| {
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|r| client.submit(r.clone(), Priority::Bulk).unwrap())
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| client.wait(t))
-            .collect::<Vec<_>>()
-    });
-    assert_results_match(&output.value, &reference);
-    assert!(engine.cached_graphs() <= 1, "capacity bound holds");
-    assert_eq!(output.report.cache.policy, "cost-aware");
-    let stats = engine.cache_stats();
-    assert!(stats.evictions >= 1, "alternation under capacity 1 evicts");
-    assert_eq!(
-        stats.evictions,
-        stats.cost_evictions + stats.lru_evictions,
-        "per-policy counters partition the total"
-    );
-    assert_eq!(stats.lru_evictions, 0, "the active policy is charged");
 }
 
 #[test]
@@ -1052,61 +1052,53 @@ fn cost_aware_tags_on_and_off_are_bit_identical_across_configurations() {
             .report
     };
 
-    // Sweep worker counts, adversarial weights, a rate limit, generous
-    // deadlines and both tag disciplines: none of it may leak into results.
+    // Sweep worker counts, adversarial weights, a rate limit and generous
+    // deadlines: none of it may leak into results.
     for workers in [1, 3, 7] {
-        for cost_aware in [true, false] {
-            let mut engine = StreamEngine::builder()
-                .seed(MASTER_SEED)
-                .workers(workers)
-                .cost_aware_tags(cost_aware)
-                .class_weight(Priority::Bulk, 5)
-                .class_weight(Priority::Interactive, 1)
-                .class_rate_limit(Priority::Bulk, RateLimit::new(1, 3))
-                .build();
-            assert_eq!(engine.cost_aware_tags(), cost_aware);
-            let output = engine.serve(|client| {
-                let tickets: Vec<Ticket> = workload
-                    .iter()
-                    .map(|(r, p)| {
-                        client
-                            .submit_with_deadline(
-                                r.clone(),
-                                *p,
-                                std::time::Duration::from_secs(3600),
-                            )
-                            .unwrap()
-                    })
-                    .collect();
-                tickets
-                    .into_iter()
-                    .map(|t| client.wait(t))
-                    .collect::<Vec<_>>()
-            });
-            assert_results_match(&output.value, &reference);
-            assert_eq!(output.report.expired, 0, "generous deadlines never trip");
-            assert_eq!(output.report.infeasible, 0);
-
-            // The reported estimation error is a deterministic replay of
-            // the calibration loop in submission order: identical whatever
-            // the worker count or tag discipline.
-            let scheduler = &output.report.scheduler;
-            for class in &scheduler.classes {
-                if class.class == "interactive" {
-                    // sparsify + laplacian + lp all completed under this
-                    // class; the replay observed every one of them.
-                    assert!(class.actual_rounds > 0);
-                }
-            }
-            for (got, want) in scheduler
-                .classes
+        let mut engine = StreamEngine::builder()
+            .seed(MASTER_SEED)
+            .workers(workers)
+            .class_weight(Priority::Bulk, 5)
+            .class_weight(Priority::Interactive, 1)
+            .class_rate_limit(Priority::Bulk, RateLimit::new(1, 3))
+            .build();
+        let output = engine.serve(|client| {
+            let tickets: Vec<Ticket> = workload
                 .iter()
-                .zip(&reference_report.scheduler.classes)
-            {
-                assert_eq!(got.class, want.class);
-                assert_eq!(got.predicted_rounds, want.predicted_rounds, "{}", got.class);
-                assert_eq!(got.actual_rounds, want.actual_rounds, "{}", got.class);
+                .map(|(r, p)| {
+                    client
+                        .submit_with_deadline(r.clone(), *p, std::time::Duration::from_secs(3600))
+                        .unwrap()
+                })
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| client.wait(t))
+                .collect::<Vec<_>>()
+        });
+        assert_results_match(&output.value, &reference);
+        assert_eq!(output.report.expired, 0, "generous deadlines never trip");
+        assert_eq!(output.report.infeasible, 0);
+
+        // The reported estimation error is a deterministic replay of
+        // the calibration loop in submission order: identical whatever
+        // the worker count.
+        let scheduler = &output.report.scheduler;
+        for class in &scheduler.classes {
+            if class.class == "interactive" {
+                // sparsify + laplacian + lp all completed under this
+                // class; the replay observed every one of them.
+                assert!(class.actual_rounds > 0);
             }
+        }
+        for (got, want) in scheduler
+            .classes
+            .iter()
+            .zip(&reference_report.scheduler.classes)
+        {
+            assert_eq!(got.class, want.class);
+            assert_eq!(got.predicted_rounds, want.predicted_rounds, "{}", got.class);
+            assert_eq!(got.actual_rounds, want.actual_rounds, "{}", got.class);
         }
     }
 }
@@ -1181,7 +1173,7 @@ fn an_idle_engine_never_rejects_a_deadline_as_infeasible() {
         client.wait(t).unwrap();
     });
     assert!(
-        engine.cost_model().expected_duration(1).is_some(),
+        engine.cost_model().service_rate().is_some(),
         "the service rate is calibrated"
     );
 
@@ -1465,7 +1457,6 @@ mod cost_model_properties {
         fn any_cost_model_output_preserves_bit_identity_and_starvation_freedom(
             selectors in (0u64..5, 0u64..5, 0u64..5, 0u64..5, 0u64..5),
             workers in 1usize..5,
-            cost_aware in 0u64..2,
             pool_min in 1usize..4,
             pool_span in 0usize..4,
         ) {
@@ -1494,7 +1485,6 @@ mod cost_model_properties {
             let mut engine = StreamEngine::builder()
                 .seed(MASTER_SEED)
                 .workers(workers)
-                .cost_aware_tags(cost_aware == 1)
                 .cost_model(make_model())
                 .build();
             // Every wait() returning is the starvation-freedom claim: no
@@ -1520,7 +1510,6 @@ mod cost_model_properties {
             let mut elastic = StreamEngine::builder()
                 .seed(MASTER_SEED)
                 .elastic_workers(pool_min, pool_min + pool_span)
-                .cost_aware_tags(cost_aware == 1)
                 .cost_model(make_model())
                 .build();
             prop_assert_eq!(elastic.worker_bounds(), (pool_min, pool_min + pool_span));
@@ -1542,7 +1531,6 @@ mod cost_model_properties {
             let mut traced = StreamEngine::builder()
                 .seed(MASTER_SEED)
                 .workers(workers)
-                .cost_aware_tags(cost_aware == 1)
                 .cost_model(make_model())
                 .telemetry(sink.clone())
                 .build();
@@ -1576,7 +1564,7 @@ fn golden_report() -> StreamReport {
         operations,
     };
     StreamReport {
-        schema: "bcc-stream-report/v1".to_string(),
+        schema: "bcc-stream-report/v2".to_string(),
         requests: 2,
         failures: 1,
         interactive: 1,
@@ -1622,11 +1610,8 @@ fn golden_report() -> StreamReport {
             hits: 0,
             misses: 1,
             evictions: 0,
-            lru_evictions: 0,
-            cost_evictions: 0,
             entries: 1,
             capacity: Some(4),
-            policy: "lru".to_string(),
             rebuild_predicted_rounds: 10,
             rebuild_actual_rounds: 9,
         },
@@ -1757,8 +1742,6 @@ fn a_real_stream_report_exposes_the_documented_field_names() {
         "\"hits\"",
         "\"misses\"",
         "\"evictions\"",
-        "\"lru_evictions\"",
-        "\"cost_evictions\"",
         "\"entries\"",
         "\"capacity\"",
         "\"total\"",
@@ -1783,5 +1766,5 @@ fn a_real_stream_report_exposes_the_documented_field_names() {
     ] {
         assert!(json.contains(field), "missing field {field} in {json}");
     }
-    assert_eq!(output.report.schema, "bcc-stream-report/v1");
+    assert_eq!(output.report.schema, "bcc-stream-report/v2");
 }
