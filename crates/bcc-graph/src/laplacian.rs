@@ -37,6 +37,41 @@ pub fn laplacian_apply_into(g: &Graph, x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// [`laplacian_apply_into`] on `lanes` vectors at once, stored as one
+/// interleaved block: entry `i` of lane `j` sits at `i·lanes + j` in both `x`
+/// and `out`. Each edge updates all lanes before the next edge, so every lane
+/// of `out` is bit-identical to `laplacian_apply_into` on that lane alone.
+///
+/// # Panics
+///
+/// Panics if `x` or `out` do not hold `g.n() · lanes` entries.
+pub fn laplacian_apply_block_into(g: &Graph, x: &[f64], out: &mut [f64], lanes: usize) {
+    assert_eq!(x.len(), g.n() * lanes, "dimension mismatch");
+    assert_eq!(out.len(), g.n() * lanes, "dimension mismatch");
+    out.fill(0.0);
+    for e in g.edges() {
+        let (u, v) = (e.u * lanes, e.v * lanes);
+        // Graphs have no self-loops, so rows u and v are disjoint.
+        let (out_u, out_v) = if u < v {
+            let (head, tail) = out.split_at_mut(v);
+            (&mut head[u..u + lanes], &mut tail[..lanes])
+        } else {
+            let (head, tail) = out.split_at_mut(u);
+            (&mut tail[..lanes], &mut head[v..v + lanes])
+        };
+        let lanes_of_edge = out_u
+            .iter_mut()
+            .zip(out_v)
+            .zip(&x[u..u + lanes])
+            .zip(&x[v..v + lanes]);
+        for (((yu, yv), xu), xv) in lanes_of_edge {
+            let d = xu - xv;
+            *yu += e.weight * d;
+            *yv -= e.weight * d;
+        }
+    }
+}
+
 /// The Laplacian quadratic form `xᵀ L x = Σ_{(u,v)∈E} w(u,v)(x_u − x_v)²`.
 pub fn quadratic_form(g: &Graph, x: &[f64]) -> f64 {
     assert_eq!(x.len(), g.n(), "dimension mismatch");
@@ -144,6 +179,40 @@ mod tests {
         for i in 0..3 {
             let expect: f64 = (0..3).map(|j| dense[i][j] * x[j]).sum();
             assert!((y[i] - expect).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn block_apply_is_bit_identical_to_per_lane_apply() {
+        let g = Graph::from_edges(4, [(0, 1, 1.5), (1, 2, 0.1), (2, 3, 7.0), (0, 3, 1e-3)]);
+        for lanes in [1, 2, 3, 10] {
+            let vectors: Vec<Vec<f64>> = (0..lanes)
+                .map(|j| {
+                    (0..4)
+                        .map(|i| ((3 * i + 7 * j) as f64).sin() * 1e3)
+                        .collect()
+                })
+                .collect();
+            let mut block = vec![0.0; 4 * lanes];
+            for (j, x) in vectors.iter().enumerate() {
+                for (i, &v) in x.iter().enumerate() {
+                    block[i * lanes + j] = v;
+                }
+            }
+            // A dirty output buffer: the kernel must overwrite every entry.
+            let mut out = vec![f64::NAN; 4 * lanes];
+            laplacian_apply_block_into(&g, &block, &mut out, lanes);
+            for (j, x) in vectors.iter().enumerate() {
+                let mut single = vec![0.0; 4];
+                laplacian_apply_into(&g, x, &mut single);
+                for i in 0..4 {
+                    assert_eq!(
+                        out[i * lanes + j].to_bits(),
+                        single[i].to_bits(),
+                        "lanes {lanes}, lane {j}, entry {i}"
+                    );
+                }
+            }
         }
     }
 

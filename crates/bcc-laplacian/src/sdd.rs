@@ -204,20 +204,24 @@ pub fn solve_sdd(
 /// preconditioner (in [`SddSolveMode::Full`], one sparsifier run) across the
 /// batch.
 ///
-/// Each right-hand side is solved on a fresh virtual network and charged
-/// exactly what its own [`solve_sdd`] call would charge, preprocessing rounds
-/// and bits included: in the BCC every solve still pays for its
-/// preprocessing; only the simulator stops repeating it. Solutions and
-/// ledgers are bit-identical to solving the right-hand sides one at a time.
+/// The right-hand sides `[b; −b]` are solved in lockstep by one
+/// [`LaplacianSolver::try_solve_block_into`] on one virtual network. Each is
+/// still charged exactly what its own [`solve_sdd`] call would charge, in
+/// order: twice the virtual rounds of preprocessing plus its own solve, and
+/// their bits. In the BCC every solve still pays for its preprocessing; only
+/// the simulator stops repeating it. Solutions and ledgers are bit-identical
+/// to solving the right-hand sides one at a time.
 ///
 /// # Errors
 ///
 /// * [`LaplacianError::DimensionMismatch`] — some `b` does not have length
 ///   `n` (checked before anything is charged).
+/// * [`LaplacianError::InvalidEpsilon`] — `epsilon` is not positive, or is
+///   NaN (checked before anything is charged; a larger `epsilon` than `1/2`
+///   is clamped to `1/2`).
 /// * [`LaplacianError::Disconnected`] — the Gremban graph is disconnected.
 ///   For the flow LP matrices of Section 5 the excess diagonal is strictly
 ///   positive, which makes it connected; a block-diagonal `M` does not.
-/// * [`LaplacianError::InvalidEpsilon`] — `epsilon` is not positive.
 pub fn solve_sdd_many<B: AsRef<[f64]>>(
     net: &mut Network,
     matrix: &SddMatrix,
@@ -232,6 +236,10 @@ pub fn solve_sdd_many<B: AsRef<[f64]>>(
             actual: b.as_ref().len(),
         });
     }
+    // Checked before `epsilon.min(0.5)` below, which would turn a NaN into ½.
+    if epsilon.is_nan() || epsilon <= 0.0 {
+        return Err(LaplacianError::InvalidEpsilon { epsilon });
+    }
     let gremban = matrix.gremban_graph();
     // The 2n virtual vertices live on a virtual network; physical vertex i
     // simulates virtual vertices i and i + n, so every virtual round costs two
@@ -244,33 +252,41 @@ pub fn solve_sdd_many<B: AsRef<[f64]>>(
         SddSolveMode::ExactPreconditioner => LaplacianSolver::try_exact_preconditioner(&gremban)?,
     };
     let preprocessing = preprocessing_net.ledger();
-    let mut arena = ScratchArena::with_dimension(gremban.n());
-    let mut stacked = Vec::with_capacity(gremban.n());
-    let mut solution = Vec::with_capacity(gremban.n());
-    rhs.iter()
-        .map(|b| {
-            // Right-hand side [b; -b].
-            let b = b.as_ref();
-            stacked.clear();
-            stacked.extend_from_slice(b);
-            stacked.extend(b.iter().map(|v| -v));
-            let mut virtual_net = Network::clique(net.config(), gremban.n());
-            solver.try_solve_into(
-                &mut virtual_net,
-                &stacked,
-                epsilon.min(0.5),
-                &mut arena,
-                &mut solution,
-            )?;
-            let virtual_rounds = preprocessing.total_rounds() + virtual_net.ledger().total_rounds();
-            let virtual_bits = preprocessing.total_bits() + virtual_net.ledger().total_bits();
-            net.begin_phase("sdd solve (gremban)");
-            net.ledger_mut().charge(2 * virtual_rounds, virtual_bits);
-            Ok((0..n)
-                .map(|i| (solution[i] - solution[i + n]) / 2.0)
-                .collect())
+    // The right-hand sides [b; −b] as one block: entry i of lane j at i·k + j.
+    let lanes = rhs.len();
+    let mut block = vec![0.0; gremban.n() * lanes];
+    for (j, b) in rhs.iter().enumerate() {
+        for (i, &v) in b.as_ref().iter().enumerate() {
+            block[i * lanes + j] = v;
+            block[(i + n) * lanes + j] = -v;
+        }
+    }
+    let mut virtual_net = Network::clique(net.config(), gremban.n());
+    let mut solution = Vec::with_capacity(block.len());
+    let mut lane_stats = Vec::with_capacity(lanes);
+    solver.try_solve_block_into(
+        &mut virtual_net,
+        &block,
+        lanes,
+        epsilon.min(0.5),
+        &mut ScratchArena::with_dimension(block.len()),
+        &mut solution,
+        &mut lane_stats,
+    )?;
+    for lane in &lane_stats {
+        net.begin_phase("sdd solve (gremban)");
+        net.ledger_mut().charge(
+            2 * (preprocessing.total_rounds() + lane.rounds),
+            preprocessing.total_bits() + lane.bits,
+        );
+    }
+    Ok((0..lanes)
+        .map(|j| {
+            (0..n)
+                .map(|i| (solution[i * lanes + j] - solution[(i + n) * lanes + j]) / 2.0)
+                .collect()
         })
-        .collect()
+        .collect())
 }
 
 /// Centralized exact SDD solve (dense), used as ground truth in tests.
@@ -416,6 +432,26 @@ mod tests {
             assert_eq!(err, LaplacianError::Disconnected);
         }
         assert_eq!(net.ledger().total_rounds(), 0);
+    }
+
+    #[test]
+    fn a_non_positive_or_nan_epsilon_is_a_typed_error_before_any_charge() {
+        let m = strictly_dominant(4, 9);
+        let mut net = Network::clique(ModelConfig::bcc(), 4);
+        for epsilon in [0.0, -1e-6, f64::NAN, f64::NEG_INFINITY] {
+            for mode in [
+                SddSolveMode::ExactPreconditioner,
+                SddSolveMode::Full(SparsifierConfig::laboratory(8, 8, 0.5, 1)),
+            ] {
+                let err = solve_sdd(&mut net, &m, &[1.0; 4], epsilon, &mode).unwrap_err();
+                let LaplacianError::InvalidEpsilon { epsilon: rejected } = err else {
+                    panic!("epsilon {epsilon}: {err:?}");
+                };
+                assert_eq!(rejected.to_bits(), epsilon.to_bits());
+            }
+        }
+        assert_eq!(net.ledger().total_rounds(), 0);
+        assert_eq!(net.ledger().total_operations(), 0);
     }
 
     #[test]

@@ -32,14 +32,17 @@ pub struct LaplacianSolve {
     pub rounds: u64,
 }
 
-/// Statistics of an in-place solve ([`LaplacianSolver::try_solve_into`]);
-/// the solution itself is written into the caller's buffer.
+/// Statistics of an in-place solve ([`LaplacianSolver::try_solve_into`], or
+/// one lane of [`LaplacianSolver::try_solve_block_into`]); the solution
+/// itself is written into the caller's buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaplacianSolveStats {
     /// Chebyshev iterations performed.
     pub iterations: usize,
     /// Rounds charged for this instance (excluding preprocessing).
     pub rounds: u64,
+    /// Bits charged for this instance (excluding preprocessing).
+    pub bits: u64,
 }
 
 /// Per-worker reusable solve state: the [`SolveScratch`] work vectors of the
@@ -271,64 +274,123 @@ impl LaplacianSolver {
         arena: &mut ScratchArena,
         out: &mut Vec<f64>,
     ) -> Result<LaplacianSolveStats, LaplacianError> {
-        if !(epsilon > 0.0 && epsilon <= 0.5) {
-            return Err(LaplacianError::InvalidEpsilon { epsilon });
-        }
-        if b.len() != self.graph.n() {
-            return Err(LaplacianError::DimensionMismatch {
-                expected: self.graph.n(),
-                actual: b.len(),
-            });
-        }
-        Ok(self.solve_unchecked_into(net, b, epsilon, arena, out))
+        let mut stats = None;
+        self.try_solve_lanes_into(net, b, 1, epsilon, arena, out, |lane| stats = Some(lane))?;
+        Ok(stats.expect("one lane solved"))
     }
 
-    fn solve_unchecked_into(
+    /// Solves `lanes` right-hand sides in lockstep: one Chebyshev sweep over
+    /// the interleaved block `b`, where entry `i` of lane `j` sits at
+    /// `b[i·lanes + j]`, with one `L_G`-product and one preconditioner replay
+    /// per iteration for all lanes at once. The solutions come back in `out`
+    /// in the same layout and the per-lane statistics in `stats`, in lane
+    /// order.
+    ///
+    /// Every lane is bit-identical to [`LaplacianSolver::try_solve_into`] on
+    /// that lane alone, and `net` is charged exactly what those `lanes` calls
+    /// in lane order would charge. With a warm arena and warm `out` and
+    /// `stats` buffers it performs **zero heap allocations**.
+    ///
+    /// # Errors
+    ///
+    /// * [`LaplacianError::InvalidEpsilon`] — `epsilon` outside `(0, 1/2]`.
+    /// * [`LaplacianError::DimensionMismatch`] — `b` does not hold
+    ///   `n · lanes` entries.
+    pub fn try_solve_block_into(
         &self,
         net: &mut Network,
         b: &[f64],
+        lanes: usize,
         epsilon: f64,
         arena: &mut ScratchArena,
         out: &mut Vec<f64>,
-    ) -> LaplacianSolveStats {
-        let rounds_before = net.ledger().total_rounds();
-        net.begin_phase("laplacian solve");
+        stats: &mut Vec<LaplacianSolveStats>,
+    ) -> Result<(), LaplacianError> {
+        stats.clear();
+        self.try_solve_lanes_into(net, b, lanes, epsilon, arena, out, |lane| stats.push(lane))
+    }
 
+    /// The one solve behind both entry points; reports each lane's
+    /// statistics to `on_lane`, in lane order.
+    fn try_solve_lanes_into(
+        &self,
+        net: &mut Network,
+        b: &[f64],
+        lanes: usize,
+        epsilon: f64,
+        arena: &mut ScratchArena,
+        out: &mut Vec<f64>,
+        mut on_lane: impl FnMut(LaplacianSolveStats),
+    ) -> Result<(), LaplacianError> {
+        if !(epsilon > 0.0 && epsilon <= 0.5) {
+            return Err(LaplacianError::InvalidEpsilon { epsilon });
+        }
+        let n = self.graph.n();
+        if b.len() != n * lanes {
+            return Err(LaplacianError::DimensionMismatch {
+                expected: n * lanes,
+                actual: b.len(),
+            });
+        }
         let ScratchArena { scratch, rhs } = arena;
         rhs.clear();
         rhs.extend_from_slice(b);
-        vector::remove_mean_in_place(rhs);
-        let n = self.graph.n();
-        // Bits per broadcast coordinate: O(log(n·U/ε)).
-        let resolution = (epsilon / (n.max(2) as f64)).min(0.5);
-        let magnitude = (vector::norm_inf(rhs) + 1.0) * (n as f64) * self.max_weight;
-        let bits = u64::from(payload::bits_for_real(magnitude, resolution));
-
+        vector::remove_lane_means_in_place(rhs, lanes);
         let kappa = self.kappa();
         let iterations = chebyshev::chebyshev_iteration_count(kappa, epsilon);
-        // Charge one coordinate broadcast per iteration (the L_G·vector
-        // product); the preconditioner solve and vector updates are local.
-        for _ in 0..iterations {
-            net.share_scalars(bits);
+        // Bits per broadcast coordinate: O(log(n·U/ε)).
+        let resolution = (epsilon / (n.max(2) as f64)).min(0.5);
+        for lane in 0..lanes {
+            let norm_inf = (lane..rhs.len())
+                .step_by(lanes)
+                .fold(0.0f64, |acc, i| acc.max(rhs[i].abs()));
+            let magnitude = (norm_inf + 1.0) * (n as f64) * self.max_weight;
+            let bits = u64::from(payload::bits_for_real(magnitude, resolution));
+            // One coordinate broadcast per iteration (the L_G·vector
+            // product); the preconditioner solve and vector updates are
+            // local.
+            let (rounds_before, bits_before) =
+                (net.ledger().total_rounds(), net.ledger().total_bits());
+            net.begin_phase("laplacian solve");
+            net.share_scalars_repeated(bits, iterations as u64);
+            on_lane(LaplacianSolveStats {
+                iterations,
+                rounds: net.ledger().total_rounds() - rounds_before,
+                bits: net.ledger().total_bits() - bits_before,
+            });
         }
 
         let graph = &self.graph;
         let factored = &self.factored;
-        chebyshev::preconditioned_chebyshev_fixed_with(
-            |x, product| laplacian::laplacian_apply_into(graph, x, product),
-            |r, z| factored.solve_into(r, z, true),
-            kappa,
-            rhs,
-            iterations,
-            scratch,
-        );
+        // Both kernel sets give the same bits on one lane, but there the
+        // block kernels take about twice as long (docs/PERFORMANCE.md, "One
+        // lane"), and one-lane solves are every serving-engine solve.
+        if lanes == 1 {
+            chebyshev::preconditioned_chebyshev_fixed_with(
+                |x, product| laplacian::laplacian_apply_into(graph, x, product),
+                |r, z| factored.solve_into(r, z, true),
+                kappa,
+                rhs,
+                iterations,
+                scratch,
+            );
+        } else {
+            // The iteration's vector updates are elementwise and its scalars
+            // depend only on κ and the step, so it runs unchanged on the
+            // whole block.
+            chebyshev::preconditioned_chebyshev_fixed_with(
+                |x, product| laplacian::laplacian_apply_block_into(graph, x, product, lanes),
+                |r, z| factored.solve_block_into(r, z, lanes, true),
+                kappa,
+                rhs,
+                iterations,
+                scratch,
+            );
+        }
         out.clear();
         out.extend_from_slice(&scratch.x);
-        vector::remove_mean_in_place(out);
-        LaplacianSolveStats {
-            iterations,
-            rounds: net.ledger().total_rounds() - rounds_before,
-        }
+        vector::remove_lane_means_in_place(out, lanes);
+        Ok(())
     }
 
     /// The `L_G`-norm relative error `‖x⋆ − y‖_{L_G} / ‖x⋆‖_{L_G}` of a

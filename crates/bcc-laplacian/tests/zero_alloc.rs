@@ -111,3 +111,38 @@ fn warm_solves_stay_allocation_free_across_distinct_right_hand_sides() {
         assert_eq!(out, expected, "warm path diverged on rhs seed {seed}");
     }
 }
+
+#[test]
+fn a_warm_block_solve_performs_zero_heap_allocations() {
+    let g = generators::random_connected(16, 0.3, 8, &mut ChaCha8Rng::seed_from_u64(13));
+    let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
+    for lanes in [1, 10] {
+        let mut net = Network::clique(ModelConfig::bcc(), g.n());
+        let block = mean_zero_rhs(g.n() * lanes, lanes as u64);
+        let mut arena = ScratchArena::new();
+        let (mut out, mut stats) = (Vec::new(), Vec::new());
+        // Cold solve: grows the arena and both output buffers.
+        solver
+            .try_solve_block_into(
+                &mut net, &block, lanes, 0.25, &mut arena, &mut out, &mut stats,
+            )
+            .expect("solve succeeds");
+        let (cold_solution, cold_stats) = (out.clone(), stats.clone());
+
+        let before = allocations();
+        solver
+            .try_solve_block_into(
+                &mut net, &block, lanes, 0.25, &mut arena, &mut out, &mut stats,
+            )
+            .expect("solve succeeds");
+        let allocated = allocations() - before;
+
+        assert_eq!(
+            allocated, 0,
+            "a warm {lanes}-lane try_solve_block_into performed {allocated} allocations"
+        );
+        assert_eq!(out, cold_solution);
+        assert_eq!(stats, cold_stats);
+        assert_eq!(stats.len(), lanes);
+    }
+}

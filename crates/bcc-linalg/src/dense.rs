@@ -445,6 +445,63 @@ impl FactoredPsd {
         }
     }
 
+    /// [`FactoredPsd::solve_into`] on `lanes` right-hand sides at once, in
+    /// the interleaved block layout of
+    /// [`crate::vector::remove_lane_means_in_place`]: entry `i` of lane `j`
+    /// sits at `i·lanes + j` in both `b` and `out`. Every lane of `out` is
+    /// bit-identical to `solve_into` on that lane alone: each row operation
+    /// of the replay is applied to all lanes before the next one, so every
+    /// lane sees the same operations in the same order, and the lanes'
+    /// independent dependency chains interleave. Zero allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `out` do not hold `n · lanes` entries.
+    pub fn solve_block_into(&self, b: &[f64], out: &mut [f64], lanes: usize, zero_mean: bool) {
+        let n = self.n;
+        assert_eq!(b.len(), n * lanes, "dimension mismatch");
+        assert_eq!(out.len(), n * lanes, "dimension mismatch");
+        out.copy_from_slice(b);
+        if lanes == 0 {
+            return;
+        }
+        for col in 0..n {
+            let pivot = self.pivots[col];
+            if pivot != col {
+                let (upper, lower) = out.split_at_mut(pivot * lanes);
+                upper[col * lanes..(col + 1) * lanes].swap_with_slice(&mut lower[..lanes]);
+            }
+            let (eliminated, rest) = out.split_at_mut((col + 1) * lanes);
+            let source = &eliminated[col * lanes..];
+            for (r, row) in ((col + 1)..n).zip(rest.chunks_exact_mut(lanes)) {
+                let factor = self.lu[r * n + col];
+                if factor == 0.0 {
+                    continue;
+                }
+                for (v, s) in row.iter_mut().zip(source) {
+                    *v -= factor * s;
+                }
+            }
+        }
+        for col in (0..n).rev() {
+            let (unsolved, solved) = out.split_at_mut((col + 1) * lanes);
+            let row = &mut unsolved[col * lanes..];
+            for (j, known) in ((col + 1)..n).zip(solved.chunks_exact(lanes)) {
+                let coefficient = self.lu[col * n + j];
+                for (v, x) in row.iter_mut().zip(known) {
+                    *v -= coefficient * x;
+                }
+            }
+            let diagonal = self.lu[col * n + col];
+            for v in row.iter_mut() {
+                *v /= diagonal;
+            }
+        }
+        if zero_mean {
+            vector::remove_lane_means_in_place(out, lanes);
+        }
+    }
+
     /// Allocating convenience wrapper over [`FactoredPsd::solve_into`].
     pub fn solve(&self, b: &[f64], zero_mean: bool) -> Vec<f64> {
         let mut out = vec![0.0; self.n];

@@ -159,6 +159,32 @@ pub fn remove_mean_in_place(x: &mut [f64]) {
     }
 }
 
+/// [`remove_mean_in_place`] on every lane of a block of `lanes` interleaved
+/// vectors, where entry `i` of lane `j` sits at `x[i·lanes + j]`. Each lane
+/// gets exactly the arithmetic `remove_mean_in_place` performs on it alone
+/// (one sum in order, one division, one subtraction per entry), so every lane
+/// is bit-identical to it. Zero allocations.
+///
+/// # Panics
+///
+/// Panics if `x.len()` is not a multiple of `lanes`.
+pub fn remove_lane_means_in_place(x: &mut [f64], lanes: usize) {
+    if x.is_empty() {
+        return;
+    }
+    assert!(
+        x.len().is_multiple_of(lanes),
+        "a block holds a whole number of lanes"
+    );
+    let n = (x.len() / lanes) as f64;
+    for j in 0..lanes {
+        let mean = x[j..].iter().step_by(lanes).sum::<f64>() / n;
+        for v in x[j..].iter_mut().step_by(lanes) {
+            *v -= mean;
+        }
+    }
+}
+
 /// Returns `true` if `‖x − y‖_∞ ≤ tol`.
 pub fn approx_eq(x: &[f64], y: &[f64], tol: f64) -> bool {
     x.len() == y.len() && x.iter().zip(y).all(|(a, b)| (a - b).abs() <= tol)
@@ -245,6 +271,17 @@ mod tests {
         assert_eq!(centered, remove_mean(&x));
         let mut empty: Vec<f64> = Vec::new();
         remove_mean_in_place(&mut empty);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn lane_means_are_removed_lane_by_lane() {
+        // Two lanes interleaved: [1, 2, 3] and [10, 20, 60].
+        let mut block = vec![1.0, 10.0, 2.0, 20.0, 3.0, 60.0];
+        remove_lane_means_in_place(&mut block, 2);
+        assert_eq!(block, vec![-1.0, -20.0, 0.0, -10.0, 1.0, 30.0]);
+        let mut empty: Vec<f64> = Vec::new();
+        remove_lane_means_in_place(&mut empty, 0);
         assert!(empty.is_empty());
     }
 

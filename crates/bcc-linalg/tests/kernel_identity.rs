@@ -56,8 +56,101 @@ fn spd_system(n: usize, seed: u64) -> (CsrMatrix, DenseMatrix, Vec<f64>) {
     (csr, dense, b)
 }
 
+/// A sparse random square matrix whose dominant entries sit off the
+/// diagonal, in a random row permutation: partial pivoting swaps rows, and
+/// the zeros leave exact-zero elimination multipliers for the replay to skip.
+fn pivoting_matrix(n: usize, seed: u64) -> DenseMatrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rows: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        rows.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut dense = DenseMatrix::zeros(n, n);
+    for (col, &row) in rows.iter().enumerate() {
+        for j in 0..n {
+            if rng.gen::<f64>() < 0.3 {
+                dense.add_to(row, j, rng.gen::<f64>() * 2.0 - 1.0);
+            }
+        }
+        dense.add_to(row, col, n as f64 + 1.0 + rng.gen::<f64>());
+    }
+    dense
+}
+
+/// `lanes` random vectors of length `n`, one of them all `−0.0`, and the
+/// same vectors interleaved as one block (entry `i` of lane `j` at
+/// `i·lanes + j`).
+fn lanes_and_block(n: usize, lanes: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut vectors: Vec<Vec<f64>> = (0..lanes)
+        .map(|_| {
+            let scale = 10f64.powi(rng.gen_range(-8i32..9));
+            (0..n).map(|_| (rng.gen::<f64>() - 0.5) * scale).collect()
+        })
+        .collect();
+    vectors[rng.gen_range(0..lanes)] = vec![-0.0; n];
+    let mut block = vec![0.0; n * lanes];
+    for (j, lane) in vectors.iter().enumerate() {
+        for (i, &v) in lane.iter().enumerate() {
+            block[i * lanes + j] = v;
+        }
+    }
+    (vectors, block)
+}
+
+/// Lane `j` of an interleaved block, as bit patterns.
+fn lane_bits(block: &[f64], lanes: usize, j: usize) -> Vec<u64> {
+    block
+        .iter()
+        .skip(j)
+        .step_by(lanes)
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn factored_psd_block_solve_is_bit_identical_to_per_lane_solve_into(
+        n in 1usize..14,
+        lanes in 1usize..13,
+        seed in any::<u64>(),
+    ) {
+        let (vectors, block) = lanes_and_block(n, lanes, seed ^ 0xB10C);
+        for matrix in [pivoting_matrix(n, seed), spd_system(n, seed).1] {
+            let factored = matrix.factor_psd().expect("non-singular systems factor");
+            for zero_mean in [false, true] {
+                // Dirty output buffers: both kernels must overwrite them.
+                let mut out = vec![f64::NAN; n * lanes];
+                factored.solve_block_into(&block, &mut out, lanes, zero_mean);
+                let mut single = vec![f64::NAN; n];
+                for (j, b) in vectors.iter().enumerate() {
+                    factored.solve_into(b, &mut single, zero_mean);
+                    prop_assert_eq!(lane_bits(&out, lanes, j), bits(&single), "lane {}", j);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_mean_removal_is_bit_identical_to_per_lane_remove_mean(
+        n in 1usize..40,
+        lanes in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        let (vectors, mut block) = lanes_and_block(n, lanes, seed);
+        vector::remove_lane_means_in_place(&mut block, lanes);
+        for (j, lane) in vectors.iter().enumerate() {
+            let mut single = lane.clone();
+            vector::remove_mean_in_place(&mut single);
+            prop_assert_eq!(lane_bits(&block, lanes, j), bits(&single), "lane {}", j);
+        }
+    }
 
     #[test]
     fn matvec_into_is_bit_identical_to_matvec(

@@ -74,9 +74,21 @@ impl RoundLedger {
     /// exists after the first charge, so only the first charge to a brand-new
     /// phase name pays for the `String` insert.
     pub fn charge(&mut self, rounds: u64, bits: u64) {
+        self.charge_repeated(rounds, bits, 1);
+    }
+
+    /// Charges `times` operations of `rounds` rounds and `bits` bits each to
+    /// the current phase in one update. The ledger ends up exactly as after
+    /// `times` calls of [`RoundLedger::charge`]; for `times = 0` it is left
+    /// untouched.
+    pub(crate) fn charge_repeated(&mut self, rounds: u64, bits: u64, times: u64) {
+        if times == 0 {
+            return;
+        }
+        let (rounds, bits) = (rounds * times, bits * times);
         self.total.rounds += rounds;
         self.total.bits += bits;
-        self.total.operations += 1;
+        self.total.operations += times;
         let name = self.current.as_deref().unwrap_or("(default)");
         if !self.phases.contains_key(name) {
             self.phases.insert(name.to_owned(), PhaseStats::default());
@@ -85,7 +97,7 @@ impl RoundLedger {
         let stats = self.phases.get_mut(name).expect("phase just inserted");
         stats.rounds += rounds;
         stats.bits += bits;
-        stats.operations += 1;
+        stats.operations += times;
     }
 
     /// Total rounds charged across all phases.

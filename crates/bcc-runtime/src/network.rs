@@ -267,8 +267,16 @@ impl Network {
     /// value of `bits_per_value` bits (the standard "share one coordinate of a
     /// vector" step; costs `⌈bits / B⌉` rounds).
     pub fn share_scalars(&mut self, bits_per_value: u64) {
+        self.share_scalars_repeated(bits_per_value, 1);
+    }
+
+    /// Charges `times` consecutive [`Network::share_scalars`] steps in one
+    /// ledger update: the same rounds, bits and operation count as `times`
+    /// calls, in closed form (nothing at all for `times = 0`).
+    pub fn share_scalars_repeated(&mut self, bits_per_value: u64, times: u64) {
         let rounds = self.cfg.rounds_for_bits(self.n, bits_per_value);
-        self.ledger.charge(rounds, bits_per_value * self.n as u64);
+        self.ledger
+            .charge_repeated(rounds, bits_per_value * self.n as u64, times);
     }
 
     /// Charges the rounds of every vertex broadcasting `counts[v]` values of
@@ -419,6 +427,40 @@ mod tests {
         assert_eq!(net.ledger().total_rounds(), 1);
         net.share_scalars(9);
         assert_eq!(net.ledger().total_rounds(), 1 + 3);
+    }
+
+    #[test]
+    fn share_scalars_repeated_equals_that_many_single_shares() {
+        // B = 4 bits at n = 16: widths below, at and above one round.
+        let fresh = Network::clique(ModelConfig::bcc(), 16);
+        let mut phased = fresh.clone();
+        phased.begin_phase("earlier");
+        phased.share_scalars(3);
+        phased.begin_phase("laplacian solve");
+        for start in [fresh, phased] {
+            for bits in [1, 4, 9, 64] {
+                for times in [0, 1, 2, 35] {
+                    let mut looped = start.clone();
+                    for _ in 0..times {
+                        looped.share_scalars(bits);
+                    }
+                    let mut closed = start.clone();
+                    closed.share_scalars_repeated(bits, times);
+                    // Ledger equality covers rounds, bits and operations per
+                    // phase and the phase order; on the fresh network, zero
+                    // steps must not create the "(default)" phase.
+                    assert_eq!(
+                        closed.ledger(),
+                        looped.ledger(),
+                        "{bits} bits, {times} times"
+                    );
+                    assert!(closed
+                        .ledger()
+                        .phase_names()
+                        .eq(looped.ledger().phase_names()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! allocation overhead is directly visible in the report. The Laplacian
 //! solve benchmark contrasts a cold scratch arena (rebuilt per request, as a
 //! naive server would) against a warm per-worker arena — the hot loop the
-//! serving engines actually run.
+//! serving engines actually run. The Gram-oracle benchmark contrasts ten
+//! right-hand sides solved in lockstep against ten single solves, and one
+//! lane through the block kernels against the single-vector kernels.
 
-use bcc_core::graph::generators;
-use bcc_core::laplacian::ScratchArena;
-use bcc_core::linalg::{cg, chebyshev, vector, CsrMatrix, SolveScratch};
+use bcc_core::graph::{generators, laplacian};
+use bcc_core::laplacian::{ScratchArena, SddMatrix};
+use bcc_core::linalg::{cg, chebyshev, vector, CsrMatrix, DenseMatrix, SolveScratch};
 use bcc_core::prelude::*;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -20,7 +22,7 @@ use rand_chacha::ChaCha8Rng;
 fn spd_system(n: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g = generators::random_connected(n, 0.2, 4, &mut rng);
-    let mut triplets = bcc_core::graph::laplacian::laplacian_triplets(&g);
+    let mut triplets = laplacian::laplacian_triplets(&g);
     for i in 0..n {
         triplets.push((i, i, 1.0));
     }
@@ -150,6 +152,115 @@ fn bench_laplacian_solve(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_chebyshev_block(c: &mut Criterion) {
+    // The Gram oracle's shape: ten sketch right-hand sides [b; −b] of one
+    // 4×4 SDD system, solved on its 8-vertex Gremban graph with the exact
+    // preconditioner at ε = 1e-8. `lockstep` is one block solve of all ten,
+    // `single` ten `try_solve_into` calls; both reuse warm buffers. The
+    // `one_lane_*` pair runs the same ten right-hand sides one at a time
+    // through the bare Chebyshev iteration, once with the block kernels at
+    // k = 1 and once with the single-vector kernels, so it shows what a
+    // one-lane solve pays for the block layout.
+    const LANES: usize = 10;
+    let matrix = SddMatrix::from_triplets(
+        4,
+        [
+            (0, 0, 3.0),
+            (1, 1, 4.0),
+            (2, 2, 2.5),
+            (3, 3, 5.0),
+            (0, 1, -1.0),
+            (1, 2, -1.5),
+            (2, 3, 0.5),
+            (0, 3, -2.0),
+        ],
+    )
+    .expect("a diagonally dominant matrix");
+    let gremban = matrix.gremban_graph();
+    let solver = LaplacianSolver::try_exact_preconditioner(&gremban).expect("a connected graph");
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    let rhs: Vec<Vec<f64>> = (0..LANES)
+        .map(|_| {
+            let b: Vec<f64> = (0..4).map(|_| rng.gen::<f64>() - 0.5).collect();
+            b.iter().copied().chain(b.iter().map(|v| -v)).collect()
+        })
+        .collect();
+    let mut block = vec![0.0; gremban.n() * LANES];
+    for (j, b) in rhs.iter().enumerate() {
+        for (i, &v) in b.iter().enumerate() {
+            block[i * LANES + j] = v;
+        }
+    }
+    let mut net = Network::clique(ModelConfig::bcc(), gremban.n());
+    let mut arena = ScratchArena::with_dimension(block.len());
+    let mut out = Vec::with_capacity(block.len());
+    let mut stats = Vec::with_capacity(LANES);
+    let mut group = c.benchmark_group("chebyshev_block");
+    group.sample_size(20);
+    group.bench_function("lockstep", |bench| {
+        bench.iter(|| {
+            solver
+                .try_solve_block_into(
+                    &mut net,
+                    black_box(&block),
+                    LANES,
+                    1e-8,
+                    &mut arena,
+                    &mut out,
+                    &mut stats,
+                )
+                .expect("well-formed solve")
+        })
+    });
+    group.bench_function("single", |bench| {
+        bench.iter(|| {
+            for b in &rhs {
+                solver
+                    .try_solve_into(&mut net, black_box(b), 1e-8, &mut arena, &mut out)
+                    .expect("well-formed solve");
+            }
+        })
+    });
+    let factored = DenseMatrix::from_rows(&laplacian::laplacian_dense(
+        &gremban.map_weights(|e| 1.5 * e.weight),
+    ))
+    .factor_psd()
+    .expect("the Laplacian of a connected graph factors");
+    let kappa = solver.kappa();
+    let iterations = chebyshev::chebyshev_iteration_count(kappa, 1e-8);
+    let centered: Vec<Vec<f64>> = rhs.iter().map(|b| vector::remove_mean(b)).collect();
+    let mut scratch = SolveScratch::with_dimension(gremban.n());
+    group.bench_function("one_lane_block_kernels", |bench| {
+        bench.iter(|| {
+            for b in &centered {
+                chebyshev::preconditioned_chebyshev_fixed_with(
+                    |x, product| laplacian::laplacian_apply_block_into(&gremban, x, product, 1),
+                    |r, z| factored.solve_block_into(r, z, 1, true),
+                    kappa,
+                    black_box(b),
+                    iterations,
+                    &mut scratch,
+                );
+            }
+        })
+    });
+    group.bench_function("one_lane_single_kernels", |bench| {
+        bench.iter(|| {
+            for b in &centered {
+                chebyshev::preconditioned_chebyshev_fixed_with(
+                    |x, product| laplacian::laplacian_apply_into(&gremban, x, product),
+                    |r, z| factored.solve_into(r, z, true),
+                    kappa,
+                    black_box(b),
+                    iterations,
+                    &mut scratch,
+                );
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_spanner(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(19);
     let g = generators::random_connected(64, 0.4, 8, &mut rng);
@@ -204,6 +315,7 @@ criterion_group!(
     bench_cg,
     bench_chebyshev,
     bench_laplacian_solve,
+    bench_chebyshev_block,
     bench_spanner,
     bench_leverage
 );

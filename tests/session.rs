@@ -141,6 +141,37 @@ fn sdd_gram_on_a_disconnected_gremban_graph_returns_a_typed_error() {
 }
 
 #[test]
+fn sdd_gram_with_a_nan_or_non_positive_precision_returns_a_typed_error() {
+    use bcc_core::linalg::CsrMatrix;
+    // AᵀDA is 1×1 with a positive excess diagonal, so its Gremban graph is
+    // one edge and the SDD oracle runs; only the precision is wrong. A NaN
+    // precision used to be solved silently at ε = ½.
+    let lp = LpInstance {
+        a: CsrMatrix::from_triplets(2, 1, &[(0, 0, 1.0), (1, 0, 1.0)]),
+        b: vec![1.0],
+        c: vec![0.0, 1.0],
+        lower: vec![0.0, 0.0],
+        upper: vec![1.0, 1.0],
+    };
+    let mut session = Session::new();
+    let options = LpOptions::new(1e-3, lp.m(), 1).with_uniform_weights();
+    let request =
+        |precision| LpRequest::new(vec![0.5, 0.5], options.clone()).with_sdd_gram(precision);
+    assert!(session.lp(&lp, &request(1e-8)).is_ok());
+    for precision in [f64::NAN, 0.0, -1e-8] {
+        match session.lp(&lp, &request(precision)) {
+            Err(Error::Lp(bcc_core::lp::LpError::GramSolve { solver, message })) => {
+                assert_eq!(solver, "gremban-laplacian");
+                assert!(message.contains("epsilon"), "{message}");
+            }
+            other => {
+                panic!("precision {precision}: expected a typed GramSolve error, got {other:?}")
+            }
+        }
+    }
+}
+
+#[test]
 fn nan_demand_vector_is_rejected_not_solved() {
     use bcc_core::linalg::CsrMatrix;
     let lp = LpInstance {
