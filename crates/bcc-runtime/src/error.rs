@@ -28,11 +28,6 @@ pub enum RuntimeError {
     },
     /// The network topology was inconsistent (e.g. asymmetric adjacency).
     InvalidTopology(String),
-    /// A strict engine execution exceeded its round budget.
-    RoundLimitExceeded {
-        /// Maximum number of rounds the caller allowed.
-        limit: u64,
-    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -52,9 +47,6 @@ impl std::fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::InvalidTopology(msg) => write!(f, "invalid topology: {msg}"),
-            RuntimeError::RoundLimitExceeded { limit } => {
-                write!(f, "execution exceeded the round limit of {limit}")
-            }
         }
     }
 }
@@ -75,7 +67,5 @@ mod tests {
         assert!(err.to_string().contains("round 7"));
         let err = RuntimeError::NotANeighbor { from: 1, to: 2 };
         assert!(err.to_string().contains("non-neighbor"));
-        let err = RuntimeError::RoundLimitExceeded { limit: 10 };
-        assert!(err.to_string().contains("10"));
     }
 }

@@ -16,8 +16,6 @@
 //! * [`Network`] — the charged communication layer: message exchanges plus
 //!   numeric primitives (`share_scalars`, `broadcast_from`, ...), all of which
 //!   charge rounds on a [`RoundLedger`].
-//! * [`engine`] — a strict executor for fully local [`engine::VertexProgram`]s
-//!   with per-round validation of the model's constraints.
 //! * [`payload`] — typed message fields with explicit encoded bit widths.
 //! * [`shared_rand`] — leader-sampled shared randomness and reproducible
 //!   per-vertex private randomness.
@@ -40,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod error;
 pub mod ledger;
 pub mod model;

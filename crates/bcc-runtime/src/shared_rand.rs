@@ -43,8 +43,8 @@ pub fn vertex_rng(master_seed: u64, vertex: usize) -> ChaCha8Rng {
 
 /// The splitmix64 finalizer: a bijective avalanche mix turning structured
 /// `(master, index)` combinations into unrelated seeds. Shared by
-/// [`vertex_rng`] and the batch engine's per-request seed derivation so the
-/// mixing constants live in exactly one place.
+/// [`vertex_rng`], the serving engine's request seeds and the load
+/// harness's arrival stream, so the mixing constants live in one place.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -521,21 +521,8 @@ pub fn e9_flow(sizes: &[usize], seed: u64) -> Table {
     table
 }
 
-/// Drives one theorem pipeline generically — the harness does not know which
-/// theorem is underneath.
-fn drive<A: bcc_core::BccAlgorithm>(
-    algorithm: &A,
-    session: &mut bcc_core::Session,
-    input: &A::Input,
-) -> bcc_core::Outcome<A::Output> {
-    algorithm
-        .run(session, input)
-        .unwrap_or_else(|e| panic!("pipeline {} rejected its input: {e}", algorithm.name()))
-}
-
 /// E10 — the Figure-1 pipeline end-to-end with its per-phase round breakdown,
-/// every stage driven through the generic [`bcc_core::BccAlgorithm`] trait on
-/// one shared [`bcc_core::Session`].
+/// every stage run on one shared [`bcc_core::Session`].
 pub fn e10_pipeline(seed: u64) -> Table {
     let mut table = Table::new(
         "E10",
@@ -546,11 +533,9 @@ pub fn e10_pipeline(seed: u64) -> Table {
     let mut session = bcc_core::Session::builder().seed(seed).build();
     let g = generators::random_connected(32, 0.3, 4, &mut rng);
 
-    let sparsify = drive(
-        &bcc_core::SparsifyAlgorithm { epsilon: 0.5 },
-        &mut session,
-        &g,
-    );
+    let sparsify = session
+        .sparsify(&g, 0.5)
+        .unwrap_or_else(|e| panic!("sparsify rejected its input: {e}"));
     table.push(vec![
         "spectral sparsifier (BC)".into(),
         sparsify.report.total_rounds.to_string(),
@@ -559,19 +544,25 @@ pub fn e10_pipeline(seed: u64) -> Table {
     let mut b = vec![0.0; g.n()];
     b[0] = 1.0;
     b[g.n() - 1] = -1.0;
-    let problem = bcc_core::LaplacianProblem { graph: g, b };
-    let laplacian = drive(
-        &bcc_core::LaplacianAlgorithm { epsilon: 1e-6 },
-        &mut session,
-        &problem,
-    );
+    let mut prepared = session
+        .laplacian(&g)
+        .epsilon(1e-6)
+        .preprocess()
+        .unwrap_or_else(|e| panic!("laplacian rejected its graph: {e}"));
+    prepared
+        .solve(&b)
+        .unwrap_or_else(|e| panic!("laplacian rejected its right-hand side: {e}"));
+    // The row charges preprocessing plus the one solve.
+    let laplacian = prepared.finish(&mut session);
     table.push(vec![
         "laplacian solver (BCC)".into(),
-        laplacian.report.total_rounds.to_string(),
+        laplacian.total_rounds.to_string(),
     ]);
 
     let instance = generators::random_flow_instance(6, 0.3, 3, &mut rng);
-    let flow = drive(&bcc_core::McmfAlgorithm, &mut session, &instance);
+    let flow = session
+        .min_cost_max_flow(&instance)
+        .unwrap_or_else(|e| panic!("min-cost max-flow rejected its input: {e}"));
     table.push(vec![
         "min-cost max-flow (BCC)".into(),
         flow.report.total_rounds.to_string(),

@@ -75,8 +75,8 @@
 //!
 //! [`load_bench`] runs the whole committed scenario library and produces the
 //! `BENCH_load.json` payload ([`LoadBench`], schema `bcc-bench/v1` like its
-//! sibling artifacts); `bench::trajectory::write_bench_json` writes it and
-//! the CI trend check guards its counters and percentiles.
+//! sibling artifacts); `bench::trajectory::write_bench_json` writes it, and
+//! CI requires it to match the committed file byte for byte.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -120,7 +120,7 @@ const MAX_ARRIVALS_PER_CLASS: usize = 1 << 20;
 pub struct Scenario {
     /// Schema tag ([`SCENARIO_SCHEMA`]).
     pub schema: String,
-    /// Scenario name — the key trend checks match committed results by.
+    /// Scenario name — the key a result is found by in `BENCH_load.json`.
     pub name: String,
     /// Human-readable intent of the scenario.
     pub description: String,
@@ -484,13 +484,11 @@ pub struct RampProbe {
 // Seeded arrival generation.
 // ---------------------------------------------------------------------------
 
-/// One step of the splitmix64 stream — the harness's only randomness.
+/// One step of the splitmix64 stream — the harness's only randomness: the
+/// golden-gamma increment, then the shared finalizer.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    bcc_core::runtime::splitmix64(*state)
 }
 
 /// A derived stream seed, mixing a purpose tag and an index into the master

@@ -1,4 +1,4 @@
-//! Machine-readable `BENCH_*.json` cost trajectories and the CI trend check.
+//! Machine-readable `BENCH_*.json` cost trajectories.
 //!
 //! The experiment tables in [`crate`] are human-readable; serving systems and
 //! CI want the same round/bit accounting as JSON. This module emits five
@@ -34,10 +34,9 @@
 //! [`RoundReport`]: `{total_rounds, total_bits, total_operations,
 //! breakdown: [[phase, {rounds, bits, operations}], ...]}`. `wall_ns` is
 //! the median wall-clock time of the run over [`WALL_CLOCK_REPEATS`]
-//! repeats — an additive honesty field: the trend check validates its
-//! presence and shape (a positive number) but never its magnitude, because
-//! wall-clock time is machine-dependent where the round/bit counters are
-//! deterministic.
+//! repeats — an additive honesty field, and the only machine-dependent
+//! value in these files: CI's diff skips it, and a unit test checks only
+//! that every committed point carries a positive one.
 //!
 //! `BENCH_batch.json` is an object `{schema, seed, workers, cold, warm}`
 //! where `cold` and `warm` are serialized [`StreamReport`]s
@@ -66,46 +65,35 @@
 //! `policy` and per-policy `lru_evictions` / `cost_evictions` keys were
 //! removed along with the cost-aware eviction policy. The estimation
 //! numbers are produced by a deterministic submission-order replay of the
-//! calibration loop, which is what makes them safe for [`check_trend`] to
-//! guard.
+//! calibration loop, which is what lets CI pin them byte for byte.
 //!
 //! Field names in all three files are covered by golden-snapshot tests
 //! (`tests/stream.rs` in the workspace root), so
 //! consumers may rely on them across PRs; incompatible changes bump the
 //! `schema` tags.
 //!
-//! # Trend check
+//! # CI gate
 //!
-//! [`check_trend`] is the CI guard over these artifacts: it regenerates the
-//! quick trajectories in memory and compares them against the *committed*
-//! `BENCH_*.json` files, reporting an issue for schema drift, disappeared
-//! trajectory points, or a >2x regression in any tracked counter (total
-//! rounds / total bits). Because every trajectory is deterministic, an
-//! unchanged tree always passes; the check exists so a PR that regresses a
-//! pipeline's communication cost (or forgets to regenerate the committed
-//! artifacts after an intentional change) fails loudly.
+//! Every round, bit and counter in these files is a deterministic function
+//! of the seed (2022 for the committed files), so CI holds all five to the
+//! committed bytes: the `bench` job regenerates them with
+//! `expts --quick-json`, fails unless all five are tracked
+//! (`git ls-files --error-unmatch`), and fails on any difference but a
+//! `wall_ns` value (`git diff --exit-code -I '"wall_ns": [0-9]+,?$'`). A
+//! change that moves a pipeline's cost, a serving report or a load replay
+//! regenerates the files with `scripts/regen-goldens.sh` and commits them,
+//! so the move shows up in review as a diff.
 //!
-//! Two further guards ride on the same check: [`load_trend_issues`] holds
-//! the load harness's loss counters, latency percentiles and ramp results
-//! to the committed `BENCH_load.json` (a halved sustainable rate or a >2x
-//! percentile regression fails CI), and [`estimation_issues`] bounds every
+//! One bound is not a byte comparison: [`estimation_issues`] holds every
 //! scheduler class's **symmetric ratio** cost-model estimation error
-//! (`max(predicted, actual) / min(predicted, actual) − 1`) at
-//! [`ESTIMATION_ERROR_MAX`]. The symmetry matters: the previous
-//! `|p − a| / a` metric saturated at 1.0 for under-prediction, which let
-//! the interactive class's ~10⁴x LP round blind spot hide below a 2.0
-//! bound; under the honest metric a miss that size scores ≈9999 and turns
-//! the job red (see [`estimation_summary`], which also prints the
-//! per-bucket calibration coefficients).
-//!
-//! A third guard, [`telemetry_issues`], is the telemetry sanity gate: it
-//! re-runs the committed smoke scenario with lifecycle tracing
-//! ([`crate::load::run_scenario_traced`]) and reconciles the trace against
-//! the scheduler's own counters — the number of `dispatched` trace events
-//! must equal the WFQ scheduler's dispatched sum exactly, and the solve-end
-//! events must match the trajectory's completed count. A mismatch means an
-//! instrumentation point was dropped or double-fired, which is precisely
-//! the class of bug observability code breeds.
+//! (`max(predicted, actual) / min(predicted, actual) − 1`) on the tracked
+//! stream trajectory to [`ESTIMATION_ERROR_MAX`], checked by this module's
+//! unit tests. The symmetry matters: the previous `|p − a| / a` metric
+//! saturated at 1.0 for under-prediction, which let the interactive class's
+//! ~10⁴x LP round blind spot hide below a 2.0 bound; under the honest
+//! metric a miss that size scores ≈9999 and fails the test (see
+//! [`estimation_summary`], which also prints the per-bucket calibration
+//! coefficients into the CI log).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -116,8 +104,6 @@ use bcc_core::{Request, RoundReport, StreamReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-use bcc_core::telemetry::TraceEvent;
 
 use crate::load::{LoadBench, LoadMetricsBench};
 
@@ -144,9 +130,8 @@ pub struct PipelinePoint {
     /// Total communication operations.
     pub total_operations: u64,
     /// Median wall-clock nanoseconds of the run over
-    /// [`WALL_CLOCK_REPEATS`] repeats. Machine-dependent — the trend check
-    /// validates only that the field is present and positive, never its
-    /// magnitude.
+    /// [`WALL_CLOCK_REPEATS`] repeats. Machine-dependent, so CI's diff of
+    /// the committed file skips it; only its presence and sign are tested.
     pub wall_ns: u64,
     /// Full per-phase breakdown of the run.
     pub report: RoundReport,
@@ -470,8 +455,10 @@ pub fn stream_trajectory(seed: u64, quick: bool) -> StreamTrajectory {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; a file that does not round-trip through the
-/// JSON parser is reported as [`io::ErrorKind::InvalidData`].
+/// Propagates filesystem errors and [`crate::load::load_bench`] errors
+/// (missing scenario library, malformed scenario); a file that does not
+/// round-trip through the JSON parser is reported as
+/// [`io::ErrorKind::InvalidData`].
 pub fn write_bench_json(dir: &Path, seed: u64, quick: bool) -> io::Result<Vec<PathBuf>> {
     let mut written = Vec::new();
 
@@ -520,7 +507,8 @@ pub fn write_bench_json(dir: &Path, seed: u64, quick: bool) -> io::Result<Vec<Pa
     }
     written.push(path);
 
-    let load = fresh_load_bench()?;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let load = crate::load::load_bench(&repo_root().join("scenarios"), workers)?;
     let path = dir.join("BENCH_load.json");
     let json = serde_json::to_string_pretty(&load)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -551,336 +539,6 @@ pub fn write_bench_json(dir: &Path, seed: u64, quick: bool) -> io::Result<Vec<Pa
     written.push(path);
 
     Ok(written)
-}
-
-/// Runs the committed scenario library through the load harness — the
-/// in-memory side of `BENCH_load.json`, shared by [`write_bench_json`] and
-/// [`check_trend`].
-///
-/// # Errors
-///
-/// Propagates [`crate::load::load_bench`] errors (missing library,
-/// malformed scenario).
-pub fn fresh_load_bench() -> io::Result<LoadBench> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    crate::load::load_bench(&repo_root().join("scenarios"), workers)
-}
-
-// ---------------------------------------------------------------------------
-// CI trend check.
-// ---------------------------------------------------------------------------
-
-/// The regression threshold of the trend check: a tracked counter may grow
-/// to at most this multiple of its committed value.
-pub const TREND_MAX_RATIO: f64 = 2.0;
-
-/// Flags `fresh` against `committed` for one tracked counter, appending an
-/// issue when the counter regressed beyond [`TREND_MAX_RATIO`] (a counter
-/// that was zero and became non-zero counts as a regression too).
-fn check_counter(issues: &mut Vec<String>, what: &str, committed: u64, fresh: u64) {
-    let regressed = if committed == 0 {
-        fresh > 0
-    } else {
-        fresh as f64 > committed as f64 * TREND_MAX_RATIO
-    };
-    if regressed {
-        issues.push(format!(
-            "{what}: {fresh} vs committed {committed} (>{TREND_MAX_RATIO}x)"
-        ));
-    }
-}
-
-fn check_report_totals(
-    issues: &mut Vec<String>,
-    what: &str,
-    committed: &RoundReport,
-    fresh: &RoundReport,
-) {
-    check_counter(
-        issues,
-        &format!("{what} total_rounds"),
-        committed.total_rounds,
-        fresh.total_rounds,
-    );
-    check_counter(
-        issues,
-        &format!("{what} total_bits"),
-        committed.total_bits,
-        fresh.total_bits,
-    );
-}
-
-/// Compares freshly measured trajectories against the committed ones,
-/// returning one human-readable issue per schema drift, missing trajectory
-/// point or >2x regression in a tracked counter (pure comparison logic; the
-/// I/O lives in [`check_trend`]).
-pub fn trend_issues(
-    committed_pipelines: &[PipelinePoint],
-    fresh_pipelines: &[PipelinePoint],
-    committed_batch: &BatchTrajectory,
-    fresh_batch: &BatchTrajectory,
-    committed_stream: &StreamTrajectory,
-    fresh_stream: &StreamTrajectory,
-) -> Vec<String> {
-    let mut issues = Vec::new();
-
-    for point in committed_pipelines {
-        if point.schema != BENCH_SCHEMA {
-            issues.push(format!(
-                "BENCH_pipelines.json: committed point {}({},{}) has schema {:?}, expected {:?} — \
-                 regenerate the committed artifacts",
-                point.pipeline, point.n, point.m, point.schema, BENCH_SCHEMA
-            ));
-        }
-    }
-    for committed in committed_pipelines {
-        let key = (
-            &committed.pipeline,
-            committed.n,
-            committed.m,
-            committed.seed,
-        );
-        match fresh_pipelines
-            .iter()
-            .find(|p| (&p.pipeline, p.n, p.m, p.seed) == key)
-        {
-            None => issues.push(format!(
-                "BENCH_pipelines.json: trajectory point {}({},{}) disappeared from the fresh run",
-                committed.pipeline, committed.n, committed.m
-            )),
-            Some(fresh) => check_report_totals(
-                &mut issues,
-                &format!(
-                    "pipeline {} (n={}, m={})",
-                    committed.pipeline, committed.n, committed.m
-                ),
-                &committed.report,
-                &fresh.report,
-            ),
-        }
-    }
-
-    for (name, committed, fresh) in [
-        (
-            "BENCH_batch.json",
-            &committed_batch.schema,
-            &fresh_batch.schema,
-        ),
-        (
-            "BENCH_stream.json",
-            &committed_stream.schema,
-            &fresh_stream.schema,
-        ),
-    ] {
-        if committed != fresh {
-            issues.push(format!(
-                "{name}: schema drift — committed {committed:?} vs fresh {fresh:?}"
-            ));
-        }
-    }
-    check_report_totals(
-        &mut issues,
-        "batch cold run",
-        &committed_batch.cold.total,
-        &fresh_batch.cold.total,
-    );
-    check_report_totals(
-        &mut issues,
-        "batch warm run",
-        &committed_batch.warm.total,
-        &fresh_batch.warm.total,
-    );
-    check_report_totals(
-        &mut issues,
-        "stream run",
-        &committed_stream.report.total,
-        &fresh_stream.report.total,
-    );
-    check_counter(
-        &mut issues,
-        "stream failures",
-        committed_stream.report.failures,
-        fresh_stream.report.failures,
-    );
-    // Scheduler-level guards: the tracked workload carries no deadlines, so
-    // any expiration is a regression; rejected and infeasible admissions
-    // likewise.
-    check_counter(
-        &mut issues,
-        "stream expired (deadline) submissions",
-        committed_stream.report.expired,
-        fresh_stream.report.expired,
-    );
-    check_counter(
-        &mut issues,
-        "stream rejected submissions",
-        committed_stream.report.rejected,
-        fresh_stream.report.rejected,
-    );
-    check_counter(
-        &mut issues,
-        "stream infeasible-deadline rejections",
-        committed_stream.report.infeasible,
-        fresh_stream.report.infeasible,
-    );
-    // Cost-model guards: the per-class predicted/actual sums come from a
-    // deterministic submission-order replay (bcc_core::cost), so on an
-    // unchanged tree they reproduce exactly; a drift means the model (or
-    // the workload's measured cost) changed and the artifacts need
-    // regenerating.
-    for committed in &committed_stream.report.scheduler.classes {
-        let Some(fresh) = fresh_stream
-            .report
-            .scheduler
-            .classes
-            .iter()
-            .find(|c| c.class == committed.class)
-        else {
-            issues.push(format!(
-                "BENCH_stream.json: scheduler class {:?} disappeared from the fresh run",
-                committed.class
-            ));
-            continue;
-        };
-        check_counter(
-            &mut issues,
-            &format!("stream class {} predicted_rounds", committed.class),
-            committed.predicted_rounds,
-            fresh.predicted_rounds,
-        );
-        check_counter(
-            &mut issues,
-            &format!("stream class {} actual_rounds", committed.class),
-            committed.actual_rounds,
-            fresh.actual_rounds,
-        );
-    }
-    check_counter(
-        &mut issues,
-        "stream cache rebuild_predicted_rounds",
-        committed_stream.report.cache.rebuild_predicted_rounds,
-        fresh_stream.report.cache.rebuild_predicted_rounds,
-    );
-    check_counter(
-        &mut issues,
-        "stream cache rebuild_actual_rounds",
-        committed_stream.report.cache.rebuild_actual_rounds,
-        fresh_stream.report.cache.rebuild_actual_rounds,
-    );
-    issues
-}
-
-/// Compares a freshly simulated load run against the committed
-/// `BENCH_load.json`, returning one issue per schema drift, disappeared
-/// scenario or class, >2x regression in a loss counter or latency
-/// percentile, halved completion count, or halved ramp-sustainable rate
-/// (pure comparison logic; the I/O lives in [`check_trend`]).
-pub fn load_trend_issues(committed: &LoadBench, fresh: &LoadBench) -> Vec<String> {
-    let mut issues = Vec::new();
-    if committed.schema != fresh.schema {
-        issues.push(format!(
-            "BENCH_load.json: schema drift — committed {:?} vs fresh {:?}",
-            committed.schema, fresh.schema
-        ));
-    }
-    for c in &committed.scenarios {
-        let Some(f) = fresh.scenarios.iter().find(|s| s.scenario == c.scenario) else {
-            issues.push(format!(
-                "BENCH_load.json: scenario {:?} disappeared from the fresh run",
-                c.scenario
-            ));
-            continue;
-        };
-        let what = |field: &str| format!("load scenario {} {field}", c.scenario);
-        check_counter(&mut issues, &what("rejected"), c.rejected, f.rejected);
-        check_counter(&mut issues, &what("expired"), c.expired, f.expired);
-        check_counter(&mut issues, &what("infeasible"), c.infeasible, f.infeasible);
-        check_counter(
-            &mut issues,
-            &what("total_rounds"),
-            c.total_rounds,
-            f.total_rounds,
-        );
-        if f.completed * 2 < c.completed {
-            issues.push(format!(
-                "{}: completed {} vs committed {} (less than half)",
-                what("throughput"),
-                f.completed,
-                c.completed
-            ));
-        }
-        for cc in &c.classes {
-            let Some(fc) = f.classes.iter().find(|x| x.class == cc.class) else {
-                issues.push(format!(
-                    "BENCH_load.json: scenario {} class {:?} disappeared from the fresh run",
-                    c.scenario, cc.class
-                ));
-                continue;
-            };
-            for (axis, committed_p, fresh_p) in [
-                ("queue_wait", &cc.queue_wait, &fc.queue_wait),
-                ("end_to_end", &cc.end_to_end, &fc.end_to_end),
-            ] {
-                let what =
-                    |p: &str| format!("load scenario {} class {} {axis} {p}", c.scenario, cc.class);
-                check_counter(
-                    &mut issues,
-                    &what("p50_ns"),
-                    committed_p.p50_ns,
-                    fresh_p.p50_ns,
-                );
-                check_counter(
-                    &mut issues,
-                    &what("p95_ns"),
-                    committed_p.p95_ns,
-                    fresh_p.p95_ns,
-                );
-                check_counter(
-                    &mut issues,
-                    &what("p99_ns"),
-                    committed_p.p99_ns,
-                    fresh_p.p99_ns,
-                );
-            }
-        }
-        match (&c.ramp, &f.ramp) {
-            (Some(cr), Some(fr)) => {
-                if fr.max_sustainable_rps < cr.max_sustainable_rps * 0.5 {
-                    issues.push(format!(
-                        "load scenario {} ramp: max sustainable rate {:.1} rps vs committed \
-                         {:.1} rps (less than half)",
-                        c.scenario, fr.max_sustainable_rps, cr.max_sustainable_rps
-                    ));
-                }
-            }
-            (Some(_), None) => issues.push(format!(
-                "load scenario {}: ramp result disappeared from the fresh run",
-                c.scenario
-            )),
-            (None, _) => {}
-        }
-    }
-    issues
-}
-
-/// The wall-clock shape guard of `--check-trend`: every pipeline point must
-/// carry a positive `wall_ns` (the regeneration pipeline always measures
-/// one). The *magnitude* is deliberately unchecked — wall-clock time is
-/// machine-dependent, so gating on it would make CI flaky; the field exists
-/// for humans and dashboards, and this guard only keeps it from silently
-/// disappearing or zeroing out.
-pub fn wall_clock_issues(what: &str, points: &[PipelinePoint]) -> Vec<String> {
-    points
-        .iter()
-        .filter(|p| p.wall_ns == 0)
-        .map(|p| {
-            format!(
-                "{what}: pipeline {} (n={}, m={}) has wall_ns = 0 — the wall-clock field must \
-                 be present and positive (regenerate the artifacts)",
-                p.pipeline, p.n, p.m
-            )
-        })
-        .collect()
 }
 
 /// The bound [`estimation_issues`] holds every scheduler class's symmetric
@@ -977,143 +635,6 @@ pub fn estimation_summary(stream: &StreamTrajectory) -> String {
     format!("stream estimation error: {}", parts.join("; "))
 }
 
-/// The telemetry sanity gate of `--check-trend`: runs the committed smoke
-/// scenario with lifecycle tracing and reconciles the exported trace against
-/// the scheduler's own accounting. Two identities must hold exactly:
-///
-/// * one `dispatched` trace event per WFQ dispatch — the trace's
-///   [`TraceEvent::Dispatched`] count equals the sum of the scheduler
-///   classes' `dispatched` counters;
-/// * one `solve-end` trace event per completed request — the
-///   [`TraceEvent::SolveEnd`] count equals the trajectory's `completed`
-///   total.
-///
-/// Both runs are deterministic under the virtual clock, so any slack would
-/// only hide dropped or double-fired instrumentation points.
-///
-/// # Errors
-///
-/// Propagates filesystem/parse errors for a missing or malformed
-/// `scenarios/smoke.json`.
-pub fn telemetry_issues(root: &Path) -> io::Result<Vec<String>> {
-    let path = root.join("scenarios").join("smoke.json");
-    let scenario = crate::load::read_scenario(&path)?;
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (trajectory, records, stats) =
-        crate::load::run_scenario_traced(&scenario, workers).map_err(|e| parse_error(&path, e))?;
-
-    let mut issues = Vec::new();
-    let dispatched_events = records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::Dispatched))
-        .count() as u64;
-    let dispatched_scheduler: u64 = stats.classes.iter().map(|c| c.dispatched).sum();
-    if dispatched_events != dispatched_scheduler {
-        issues.push(format!(
-            "telemetry: smoke scenario trace has {dispatched_events} dispatched events but the \
-             scheduler dispatched {dispatched_scheduler} requests — an instrumentation point was \
-             dropped or double-fired"
-        ));
-    }
-    let solve_end_events = records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::SolveEnd))
-        .count() as u64;
-    if solve_end_events != trajectory.completed {
-        issues.push(format!(
-            "telemetry: smoke scenario trace has {solve_end_events} solve-end events but the \
-             trajectory completed {} requests — an instrumentation point was dropped or \
-             double-fired",
-            trajectory.completed
-        ));
-    }
-    Ok(issues)
-}
-
-// Reading + parsing stay separate (instead of one generic helper bounded on
-// `serde::Deserialize`) so this code compiles unchanged against both the
-// offline serde shim and the real crate, whose owned-deserialization bound is
-// spelled `DeserializeOwned` — see shims/README.md on keeping the swap
-// manifest-only.
-fn read_committed(path: &Path) -> io::Result<String> {
-    std::fs::read_to_string(path).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!(
-                "{}: {e} (regenerate with `cargo run -p bench --release --bin expts -- --quick-json`)",
-                path.display()
-            ),
-        )
-    })
-}
-
-fn parse_error(path: &Path, e: impl std::fmt::Display) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{}: {e}", path.display()),
-    )
-}
-
-/// The CI bench trend check: regenerates the quick trajectories in memory
-/// (never touching the committed files) and returns the list of issues from
-/// [`trend_issues`] — empty means the committed `BENCH_*.json` artifacts are
-/// still representative.
-///
-/// # Errors
-///
-/// Propagates filesystem/parse errors for missing or malformed committed
-/// artifacts.
-pub fn check_trend(root: &Path, seed: u64, quick: bool) -> io::Result<Vec<String>> {
-    let path = root.join("BENCH_pipelines.json");
-    let committed_pipelines: Vec<PipelinePoint> =
-        serde_json::from_str(&read_committed(&path)?).map_err(|e| parse_error(&path, e))?;
-    let path = root.join("BENCH_batch.json");
-    let committed_batch: BatchTrajectory =
-        serde_json::from_str(&read_committed(&path)?).map_err(|e| parse_error(&path, e))?;
-    let path = root.join("BENCH_stream.json");
-    let committed_stream: StreamTrajectory =
-        serde_json::from_str(&read_committed(&path)?).map_err(|e| parse_error(&path, e))?;
-    let path = root.join("BENCH_load.json");
-    let committed_load: LoadBench =
-        serde_json::from_str(&read_committed(&path)?).map_err(|e| parse_error(&path, e))?;
-    let fresh_pipelines = pipelines_trajectory(seed, quick);
-    let fresh_batch = batch_trajectory(seed, quick);
-    let fresh_stream = stream_trajectory(seed, quick);
-    let fresh_load = fresh_load_bench()?;
-    let mut issues = trend_issues(
-        &committed_pipelines,
-        &fresh_pipelines,
-        &committed_batch,
-        &fresh_batch,
-        &committed_stream,
-        &fresh_stream,
-    );
-    issues.extend(load_trend_issues(&committed_load, &fresh_load));
-    issues.extend(estimation_issues(&fresh_stream));
-    issues.extend(wall_clock_issues(
-        "BENCH_pipelines.json (committed)",
-        &committed_pipelines,
-    ));
-    issues.extend(wall_clock_issues(
-        "BENCH_pipelines.json (fresh)",
-        &fresh_pipelines,
-    ));
-
-    let path = root.join("BENCH_load_metrics.json");
-    let committed_metrics: LoadMetricsBench =
-        serde_json::from_str(&read_committed(&path)?).map_err(|e| parse_error(&path, e))?;
-    let fresh_metrics = crate::load::load_metrics_bench(&fresh_load);
-    if committed_metrics != fresh_metrics {
-        issues.push(
-            "BENCH_load_metrics.json: committed metrics snapshots differ from the fresh run — \
-             regenerate the committed artifacts"
-                .to_string(),
-        );
-    }
-    issues.extend(telemetry_issues(root)?);
-    Ok(issues)
-}
-
 /// The repository root (two levels above this crate's manifest), where the
 /// `BENCH_*.json` artifacts live.
 pub fn repo_root() -> PathBuf {
@@ -1126,40 +647,30 @@ mod tests {
 
     #[test]
     fn quick_pipeline_trajectory_covers_all_four_pipelines() {
-        let points = pipelines_trajectory(7, true);
-        for pipeline in ["sparsify", "laplacian", "lp", "mcmf"] {
-            let of_kind: Vec<_> = points.iter().filter(|p| p.pipeline == pipeline).collect();
-            assert!(!of_kind.is_empty(), "missing {pipeline} points");
-            for p in of_kind {
-                assert_eq!(p.schema, BENCH_SCHEMA);
-                assert!(p.total_rounds > 0);
-                assert_eq!(p.total_rounds, p.report.total_rounds);
-                assert!(p.wall_ns > 0, "every point measures wall-clock time");
+        // A fresh run and the committed file. CI's diff of the committed
+        // file skips `wall_ns` lines, so this is what keeps its values from
+        // disappearing or zeroing out.
+        let path = repo_root().join("BENCH_pipelines.json");
+        let committed: Vec<PipelinePoint> =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        for (what, points) in [
+            ("fresh", pipelines_trajectory(7, true)),
+            ("committed", committed),
+        ] {
+            for pipeline in ["sparsify", "laplacian", "lp", "mcmf"] {
+                let of_kind: Vec<_> = points.iter().filter(|p| p.pipeline == pipeline).collect();
+                assert!(!of_kind.is_empty(), "{what}: missing {pipeline} points");
+                for p in of_kind {
+                    assert_eq!(p.schema, BENCH_SCHEMA, "{what}");
+                    assert!(p.total_rounds > 0, "{what}");
+                    assert_eq!(p.total_rounds, p.report.total_rounds, "{what}");
+                    assert!(
+                        p.wall_ns > 0,
+                        "{what}: every point measures wall-clock time"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn wall_clock_guard_accepts_measured_points_and_flags_zeroes() {
-        let points = pipelines_trajectory(7, true);
-        assert!(wall_clock_issues("fresh", &points).is_empty());
-
-        let mut zeroed = points.clone();
-        zeroed[0].wall_ns = 0;
-        let issues = wall_clock_issues("committed", &zeroed);
-        assert_eq!(issues.len(), 1, "{issues:?}");
-        assert!(issues[0].contains("wall_ns"), "{issues:?}");
-
-        // The trend comparison itself never gates on the magnitude: a fresh
-        // run 100x slower (or faster) than the committed one passes.
-        let mut slower = points.clone();
-        for p in &mut slower {
-            p.wall_ns *= 100;
-        }
-        let batch = batch_trajectory(7, true);
-        let stream = stream_trajectory(7, true);
-        let issues = trend_issues(&points, &slower, &batch, &batch, &stream, &stream);
-        assert!(issues.is_empty(), "{issues:?}");
     }
 
     #[test]
@@ -1210,7 +721,7 @@ mod tests {
             .map(|c| c.dispatched)
             .sum();
         assert_eq!(dispatched, t.report.requests);
-        // The trajectory is deterministic — CI's trend check relies on it.
+        // The trajectory is deterministic — CI's exact diff relies on it.
         assert_eq!(t.report, stream_trajectory(7, true).report);
         // The cost-model estimation error rides along: the bulk class (all
         // Laplacian traffic) charged rounds and was predicted, and the
@@ -1234,190 +745,9 @@ mod tests {
     }
 
     #[test]
-    fn trend_check_accepts_identical_trajectories() {
-        let pipelines = pipelines_trajectory(7, true);
-        let batch = batch_trajectory(7, true);
-        let stream = stream_trajectory(7, true);
-        let issues = trend_issues(&pipelines, &pipelines, &batch, &batch, &stream, &stream);
-        assert!(issues.is_empty(), "unexpected issues: {issues:?}");
-    }
-
-    #[test]
-    fn trend_check_flags_schema_drift_regressions_and_missing_points() {
-        let pipelines = pipelines_trajectory(7, true);
-        let batch = batch_trajectory(7, true);
-        let stream = stream_trajectory(7, true);
-
-        // >2x cost regression on one pipeline point.
-        let mut slow = pipelines.clone();
-        slow[0].report.total_rounds = pipelines[0].report.total_rounds * 2 + 1;
-        let issues = trend_issues(&pipelines, &slow, &batch, &batch, &stream, &stream);
-        assert_eq!(issues.len(), 1, "{issues:?}");
-        assert!(issues[0].contains("total_rounds"), "{issues:?}");
-
-        // A trajectory point disappearing from the fresh run.
-        let missing = pipelines[1..].to_vec();
-        let issues = trend_issues(&pipelines, &missing, &batch, &batch, &stream, &stream);
-        assert!(
-            issues.iter().any(|i| i.contains("disappeared")),
-            "{issues:?}"
-        );
-
-        // Schema drift on the stream artifact.
-        let mut drifted = stream.clone();
-        drifted.schema = "bcc-bench/v2".to_string();
-        let issues = trend_issues(&pipelines, &pipelines, &batch, &batch, &stream, &drifted);
-        assert!(
-            issues.iter().any(|i| i.contains("schema drift")),
-            "{issues:?}"
-        );
-
-        // New stream failures count as a regression even from zero.
-        let mut failing = stream.clone();
-        failing.report.failures = 1;
-        let issues = trend_issues(&pipelines, &pipelines, &batch, &batch, &stream, &failing);
-        assert!(issues.iter().any(|i| i.contains("failures")), "{issues:?}");
-
-        // So does a deadline expiration appearing in the tracked workload.
-        let mut expiring = stream.clone();
-        expiring.report.expired = 2;
-        let issues = trend_issues(&pipelines, &pipelines, &batch, &batch, &stream, &expiring);
-        assert!(issues.iter().any(|i| i.contains("expired")), "{issues:?}");
-
-        // An infeasible-deadline rejection appearing likewise.
-        let mut infeasible = stream.clone();
-        infeasible.report.infeasible = 1;
-        let issues = trend_issues(&pipelines, &pipelines, &batch, &batch, &stream, &infeasible);
-        assert!(
-            issues.iter().any(|i| i.contains("infeasible")),
-            "{issues:?}"
-        );
-
-        // The estimation-error sums are guarded per class: a >2x drift in a
-        // class's predicted rounds is flagged.
-        let mut drifted_model = stream.clone();
-        for class in &mut drifted_model.report.scheduler.classes {
-            class.predicted_rounds = class.predicted_rounds * 3 + 1;
-        }
-        let issues = trend_issues(
-            &pipelines,
-            &pipelines,
-            &batch,
-            &batch,
-            &stream,
-            &drifted_model,
-        );
-        assert!(
-            issues.iter().any(|i| i.contains("predicted_rounds")),
-            "{issues:?}"
-        );
-
-        // Growth within the 2x budget passes.
-        let mut within = pipelines.clone();
-        within[0].report.total_rounds = pipelines[0].report.total_rounds * 2;
-        let issues = trend_issues(&pipelines, &within, &batch, &batch, &stream, &stream);
-        assert!(issues.is_empty(), "{issues:?}");
-    }
-
-    fn sample_load() -> LoadBench {
-        use crate::load::{LoadClassPoint, LoadTrajectory, RampProbe, RampResult};
-        use bcc_core::LatencyPercentiles;
-        LoadBench {
-            schema: BENCH_SCHEMA.to_string(),
-            scenarios: vec![LoadTrajectory {
-                schema: BENCH_SCHEMA.to_string(),
-                scenario: "sample".to_string(),
-                seed: 7,
-                duration_ms: 100,
-                offered: 50,
-                completed: 44,
-                rejected: 2,
-                expired: 3,
-                infeasible: 1,
-                cache_hits: 5,
-                cache_misses: 2,
-                total_rounds: 9000,
-                peak_workers: 2,
-                classes: vec![LoadClassPoint {
-                    class: "interactive".to_string(),
-                    offered: 50,
-                    completed: 44,
-                    rejected: 2,
-                    expired: 3,
-                    infeasible: 1,
-                    queue_wait: LatencyPercentiles::from_ns_samples(vec![100, 200, 900]),
-                    end_to_end: LatencyPercentiles::from_ns_samples(vec![400, 600, 1800]),
-                }],
-                ramp: Some(RampResult {
-                    max_sustainable_rps: 120.0,
-                    probes: vec![RampProbe {
-                        rps: 120.0,
-                        offered: 50,
-                        loss_fraction: 0.0,
-                        p99_e2e_ms: 1.2,
-                        sustainable: true,
-                    }],
-                }),
-            }],
-        }
-    }
-
-    #[test]
-    fn load_trend_check_accepts_identical_runs_and_flags_regressions() {
-        let committed = sample_load();
-        assert!(load_trend_issues(&committed, &committed).is_empty());
-
-        // A >2x latency percentile regression is flagged.
-        let mut slow = committed.clone();
-        slow.scenarios[0].classes[0].end_to_end.p99_ns *= 3;
-        let issues = load_trend_issues(&committed, &slow);
-        assert!(issues.iter().any(|i| i.contains("p99_ns")), "{issues:?}");
-
-        // Halving the ramp's sustainable rate is flagged.
-        let mut collapsed = committed.clone();
-        collapsed.scenarios[0]
-            .ramp
-            .as_mut()
-            .unwrap()
-            .max_sustainable_rps = 50.0;
-        let issues = load_trend_issues(&committed, &collapsed);
-        assert!(
-            issues.iter().any(|i| i.contains("max sustainable")),
-            "{issues:?}"
-        );
-
-        // New loss (expired jumping >2x) is flagged.
-        let mut lossy = committed.clone();
-        lossy.scenarios[0].expired = committed.scenarios[0].expired * 2 + 1;
-        let issues = load_trend_issues(&committed, &lossy);
-        assert!(issues.iter().any(|i| i.contains("expired")), "{issues:?}");
-
-        // Losing half the throughput is flagged even though lower counts
-        // never trip the 2x growth rule.
-        let mut starved = committed.clone();
-        starved.scenarios[0].completed = committed.scenarios[0].completed / 2 - 1;
-        let issues = load_trend_issues(&committed, &starved);
-        assert!(
-            issues.iter().any(|i| i.contains("less than half")),
-            "{issues:?}"
-        );
-
-        // A scenario disappearing from the fresh run is flagged.
-        let empty = LoadBench {
-            schema: BENCH_SCHEMA.to_string(),
-            scenarios: Vec::new(),
-        };
-        let issues = load_trend_issues(&committed, &empty);
-        assert!(
-            issues.iter().any(|i| i.contains("disappeared")),
-            "{issues:?}"
-        );
-    }
-
-    #[test]
     fn estimation_guard_passes_today_and_flags_an_overcharging_model() {
         // Seed 2022 is the tracked trajectory — the one the committed
-        // artifacts record and CI's trend gate regenerates. The LP-family
+        // artifacts record and CI regenerates. The LP-family
         // priors are calibrated against it (a one-shot random MCMF instance
         // cannot be priced within 1.5x at every seed from a prior alone;
         // after one observation the size-bucketed calibration takes over).

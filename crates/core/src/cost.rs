@@ -201,7 +201,7 @@ impl CostKind {
     /// rate. The LP-family priors are large because even the nonlinear
     /// basis counts abstract units, while their measured rounds-per-unit on
     /// the tracked trajectory (`bench`'s seed-2022 stream workload, the one
-    /// CI's trend gate prices) sit in the thousands — nested `sdd solve
+    /// CI pins in `BENCH_stream.json`) sit in the thousands — nested `sdd solve
     /// (gremban)` charges dominate every interior iteration.
     fn default_prior(self) -> u64 {
         match self {

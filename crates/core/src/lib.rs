@@ -108,7 +108,6 @@ pub use bcc_runtime as runtime;
 pub use bcc_spanner as spanner;
 pub use bcc_sparsifier as sparsifier;
 
-pub mod algorithm;
 pub mod cache;
 pub mod clock;
 pub mod config;
@@ -123,10 +122,6 @@ pub mod telemetry;
 pub mod tenant;
 pub mod wfq;
 
-pub use algorithm::{
-    BccAlgorithm, LaplacianAlgorithm, LaplacianProblem, LpAlgorithm, LpProblem, McmfAlgorithm,
-    SparsifyAlgorithm,
-};
 pub use cache::CacheStats;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use config::{ClassEntry, ConfigError, EngineConfig, ENGINE_CONFIG_SCHEMA};
@@ -146,7 +141,6 @@ pub use tenant::{TenantAccounts, TenantConfig, TenantDirectory};
 
 /// Commonly used types, re-exported for `use bcc_core::prelude::*`.
 pub mod prelude {
-    pub use crate::algorithm::BccAlgorithm;
     pub use crate::clock::{Clock, SystemClock, VirtualClock};
     pub use crate::config::EngineConfig;
     pub use crate::cost::{CostDims, CostKind, CostModel};
@@ -182,54 +176,30 @@ mod tests {
             after_two.total_rounds,
             first.report.total_rounds + second.report.total_rounds
         );
-    }
 
-    #[test]
-    fn algorithms_run_generically_over_one_session() {
-        fn drive<A: BccAlgorithm>(
-            algorithm: &A,
-            session: &mut Session,
-            input: &A::Input,
-        ) -> (String, u64) {
-            let outcome = algorithm
-                .run(session, input)
-                .unwrap_or_else(|e| panic!("{e}"));
-            (algorithm.name().to_string(), outcome.report.total_rounds)
-        }
-
-        let mut session = Session::builder().seed(4).build();
-        let graph = bcc_graph::generators::grid(3, 4);
-        let mut b = vec![0.0; graph.n()];
+        // The other pipelines charge the same ledger: a prepared Laplacian
+        // (preprocessing plus one solve), then a min-cost flow.
+        let grid = bcc_graph::generators::grid(3, 4);
+        let mut b = vec![0.0; grid.n()];
         b[0] = 1.0;
         b[11] = -1.0;
-
-        let (name, rounds) = drive(&SparsifyAlgorithm { epsilon: 0.5 }, &mut session, &graph);
-        assert_eq!(name, "sparsify");
-        assert!(rounds > 0);
-
-        let problem = LaplacianProblem {
-            graph: graph.clone(),
-            b,
-        };
-        let (name, rounds) = drive(
-            &LaplacianAlgorithm { epsilon: 1e-4 },
-            &mut session,
-            &problem,
+        let mut prepared = session.laplacian(&grid).epsilon(1e-4).preprocess().unwrap();
+        prepared.solve(&b).unwrap();
+        let laplacian = prepared.finish(&mut session);
+        assert!(laplacian.total_rounds > 0);
+        let after_three = session.cumulative_report();
+        assert_eq!(
+            after_three.total_rounds,
+            after_two.total_rounds + laplacian.total_rounds
         );
-        assert_eq!(name, "laplacian");
-        assert!(rounds > 0);
 
         let flow = bcc_graph::DiGraph::from_arcs(3, [(0, 1, 2, 1), (1, 2, 2, 1)]);
         let instance = bcc_graph::FlowInstance::new(flow, 0, 2);
-        let (name, rounds) = drive(&McmfAlgorithm, &mut session, &instance);
-        assert_eq!(name, "min-cost max-flow");
-        assert!(rounds > 0);
-
-        // All three requests accumulated on the session ledger.
-        assert!(session.cumulative_report().total_rounds > 0);
+        let mcmf = session.min_cost_max_flow(&instance).unwrap();
+        assert!(mcmf.report.total_rounds > 0);
         assert_eq!(
-            McmfAlgorithm.theorem(),
-            "Theorem 1.1 (min-cost max-flow, BCC)"
+            session.cumulative_report().total_rounds,
+            after_three.total_rounds + mcmf.report.total_rounds
         );
     }
 }

@@ -7,10 +7,9 @@
 #                                scenario-library load replay BENCH_load.json
 #                                and its per-scenario telemetry snapshots
 #                                BENCH_load_metrics.json
-#                                (`expts --check-trend` in the `bench` job,
-#                                which also requires every file but
-#                                BENCH_pipelines.json to be committed
-#                                byte-for-byte as this script writes it)
+#                                (the `bench` job requires all five to be
+#                                tracked and committed byte-for-byte as this
+#                                script writes them, `wall_ns` values aside)
 #
 # Run this after any intentional change to the report schemas, to a
 # pipeline's communication cost, or to the committed scenarios/*.json load
@@ -22,8 +21,8 @@
 # BENCH_pipelines.json points also carry a `wall_ns` wall-clock field (the
 # median of WALL_CLOCK_REPEATS deterministic repeats, see
 # docs/PERFORMANCE.md). Those values are a fingerprint of the machine that
-# ran this script — the trend check validates only their presence and
-# shape, never their magnitude, so regenerating on a slower box is fine.
+# ran this script — CI's diff skips them and a unit test checks only that
+# they are positive, so regenerating on a slower box is fine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

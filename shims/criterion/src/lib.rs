@@ -5,7 +5,11 @@
 //! benchmark groups, `bench_function` / `bench_with_input`, `Bencher::iter`,
 //! `BenchmarkId` and the `criterion_group!` / `criterion_main!` macros — with
 //! a simple mean-of-samples timer instead of criterion's statistical engine.
-//! Each benchmark prints `group/id: <mean> per iteration over <n> samples`.
+//! A benchmark's first `iter` call runs the body once untimed, as a warm-up;
+//! each sample then times a batch of calls, doubled until the batch lasts at
+//! least 1 ms, so microsecond-scale bodies are not measured
+//! against the timer's own resolution and overhead. Each benchmark prints
+//! `group/id: <mean> per iteration over <n> iterations`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,20 +62,43 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// The shortest batch of calls a sample times.
+const MIN_SAMPLE_TIME: Duration = Duration::from_millis(1);
+
 /// Measures one benchmark body.
 #[derive(Debug, Default)]
 pub struct Bencher {
     total: Duration,
     iterations: u64,
+    /// A sample times `2^doublings` calls. The count only grows, so the
+    /// first sample finds the batch size and later samples reuse it.
+    doublings: u32,
+    warmed_up: bool,
 }
 
 impl Bencher {
-    /// Times repeated executions of `body`.
+    /// Times one sample of `body`: a batch of calls lasting at least 1 ms (a
+    /// shorter batch is discarded and retried at twice the size). The
+    /// benchmark's first call also runs `body` once untimed beforehand.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut body: F) {
-        let start = Instant::now();
-        black_box(body());
-        self.total += start.elapsed();
-        self.iterations += 1;
+        if !self.warmed_up {
+            black_box(body());
+            self.warmed_up = true;
+        }
+        loop {
+            let batch = 1u64 << self.doublings;
+            let start = Instant::now();
+            for _ in 0..batch {
+                black_box(body());
+            }
+            let elapsed = start.elapsed();
+            if elapsed >= MIN_SAMPLE_TIME {
+                self.total += elapsed;
+                self.iterations += batch;
+                return;
+            }
+            self.doublings += 1;
+        }
     }
 }
 
@@ -173,9 +200,9 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         println!("{label}: no iterations recorded");
         return;
     }
-    let mean = bencher.total / bencher.iterations as u32;
+    let mean = bencher.total.div_f64(bencher.iterations as f64);
     println!(
-        "{label}: {mean:?} per iteration over {} samples",
+        "{label}: {mean:?} per iteration over {} iterations",
         bencher.iterations
     );
 }
@@ -223,6 +250,37 @@ mod tests {
         });
         group.finish();
         assert_eq!(runs, 3);
+    }
+
+    #[test]
+    fn warm_up_is_untimed_and_short_bodies_run_in_batches() {
+        use std::cell::Cell;
+
+        // A body that outlasts a sample on its own: one warm-up call, then
+        // one timed call per sample, and only those count as iterations.
+        let calls = Cell::new(0u64);
+        let mut bencher = Bencher::default();
+        for _ in 0..3 {
+            bencher.iter(|| {
+                calls.set(calls.get() + 1);
+                std::thread::sleep(2 * MIN_SAMPLE_TIME);
+            });
+        }
+        assert_eq!(bencher.iterations, 3);
+        assert_eq!(calls.get(), 4);
+
+        // A trivial body runs many times per sample.
+        let calls = Cell::new(0u64);
+        let mut bencher = Bencher::default();
+        for _ in 0..3 {
+            bencher.iter(|| calls.set(calls.get() + 1));
+        }
+        assert!(bencher.iterations > 3, "{}", bencher.iterations);
+        assert!(
+            calls.get() > bencher.iterations,
+            "the warm-up is not counted"
+        );
+        assert!(bencher.total >= 3 * MIN_SAMPLE_TIME);
     }
 
     #[test]
