@@ -93,14 +93,16 @@ impl SddMatrix {
             .filter(|&(_, v)| v != 0.0)
             .map(|((i, j), v)| (i, j, v))
             .collect();
-        // Validate dominance.
+        // Validate dominance, forgiving rounding relative to the row's scale
+        // (an absolute slack would accept any row of small enough entries).
         let mut off_sum = vec![0.0; n];
         for &(i, j, v) in &off_diagonal {
             off_sum[i] += v.abs();
             off_sum[j] += v.abs();
         }
         for i in 0..n {
-            if diagonal[i] + 1e-9 < off_sum[i] {
+            let slack = 1e-9 * diagonal[i].abs().max(off_sum[i]);
+            if diagonal[i] + slack < off_sum[i] {
                 return Err(NotSddError(format!(
                     "row {i}: diagonal {} < off-diagonal sum {}",
                     diagonal[i], off_sum[i]
@@ -344,6 +346,30 @@ mod tests {
         let err2 =
             SddMatrix::from_triplets(2, [(0, 1, 1.0), (1, 0, 2.0), (0, 0, 3.0), (1, 1, 3.0)]);
         assert!(err2.is_err());
+    }
+
+    #[test]
+    fn dominance_slack_scales_with_the_row() {
+        // Row 0 has diagonal 1e-10 against an off-diagonal sum of 2e-10, at
+        // two scales; an absolute slack of 1e-9 accepted the small one.
+        for scale in [1.0, 1e10] {
+            let entries = [
+                (0, 0, 1e-10),
+                (0, 1, -2e-10),
+                (1, 1, 1.0),
+                (1, 2, -0.5),
+                (2, 2, 1.0),
+            ];
+            let err = SddMatrix::from_triplets(3, entries.map(|(i, j, v)| (i, j, v * scale)))
+                .expect_err("row 0 is not dominant");
+            assert!(err.0.starts_with("row 0:"), "scale {scale}: {err}");
+        }
+        // Rounding within the slack is forgiven at either scale.
+        for scale in [1e-12, 1.0, 1e12] {
+            let rounded = (1.0 - 1e-12) * scale;
+            let m = SddMatrix::from_triplets(2, [(0, 0, rounded), (1, 1, scale), (0, 1, -scale)]);
+            assert!(m.is_ok(), "scale {scale}");
+        }
     }
 
     #[test]

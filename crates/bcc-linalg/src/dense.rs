@@ -241,6 +241,8 @@ impl DenseMatrix {
     /// `solve_psd` on this matrix: elimination on `A + λI` is independent of
     /// `b`, so recording the pivot order and multipliers and replaying them
     /// on each `b` performs exactly the same arithmetic in the same order.
+    /// The elimination is dense; only its result is stored compressed (see
+    /// [`FactoredPsd`]).
     ///
     /// Returns `None` when the regularized matrix is numerically singular
     /// (the case where `solve_psd` returns `None`).
@@ -271,7 +273,10 @@ impl DenseMatrix {
             }
             pivots[col] = pivot;
             if pivot != col {
-                for j in 0..n {
+                // Columns `col..` only: the multipliers of earlier steps stay
+                // in the rows they were computed for, which is where the
+                // step-by-step replay applies them.
+                for j in col..n {
                     lu.swap(col * n + j, pivot * n + j);
                 }
             }
@@ -283,14 +288,25 @@ impl DenseMatrix {
                         lu[r * n + j] -= factor * lu[col * n + j];
                     }
                 }
-                // Store the multiplier in the (never again read) lower
-                // triangle, including exact zeros: replaying `b` must skip
-                // exactly the rows the eliminating solve skipped (a zero
-                // multiplier times an infinite entry would produce NaN).
+                // Store the multiplier in the lower triangle, which the
+                // elimination does not read again, including exact zeros:
+                // replaying `b` must skip exactly the rows the eliminating
+                // solve skipped (a zero multiplier times an infinite entry
+                // would produce NaN).
                 lu[r * n + col] = factor;
             }
         }
-        Some(FactoredPsd { n, lu, pivots })
+        Some(FactoredPsd {
+            n,
+            pivots,
+            // The replay skips exactly the zero multipliers the elimination
+            // skipped, so only the others are kept.
+            multipliers: PackedLines::pack(n, |col, r| lu[r * n + col], |factor| factor != 0.0),
+            // Every entry but `+0.0`, so a row read back with its absent
+            // entries as `+0.0` is the dense row, `−0.0`s included.
+            upper: PackedLines::pack(n, |row, j| lu[row * n + j], |u| u.to_bits() != 0),
+            diagonal: (0..n).map(|i| lu[i * n + i]).collect(),
+        })
     }
 
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite
@@ -389,17 +405,136 @@ impl DenseMatrix {
     }
 }
 
-/// The reusable LU factorization produced by [`DenseMatrix::factor_psd`]:
-/// the upper triangle of `lu` holds `U`, the strict lower triangle holds the
-/// elimination multipliers, and `pivots[col]` is the row swapped into
-/// position `col` during partial pivoting. Solving for a new right-hand side
-/// costs `O(n²)` and, via [`FactoredPsd::solve_into`], zero allocations.
+/// The reusable LU factorization produced by [`DenseMatrix::factor_psd`],
+/// stored compressed: no `n × n` array survives the elimination.
+///
+/// * `pivots[col]` is the row swapped into position `col` at elimination
+///   step `col`.
+/// * Per step, its multipliers in row order: the nonzero ones with their
+///   rows. A zero multiplier is one the elimination skipped, so the replay
+///   skips it too.
+/// * Per row of `U`, its strict-upper entries in column order: those whose
+///   bits are not `+0.0` (a `−0.0` is kept), with their columns.
+/// * The diagonal of `U`.
+///
+/// A step or row is kept whole instead, without indices, when it is short
+/// (under 16 entries: skipping its few zeros saves less than its list
+/// costs) or two thirds filled or more (the list would take more memory). So the factors
+/// never take more memory than a dense `n × n` array, and a solve costs
+/// `O(n + nnz)`, with `nnz` the stored entries, and, via
+/// [`FactoredPsd::solve_into`], zero allocations. On a sparse factor (the
+/// 12×12 grid's: 15% of `U` filled) that is several times less than the
+/// `O(n²)` of a dense replay.
+///
+/// # Exactness
+///
+/// Every solve is bit-identical to [`DenseMatrix::solve_psd`]. The forward
+/// replay performs the same operations as the elimination, which skips zero
+/// multipliers as well. A whole row of `U` is back-substituted in the dense
+/// order. A listed row subtracts `U[col][j]·x_j` for its stored `j > col`
+/// only. Skipping a `(+0.0)·x_j` with `x_j` finite leaves a nonzero running
+/// value unchanged; at most it flips the sign of a zero one, and the next
+/// nonzero term makes both values equal again. So a listed row can end
+/// differently only if its value ends at `±0`, or once some solved value is
+/// not finite (`0·∞` is NaN). Such a row (per lane, in a block) is computed
+/// again term by term in the dense order, absent entries read as `+0.0`,
+/// which is exactly the dense arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactoredPsd {
     n: usize,
-    lu: Vec<f64>,
     pivots: Vec<usize>,
+    /// Line `col`: the rows step `col` updates and their multipliers.
+    multipliers: PackedLines,
+    /// Line `row`: the columns and values of row `row` of `U` right of the
+    /// diagonal.
+    upper: PackedLines,
+    diagonal: Vec<f64>,
 }
+
+/// One triangle of a factorization, stored by line: line `k` covers the
+/// indices `k + 1..n`. Its values start at `starts[k].0` in `values`, and
+/// the indices of a listed line, increasing, at `starts[k].1` in `indices`;
+/// both end where line `k + 1`'s start.
+#[derive(Debug, Clone, PartialEq)]
+struct PackedLines {
+    starts: Vec<(usize, usize)>,
+    values: Vec<f64>,
+    indices: Vec<u32>,
+}
+
+/// The stored entries of one line of [`PackedLines`].
+enum Line<'a> {
+    /// All entries `k + 1..n`, in order.
+    Whole(&'a [f64]),
+    /// The kept entries, at the given increasing indices.
+    Listed(&'a [u32], &'a [f64]),
+}
+
+/// Lines shorter than this are kept whole.
+const LISTED_LINE_MIN: usize = 16;
+
+impl PackedLines {
+    /// Packs `entry(k, i)` for every `k < i < n`: line `k` keeps the entries
+    /// `keep` accepts with their indices, unless it has fewer than
+    /// [`LISTED_LINE_MIN`] entries or those would take no less memory (12
+    /// bytes an entry against 8); then it keeps all its entries.
+    fn pack(n: usize, entry: impl Fn(usize, usize) -> f64, keep: impl Fn(f64) -> bool) -> Self {
+        let kept = |k: usize| (k + 1..n).filter(|&i| keep(entry(k, i))).count();
+        let whole = |k: usize, kept: usize| {
+            let len = n - k - 1;
+            len < LISTED_LINE_MIN || 3 * kept >= 2 * len
+        };
+        let (mut values, mut indices) = (0, 0);
+        for k in 0..n {
+            let kept = kept(k);
+            if whole(k, kept) {
+                values += n - k - 1;
+            } else {
+                values += kept;
+                indices += kept;
+            }
+        }
+        let mut lines = PackedLines {
+            starts: Vec::with_capacity(n + 1),
+            values: Vec::with_capacity(values),
+            indices: Vec::with_capacity(indices),
+        };
+        for k in 0..n {
+            lines.starts.push((lines.values.len(), lines.indices.len()));
+            let whole = whole(k, kept(k));
+            for i in k + 1..n {
+                let value = entry(k, i);
+                if whole {
+                    lines.values.push(value);
+                } else if keep(value) {
+                    lines.values.push(value);
+                    lines
+                        .indices
+                        .push(u32::try_from(i).expect("a dense factor has fewer than 2³² rows"));
+                }
+            }
+        }
+        lines.starts.push((lines.values.len(), lines.indices.len()));
+        lines
+    }
+
+    /// Line `k`: whole if it has no indices and all its entries.
+    #[inline]
+    fn line(&self, k: usize) -> Line<'_> {
+        let ((value, index), (value_end, index_end)) = (self.starts[k], self.starts[k + 1]);
+        let values = &self.values[value..value_end];
+        if index == index_end && values.len() == self.starts.len() - 2 - k {
+            Line::Whole(values)
+        } else {
+            Line::Listed(&self.indices[index..index_end], values)
+        }
+    }
+}
+
+/// Lanes that [`FactoredPsd::solve_block_into`] back-substitutes in one pass
+/// over a listed row of `U`, keeping their values before the pass on the
+/// stack.
+const LANE_CHUNK: usize = 16;
 
 impl FactoredPsd {
     /// The order of the factored matrix.
@@ -424,21 +559,48 @@ impl FactoredPsd {
             if pivot != col {
                 out.swap(col, pivot);
             }
-            for r in (col + 1)..n {
-                let factor = self.lu[r * n + col];
-                if factor == 0.0 {
-                    continue;
+            let (eliminated, rest) = out.split_at_mut(col + 1);
+            let source = eliminated[col];
+            match self.multipliers.line(col) {
+                Line::Whole(factors) => {
+                    for (v, &factor) in rest.iter_mut().zip(factors) {
+                        if factor != 0.0 {
+                            *v -= factor * source;
+                        }
+                    }
                 }
-                out[r] -= factor * out[col];
+                Line::Listed(rows, factors) => {
+                    for (&r, &factor) in rows.iter().zip(factors) {
+                        rest[r as usize - col - 1] -= factor * source;
+                    }
+                }
             }
         }
         // Back substitution against the stored upper triangle.
+        let mut non_finite = false;
         for col in (0..n).rev() {
-            let mut v = out[col];
-            for j in (col + 1)..n {
-                v -= self.lu[col * n + j] * out[j];
+            let (unsolved, solved) = out.split_at_mut(col + 1);
+            let replayed = unsolved[col];
+            let mut v = replayed;
+            match self.upper.line(col) {
+                Line::Whole(coefficients) => {
+                    for (x, &coefficient) in solved.iter().zip(coefficients) {
+                        v -= coefficient * x;
+                    }
+                }
+                Line::Listed(columns, coefficients) => {
+                    for (&j, &coefficient) in columns.iter().zip(coefficients) {
+                        v -= coefficient * solved[j as usize - col - 1];
+                    }
+                    if v == 0.0 || non_finite {
+                        v = self.dense_back_row(col, columns, coefficients, replayed, |j| {
+                            solved[j - col - 1]
+                        });
+                    }
+                }
             }
-            out[col] = v / self.lu[col * n + col];
+            unsolved[col] = v / self.diagonal[col];
+            non_finite |= !unsolved[col].is_finite();
         }
         if zero_mean {
             vector::remove_mean_in_place(out);
@@ -473,33 +635,99 @@ impl FactoredPsd {
             }
             let (eliminated, rest) = out.split_at_mut((col + 1) * lanes);
             let source = &eliminated[col * lanes..];
-            for (r, row) in ((col + 1)..n).zip(rest.chunks_exact_mut(lanes)) {
-                let factor = self.lu[r * n + col];
-                if factor == 0.0 {
-                    continue;
-                }
+            let eliminate = |row: &mut [f64], factor: f64| {
                 for (v, s) in row.iter_mut().zip(source) {
                     *v -= factor * s;
                 }
+            };
+            match self.multipliers.line(col) {
+                Line::Whole(factors) => {
+                    for (row, &factor) in rest.chunks_exact_mut(lanes).zip(factors) {
+                        if factor != 0.0 {
+                            eliminate(row, factor);
+                        }
+                    }
+                }
+                Line::Listed(rows, factors) => {
+                    for (&r, &factor) in rows.iter().zip(factors) {
+                        eliminate(&mut rest[(r as usize - col - 1) * lanes..][..lanes], factor);
+                    }
+                }
             }
         }
+        let mut non_finite = false;
         for col in (0..n).rev() {
             let (unsolved, solved) = out.split_at_mut((col + 1) * lanes);
             let row = &mut unsolved[col * lanes..];
-            for (j, known) in ((col + 1)..n).zip(solved.chunks_exact(lanes)) {
-                let coefficient = self.lu[col * n + j];
-                for (v, x) in row.iter_mut().zip(known) {
-                    *v -= coefficient * x;
+            match self.upper.line(col) {
+                Line::Whole(coefficients) => {
+                    for (&coefficient, known) in coefficients.iter().zip(solved.chunks_exact(lanes))
+                    {
+                        for (v, x) in row.iter_mut().zip(known) {
+                            *v -= coefficient * x;
+                        }
+                    }
+                }
+                Line::Listed(columns, coefficients) => {
+                    for (chunk_index, chunk) in row.chunks_mut(LANE_CHUNK).enumerate() {
+                        let first = chunk_index * LANE_CHUNK;
+                        let width = chunk.len();
+                        let mut replayed = [0.0; LANE_CHUNK];
+                        replayed[..width].copy_from_slice(chunk);
+                        for (&j, &coefficient) in columns.iter().zip(coefficients) {
+                            let known = &solved[(j as usize - col - 1) * lanes + first..][..width];
+                            for (v, x) in chunk.iter_mut().zip(known) {
+                                *v -= coefficient * x;
+                            }
+                        }
+                        for (lane, v) in chunk.iter_mut().enumerate() {
+                            if *v == 0.0 || non_finite {
+                                *v = self.dense_back_row(
+                                    col,
+                                    columns,
+                                    coefficients,
+                                    replayed[lane],
+                                    |j| solved[(j - col - 1) * lanes + first + lane],
+                                );
+                            }
+                        }
+                    }
                 }
             }
-            let diagonal = self.lu[col * n + col];
+            let diagonal = self.diagonal[col];
             for v in row.iter_mut() {
                 *v /= diagonal;
+                non_finite |= !v.is_finite();
             }
         }
         if zero_mean {
             vector::remove_lane_means_in_place(out, lanes);
         }
+    }
+
+    /// Row `col` of the back substitution, listed as `columns` and
+    /// `coefficients`, in the dense order: `replayed − U[col][j]·x(j)` for
+    /// `j = col + 1, …, n − 1`, term by term, every entry of `U` that is not
+    /// listed read as `+0.0`.
+    #[cold]
+    #[inline(never)]
+    fn dense_back_row(
+        &self,
+        col: usize,
+        columns: &[u32],
+        coefficients: &[f64],
+        replayed: f64,
+        x: impl Fn(usize) -> f64,
+    ) -> f64 {
+        let mut stored = columns.iter().zip(coefficients).peekable();
+        let mut v = replayed;
+        for j in col + 1..self.n {
+            let coefficient = stored
+                .next_if(|&(&column, _)| column as usize == j)
+                .map_or(0.0, |(_, &coefficient)| coefficient);
+            v -= coefficient * x(j);
+        }
+        v
     }
 
     /// Allocating convenience wrapper over [`FactoredPsd::solve_into`].

@@ -77,6 +77,110 @@ fn pivoting_matrix(n: usize, seed: u64) -> DenseMatrix {
     dense
 }
 
+/// `matrix` with a seeded third of its zero entries replaced by `−0.0`.
+fn with_negative_zeros(matrix: &DenseMatrix, seed: u64) -> DenseMatrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut signed = matrix.clone();
+    for i in 0..matrix.rows() {
+        for j in 0..matrix.cols() {
+            if matrix.get(i, j) == 0.0 && rng.gen::<f64>() < 0.3 {
+                signed.set(i, j, -0.0);
+            }
+        }
+    }
+    signed
+}
+
+/// Two independent diagonally dominant blocks, their rows and columns
+/// interleaved by a seeded split or split at a seeded cut (`true` marks the
+/// first block). `U` holds exact `+0.0`s between the blocks, so a
+/// right-hand side on one block leaves the other block's rows at exactly
+/// `±0`, and a non-finite value in one block meets only skipped entries in
+/// the other. After a cut, the first block's last row of `U` lists nothing.
+fn two_block_matrix(n: usize, seed: u64) -> (DenseMatrix, Vec<bool>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let cut = if rng.gen() {
+        Some(rng.gen_range(0..n + 1))
+    } else {
+        None
+    };
+    let first: Vec<bool> = (0..n)
+        .map(|i| cut.map_or_else(|| rng.gen(), |cut| i < cut))
+        .collect();
+    let mut dense = DenseMatrix::zeros(n, n);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if first[i] == first[j] && rng.gen::<f64>() < 0.5 {
+                let w = rng.gen::<f64>() * 2.0 - 1.0;
+                dense.add_to(i, j, w);
+                dense.add_to(j, i, w);
+            }
+        }
+    }
+    for i in 0..n {
+        let row_abs: f64 = (0..n).map(|j| dense.get(i, j).abs()).sum();
+        dense.add_to(i, i, row_abs + 1.0);
+    }
+    (dense, first)
+}
+
+/// One right-hand side that stresses the exactness rule of the compressed
+/// replay, drawn on the split `first` of [`two_block_matrix`]: all `−0.0`;
+/// finite on the first block and `±0` on the second; entries from
+/// `{±0, NaN, ±∞, ±1e-300, finite}`; or finite with one NaN or `±∞` on the
+/// second block.
+fn adversarial_rhs(first: &[bool], rng: &mut ChaCha8Rng) -> Vec<f64> {
+    let signed_zero = |rng: &mut ChaCha8Rng| if rng.gen() { 0.0 } else { -0.0 };
+    let finite =
+        |rng: &mut ChaCha8Rng| (rng.gen::<f64>() - 0.5) * 10f64.powi(rng.gen_range(-8i32..9));
+    let n = first.len();
+    match rng.gen_range(0..4) {
+        0 => vec![-0.0; n],
+        1 => first
+            .iter()
+            .map(|&on| if on { finite(rng) } else { signed_zero(rng) })
+            .collect(),
+        2 => (0..n)
+            .map(|_| match rng.gen_range(0..8) {
+                0 | 1 => signed_zero(rng),
+                2 => f64::NAN,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                5 => {
+                    if rng.gen() {
+                        1e-300
+                    } else {
+                        -1e-300
+                    }
+                }
+                _ => finite(rng),
+            })
+            .collect(),
+        _ => {
+            let mut b: Vec<f64> = (0..n).map(|_| finite(rng)).collect();
+            let second: Vec<usize> = (0..n).filter(|&i| !first[i]).collect();
+            if !second.is_empty() {
+                b[second[rng.gen_range(0..second.len())]] =
+                    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+            }
+            b
+        }
+    }
+}
+
+/// The vectors interleaved as one block: entry `i` of lane `j` at
+/// `i·lanes + j`.
+fn interleave(vectors: &[Vec<f64>], n: usize) -> Vec<f64> {
+    let lanes = vectors.len();
+    let mut block = vec![0.0; n * lanes];
+    for (j, lane) in vectors.iter().enumerate() {
+        for (i, &v) in lane.iter().enumerate() {
+            block[i * lanes + j] = v;
+        }
+    }
+    block
+}
+
 /// `lanes` random vectors of length `n`, one of them all `−0.0`, and the
 /// same vectors interleaved as one block (entry `i` of lane `j` at
 /// `i·lanes + j`).
@@ -89,12 +193,7 @@ fn lanes_and_block(n: usize, lanes: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64
         })
         .collect();
     vectors[rng.gen_range(0..lanes)] = vec![-0.0; n];
-    let mut block = vec![0.0; n * lanes];
-    for (j, lane) in vectors.iter().enumerate() {
-        for (i, &v) in lane.iter().enumerate() {
-            block[i * lanes + j] = v;
-        }
-    }
+    let block = interleave(&vectors, n);
     (vectors, block)
 }
 
@@ -110,6 +209,29 @@ fn lane_bits(block: &[f64], lanes: usize, j: usize) -> Vec<u64> {
 
 fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Both replay kernels, `solve_into` per vector and `solve_block_into` on
+/// all of them, give the bits of `solve_psd` on `matrix`.
+fn assert_replays_match_solve_psd(matrix: &DenseMatrix, vectors: &[Vec<f64>]) {
+    let (n, lanes) = (matrix.rows(), vectors.len());
+    let factored = matrix.factor_psd().expect("non-singular systems factor");
+    let block = interleave(vectors, n);
+    for zero_mean in [false, true] {
+        let mut out = vec![f64::NAN; n * lanes];
+        factored.solve_block_into(&block, &mut out, lanes, zero_mean);
+        let mut single = vec![f64::NAN; n];
+        for (j, b) in vectors.iter().enumerate() {
+            let reference = bits(
+                &matrix
+                    .solve_psd(b, zero_mean)
+                    .expect("non-singular systems solve"),
+            );
+            factored.solve_into(b, &mut single, zero_mean);
+            assert_eq!(&bits(&single), &reference, "solve_into, lane {j}");
+            assert_eq!(&lane_bits(&out, lanes, j), &reference, "block, lane {j}");
+        }
+    }
 }
 
 proptest! {
@@ -289,21 +411,48 @@ proptest! {
         rhs_count in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let (_, dense, _) = spd_system(n, seed);
-        let factored = dense.factor_psd().expect("SPD systems factor");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFAC7);
-        let mut out = vec![f64::NAN; n];
-        for _ in 0..rhs_count {
-            let b: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
-            for zero_mean in [false, true] {
-                let reference = dense
-                    .solve_psd(&b, zero_mean)
-                    .expect("SPD systems solve");
-                factored.solve_into(&b, &mut out, zero_mean);
-                prop_assert_eq!(&reference, &out);
-                let allocated = factored.solve(&b, zero_mean);
-                prop_assert_eq!(&reference, &allocated);
+        for dense in [spd_system(n, seed).1, pivoting_matrix(n, seed)] {
+            let factored = dense.factor_psd().expect("non-singular systems factor");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFAC7);
+            let mut out = vec![f64::NAN; n];
+            for _ in 0..rhs_count {
+                let b: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
+                for zero_mean in [false, true] {
+                    let reference = dense
+                        .solve_psd(&b, zero_mean)
+                        .expect("non-singular systems solve");
+                    factored.solve_into(&b, &mut out, zero_mean);
+                    prop_assert_eq!(bits(&reference), bits(&out));
+                    let allocated = factored.solve(&b, zero_mean);
+                    prop_assert_eq!(bits(&reference), bits(&allocated));
+                }
             }
+        }
+    }
+
+    #[test]
+    fn both_replay_kernels_match_solve_psd_on_adversarial_inputs(
+        n in 1usize..40,
+        lanes in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        // Pivoting, `−0.0` entries, rows ending at exactly `±0` (the blocks),
+        // and right-hand sides with `±0`, NaN, `±∞` or an all-`−0.0` lane;
+        // more than 16 lanes take several chunks of the block kernel. Lines
+        // of 16 entries or more are listed when the blocks keep them sparse,
+        // and kept whole when they fill up.
+        let (blocks, first) = two_block_matrix(n, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xAD5E);
+        let mut vectors: Vec<Vec<f64>> =
+            (0..lanes).map(|_| adversarial_rhs(&first, &mut rng)).collect();
+        vectors[rng.gen_range(0..lanes)] = vec![-0.0; n];
+        for matrix in [
+            pivoting_matrix(n, seed),
+            with_negative_zeros(&pivoting_matrix(n, seed), seed),
+            with_negative_zeros(&blocks, seed),
+            blocks,
+        ] {
+            assert_replays_match_solve_psd(&matrix, &vectors);
         }
     }
 

@@ -7,7 +7,9 @@
 //! naive server would) against a warm per-worker arena — the hot loop the
 //! serving engines actually run. The Gram-oracle benchmark contrasts ten
 //! right-hand sides solved in lockstep against ten single solves, and one
-//! lane through the block kernels against the single-vector kernels.
+//! lane through the block kernels against the single-vector kernels. The
+//! LU-replay benchmark times the preconditioner solve alone, on a sparse
+//! and a nearly dense factor.
 
 use bcc_core::graph::{generators, laplacian};
 use bcc_core::laplacian::{ScratchArena, SddMatrix};
@@ -261,6 +263,46 @@ fn bench_chebyshev_block(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_lu_replay(c: &mut Criterion) {
+    // The preconditioner solve inside every Chebyshev iteration: one replay
+    // of the LU factors of `1.5·L + λI`, for one right-hand side and for a
+    // ten-lane block. The 12×12 grid's factors are sparse (15% of `U`
+    // filled); a random connected graph on 256 vertices, drawn like
+    // `perfbench`'s heavy `solve_warm` graph, fills about 89% and is the
+    // control.
+    const LANES: usize = 10;
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let graphs = [
+        ("grid_12x12", generators::grid(12, 12)),
+        (
+            "random_256",
+            generators::random_connected(256, 0.05, 8, &mut rng),
+        ),
+    ];
+    let mut group = c.benchmark_group("lu_replay");
+    group.sample_size(20);
+    for (name, graph) in &graphs {
+        let n = graph.n();
+        let factored = DenseMatrix::from_rows(&laplacian::laplacian_dense(
+            &graph.map_weights(|e| 1.5 * e.weight),
+        ))
+        .factor_psd()
+        .expect("the Laplacian of a connected graph factors");
+        let raw: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
+        let b = vector::remove_mean(&raw);
+        let block: Vec<f64> = (0..n * LANES).map(|_| rng.gen::<f64>() - 0.5).collect();
+        let mut out = vec![0.0; n];
+        group.bench_function(format!("{name}/solve_into"), |bench| {
+            bench.iter(|| factored.solve_into(black_box(&b), &mut out, true))
+        });
+        let mut block_out = vec![0.0; n * LANES];
+        group.bench_function(format!("{name}/block_{LANES}"), |bench| {
+            bench.iter(|| factored.solve_block_into(black_box(&block), &mut block_out, LANES, true))
+        });
+    }
+    group.finish();
+}
+
 fn bench_spanner(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(19);
     let g = generators::random_connected(64, 0.4, 8, &mut rng);
@@ -316,6 +358,7 @@ criterion_group!(
     bench_chebyshev,
     bench_laplacian_solve,
     bench_chebyshev_block,
+    bench_lu_replay,
     bench_spanner,
     bench_leverage
 );

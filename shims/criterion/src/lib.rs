@@ -4,12 +4,13 @@
 //! Implements the subset of the criterion API the `bench` crate uses —
 //! benchmark groups, `bench_function` / `bench_with_input`, `Bencher::iter`,
 //! `BenchmarkId` and the `criterion_group!` / `criterion_main!` macros — with
-//! a simple mean-of-samples timer instead of criterion's statistical engine.
+//! a simple median-of-samples timer instead of criterion's statistical engine.
 //! A benchmark's first `iter` call runs the body once untimed, as a warm-up;
 //! each sample then times a batch of calls, doubled until the batch lasts at
 //! least 1 ms, so microsecond-scale bodies are not measured
 //! against the timer's own resolution and overhead. Each benchmark prints
-//! `group/id: <mean> per iteration over <n> iterations`.
+//! `group/id: <median> per iteration over <n> iterations`: the median of the
+//! samples' mean times per call, which one stalled sample cannot move.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,6 +75,8 @@ pub struct Bencher {
     /// first sample finds the batch size and later samples reuse it.
     doublings: u32,
     warmed_up: bool,
+    /// Each recorded sample's mean time per call.
+    sample_means: Vec<Duration>,
 }
 
 impl Bencher {
@@ -95,9 +98,23 @@ impl Bencher {
             if elapsed >= MIN_SAMPLE_TIME {
                 self.total += elapsed;
                 self.iterations += batch;
+                self.sample_means.push(elapsed.div_f64(batch as f64));
                 return;
             }
             self.doublings += 1;
+        }
+    }
+
+    /// The median of the samples' mean times per call (of the middle two
+    /// for an even count), or `None` before any sample.
+    fn median(&self) -> Option<Duration> {
+        let mut means = self.sample_means.clone();
+        means.sort_unstable();
+        let middle = means.len() / 2;
+        match means.len() {
+            0 => None,
+            len if len % 2 == 1 => Some(means[middle]),
+            _ => Some((means[middle - 1] + means[middle]) / 2),
         }
     }
 }
@@ -196,13 +213,12 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
     } else {
         format!("{group}/{id}")
     };
-    if bencher.iterations == 0 {
+    let Some(median) = bencher.median() else {
         println!("{label}: no iterations recorded");
         return;
-    }
-    let mean = bencher.total.div_f64(bencher.iterations as f64);
+    };
     println!(
-        "{label}: {mean:?} per iteration over {} iterations",
+        "{label}: {median:?} per iteration over {} iterations",
         bencher.iterations
     );
 }
@@ -281,6 +297,23 @@ mod tests {
             "the warm-up is not counted"
         );
         assert!(bencher.total >= 3 * MIN_SAMPLE_TIME);
+    }
+
+    #[test]
+    fn one_slow_sample_does_not_move_the_reported_time() {
+        // Five samples of a 2 ms body, one call each, the third stalled to
+        // 40 ms: the mean reads above 9 ms, the median stays near 2 ms.
+        let mut bencher = Bencher::default();
+        for sample in 0..5 {
+            let pause = if sample == 2 { 40 } else { 2 } * MIN_SAMPLE_TIME;
+            bencher.iter(|| std::thread::sleep(pause));
+        }
+        assert_eq!(bencher.sample_means.len(), 5);
+        let mean = bencher.total.div_f64(bencher.iterations as f64);
+        let median = bencher.median().expect("five samples");
+        assert!(mean >= 9 * MIN_SAMPLE_TIME, "mean {mean:?}");
+        assert!(median < 10 * MIN_SAMPLE_TIME, "median {median:?}");
+        assert_eq!(Bencher::default().median(), None);
     }
 
     #[test]
