@@ -21,9 +21,10 @@
 //! laboratory constants used here (`Λ = 4n·M̃_lab`, `λ = 4·Λ`,
 //! `M̃_lab = 2(|E|M + 1)`) enforce exactly the same structural properties
 //! (any unit of `F` is worth more than the most expensive routing of a unit
-//! of flow; any unit of slack costs more than it could ever save) and are
-//! recorded as a substitution in DESIGN.md. `FlowLpConfig::paper_constants`
-//! switches to the original values for small instances.
+//! of flow; any unit of slack costs more than it could ever save), a
+//! deliberate substitution for the paper's values.
+//! `FlowLpConfig::paper_constants` switches to the original values for small
+//! instances.
 
 use bcc_graph::FlowInstance;
 use bcc_linalg::CsrMatrix;

@@ -2,7 +2,7 @@
 //! experiment harness.
 //!
 //! All random generators take an explicit `&mut impl Rng` so that every
-//! experiment in EXPERIMENTS.md is reproducible from its seed.
+//! experiment is reproducible from its seed.
 
 use rand::Rng;
 

@@ -13,7 +13,7 @@
 //! * [`mod@fingerprint`] — deterministic, edge-order-independent 128-bit graph
 //!   digests used as cache keys by batch-serving layers.
 //! * [`generators`] — deterministic and seeded-random graph families used by
-//!   the experiments in EXPERIMENTS.md.
+//!   the tests, examples and the `bench` crate's experiments.
 //! * [`traversal`] — centralized BFS/Dijkstra ground truth used for
 //!   verification (e.g. spanner stretch checks).
 //!

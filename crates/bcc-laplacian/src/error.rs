@@ -28,6 +28,12 @@ pub enum LaplacianError {
         /// Vertices in the graph.
         graph: usize,
     },
+    /// The fixed-point range of the solve's broadcasts,
+    /// `(‖b‖∞ + 1)·n·max_weight`, is not a finite `f64`: the right-hand side
+    /// or an edge weight is too large. A graph whose `n · max_weight`
+    /// overflows is rejected at preprocessing, since no right-hand side
+    /// could be solved on it.
+    MagnitudeOverflow,
 }
 
 impl std::fmt::Display for LaplacianError {
@@ -46,6 +52,11 @@ impl std::fmt::Display for LaplacianError {
             LaplacianError::NetworkSizeMismatch { network, graph } => write!(
                 f,
                 "network simulates {network} processors but the graph has {graph} vertices"
+            ),
+            LaplacianError::MagnitudeOverflow => write!(
+                f,
+                "the solve's broadcast range (|b|_inf + 1)·n·max_weight overflows f64; \
+                 scale the right-hand side or the edge weights down"
             ),
         }
     }
@@ -76,5 +87,8 @@ mod tests {
         };
         assert!(err.to_string().contains('4'));
         assert!(err.to_string().contains('6'));
+        assert!(LaplacianError::MagnitudeOverflow
+            .to_string()
+            .contains("overflows"));
     }
 }

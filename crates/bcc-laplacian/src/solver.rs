@@ -87,7 +87,9 @@ impl ScratchArena {
 #[derive(Debug, Clone)]
 pub struct LaplacianSolver {
     graph: Graph,
-    sparsifier: Graph,
+    /// The preprocessing sparsifier `H`; `None` when the graph is its own
+    /// preconditioner ([`LaplacianSolver::try_exact_preconditioner`]).
+    sparsifier: Option<Graph>,
     /// The preconditioner `(1 + 1/2)·L_H`, factored once at preprocessing
     /// time and solved internally by every vertex.
     factored: FactoredPsd,
@@ -100,15 +102,27 @@ pub struct LaplacianSolver {
     max_weight: f64,
 }
 
+/// `scale · L_G` as a dense matrix: each edge, in edge order, adds
+/// `scale · w` to its two diagonal entries and `−scale · w` to its two
+/// off-diagonal ones.
+fn dense_laplacian(graph: &Graph, scale: f64) -> DenseMatrix {
+    let mut l = DenseMatrix::zeros(graph.n(), graph.n());
+    for e in graph.edges() {
+        let w = scale * e.weight;
+        l.add_to(e.u, e.u, w);
+        l.add_to(e.v, e.v, w);
+        l.add_to(e.u, e.v, -w);
+        l.add_to(e.v, e.u, -w);
+    }
+    l
+}
+
 /// Factors the Chebyshev preconditioner `(1 + 1/2)·L_H` of `sparsifier`.
 fn factor_preconditioner(sparsifier: &Graph) -> FactoredPsd {
-    let scaled = sparsifier.map_weights(|e| 1.5 * e.weight);
-    DenseMatrix::from_rows(&laplacian::laplacian_dense(&scaled))
-        .factor_psd()
-        .expect(
-            "L_H + λI with λ > 0 is a strictly diagonally dominant M-matrix for finite \
-             weights, so no elimination pivot falls below the singularity cut-off",
-        )
+    dense_laplacian(sparsifier, 1.5).factor_psd().expect(
+        "L_H + λI with λ > 0 is a strictly diagonally dominant M-matrix for finite \
+         weights, so no elimination pivot falls below the singularity cut-off",
+    )
 }
 
 /// The relative condition number the Chebyshev iteration uses for the pair
@@ -122,6 +136,22 @@ fn kappa_of(graph: &Graph, sparsifier: &Graph) -> f64 {
     ((1.0 + eps) / (1.0 - eps)).max(3.0)
 }
 
+/// Checks that `graph` is connected and that `n · max_weight` is finite —
+/// every solve's broadcast range is at least that product, so a graph
+/// without it could solve no right-hand side — and returns the weight bound
+/// `max(max_weight, 1)` the solves use.
+fn validate_graph(graph: &Graph) -> Result<f64, LaplacianError> {
+    if !graph.is_connected() {
+        return Err(LaplacianError::Disconnected);
+    }
+    let max_weight = graph.max_weight().max(1.0);
+    if (graph.n() as f64 * max_weight).is_finite() {
+        Ok(max_weight)
+    } else {
+        Err(LaplacianError::MagnitudeOverflow)
+    }
+}
+
 impl LaplacianSolver {
     /// Runs the preprocessing stage: a `(1 ± 1/2)`-spectral sparsifier of
     /// `graph` computed with `config`, charged on `net`.
@@ -132,6 +162,8 @@ impl LaplacianSolver {
     ///   stated per connected component; callers should solve per component.
     /// * [`LaplacianError::NetworkSizeMismatch`] — `net` does not simulate one
     ///   processor per vertex.
+    /// * [`LaplacianError::MagnitudeOverflow`] — `n · max_weight` is not a
+    ///   finite `f64`, so no right-hand side could be solved.
     pub fn try_preprocess(
         net: &mut Network,
         graph: &Graph,
@@ -143,19 +175,17 @@ impl LaplacianSolver {
                 graph: graph.n(),
             });
         }
-        if !graph.is_connected() {
-            return Err(LaplacianError::Disconnected);
-        }
+        let max_weight = validate_graph(graph)?;
         let rounds_before = net.ledger().total_rounds();
         net.begin_phase("laplacian preprocessing");
         let SparsifierOutput { sparsifier, .. } = sparsify_ad_hoc(net, graph, config);
         let preprocessing_rounds = net.ledger().total_rounds() - rounds_before;
         Ok(LaplacianSolver {
-            max_weight: graph.max_weight().max(1.0),
+            max_weight,
             kappa: kappa_of(graph, &sparsifier),
             factored: factor_preconditioner(&sparsifier),
             graph: graph.clone(),
-            sparsifier,
+            sparsifier: Some(sparsifier),
             preprocessing_rounds,
         })
     }
@@ -175,24 +205,25 @@ impl LaplacianSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`LaplacianError::Disconnected`] for a disconnected graph.
+    /// * [`LaplacianError::Disconnected`] — the graph is disconnected.
+    /// * [`LaplacianError::MagnitudeOverflow`] — `n · max_weight` is not a
+    ///   finite `f64`.
     pub fn try_exact_preconditioner(graph: &Graph) -> Result<Self, LaplacianError> {
-        if !graph.is_connected() {
-            return Err(LaplacianError::Disconnected);
-        }
+        let max_weight = validate_graph(graph)?;
         Ok(LaplacianSolver {
-            max_weight: graph.max_weight().max(1.0),
+            max_weight,
             kappa: 3.0,
             factored: factor_preconditioner(graph),
             graph: graph.clone(),
-            sparsifier: graph.clone(),
+            sparsifier: None,
             preprocessing_rounds: 0,
         })
     }
 
-    /// The sparsifier computed during preprocessing.
+    /// The sparsifier computed during preprocessing (the graph itself for
+    /// the exact preconditioner).
     pub fn sparsifier(&self) -> &Graph {
-        &self.sparsifier
+        self.sparsifier.as_ref().unwrap_or(&self.graph)
     }
 
     /// Rounds spent in preprocessing.
@@ -203,7 +234,7 @@ impl LaplacianSolver {
     /// The spectral quality `ε` actually achieved by the preprocessing
     /// sparsifier (certificate, computed centrally; not charged).
     pub fn sparsifier_epsilon(&self) -> f64 {
-        quality::achieved_epsilon(&self.graph, &self.sparsifier)
+        quality::achieved_epsilon(&self.graph, self.sparsifier())
     }
 
     /// The relative condition number `κ` used by the Chebyshev iteration.
@@ -225,6 +256,9 @@ impl LaplacianSolver {
     ///
     /// * [`LaplacianError::InvalidEpsilon`] — `epsilon` outside `(0, 1/2]`.
     /// * [`LaplacianError::DimensionMismatch`] — `b` has the wrong length.
+    /// * [`LaplacianError::MagnitudeOverflow`] — the broadcast range
+    ///   `(‖b‖∞ + 1)·n·max_weight` of the mean-free `b` is not a finite
+    ///   `f64`.
     pub fn try_solve(
         &self,
         net: &mut Network,
@@ -296,6 +330,8 @@ impl LaplacianSolver {
     /// * [`LaplacianError::InvalidEpsilon`] — `epsilon` outside `(0, 1/2]`.
     /// * [`LaplacianError::DimensionMismatch`] — `b` does not hold
     ///   `n · lanes` entries.
+    /// * [`LaplacianError::MagnitudeOverflow`] — the broadcast range of a
+    ///   lane is not a finite `f64`, as for [`LaplacianSolver::try_solve`].
     pub fn try_solve_block_into(
         &self,
         net: &mut Network,
@@ -336,6 +372,11 @@ impl LaplacianSolver {
         rhs.clear();
         rhs.extend_from_slice(b);
         vector::remove_lane_means_in_place(rhs, lanes);
+        // The widest lane bounds every lane's range; reject before charging.
+        let block_norm = rhs.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        if !((block_norm + 1.0) * (n as f64) * self.max_weight).is_finite() {
+            return Err(LaplacianError::MagnitudeOverflow);
+        }
         let kappa = self.kappa();
         let iterations = chebyshev::chebyshev_iteration_count(kappa, epsilon);
         // Bits per broadcast coordinate: O(log(n·U/ε)).
@@ -408,7 +449,7 @@ impl LaplacianSolver {
 /// Centralized exact (dense, regularized) solve of `L_G x = b` — the ground
 /// truth baseline.
 pub fn exact_solve(graph: &Graph, b: &[f64]) -> Vec<f64> {
-    let l = DenseMatrix::from_rows(&laplacian::laplacian_dense(graph));
+    let l = dense_laplacian(graph, 1.0);
     let b = vector::remove_mean(b);
     l.solve_psd(&b, true)
         .expect("regularized Laplacian solve succeeds")

@@ -10,35 +10,20 @@
 //!
 //! This module implements that pattern: a [`JlSketch`] is generated
 //! *deterministically* from a small shared seed (the broadcast bits), so every
-//! vertex expands the identical matrix locally. Two expansions are provided —
-//! dense Rademacher rows and a sparse Kane–Nelson style expansion with `s`
-//! non-zeros per column — both seeded from the same shared bits.
+//! vertex expands the identical matrix locally — dense Rademacher entries
+//! `±1/√k`, drawn column by column and stored row by row.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// How the shared bits are expanded into a sketch matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SketchKind {
-    /// Dense ±1/√k entries (Achlioptas-style, expanded from the shared seed).
-    DenseRademacher,
-    /// Sparse Kane–Nelson style: each column has exactly `s` non-zero entries
-    /// of value ±1/√s.
-    SparseSigned {
-        /// Number of non-zeros per column.
-        nonzeros_per_column: usize,
-    },
-}
 
 /// A `k × m` Johnson–Lindenstrauss sketch expanded from a shared seed.
 #[derive(Debug, Clone)]
 pub struct JlSketch {
     k: usize,
     m: usize,
-    /// Column-major sparse representation: for each column, the list of
-    /// `(row, value)` pairs.
-    columns: Vec<Vec<(usize, f64)>>,
+    /// Row-major entries: row `j` is `entries[j·m..(j + 1)·m]`.
+    entries: Vec<f64>,
 }
 
 impl JlSketch {
@@ -70,89 +55,28 @@ impl JlSketch {
         lg * lg
     }
 
-    /// Expands a sketch from a shared seed. All vertices calling this with the
-    /// same arguments obtain the same matrix.
-    pub fn from_shared_seed(kind: SketchKind, k: usize, m: usize, shared_seed: u64) -> Self {
+    /// Expands a sketch from a shared seed: one sign per entry, drawn
+    /// column by column. All vertices calling this with the same arguments
+    /// obtain the same matrix.
+    pub fn from_shared_seed(k: usize, m: usize, shared_seed: u64) -> Self {
         assert!(k >= 1 && m >= 1);
         let mut rng = ChaCha8Rng::seed_from_u64(shared_seed ^ 0x4A4C_5F53_4B45_5443);
-        let mut columns = vec![Vec::new(); m];
-        match kind {
-            SketchKind::DenseRademacher => {
-                let scale = 1.0 / (k as f64).sqrt();
-                for column in columns.iter_mut() {
-                    for row in 0..k {
-                        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-                        column.push((row, sign * scale));
-                    }
-                }
-            }
-            SketchKind::SparseSigned {
-                nonzeros_per_column,
-            } => {
-                let s = nonzeros_per_column.clamp(1, k);
-                let scale = 1.0 / (s as f64).sqrt();
-                for column in columns.iter_mut() {
-                    // Sample s distinct rows.
-                    let mut rows: Vec<usize> = (0..k).collect();
-                    for i in 0..s {
-                        let j = rng.gen_range(i..k);
-                        rows.swap(i, j);
-                    }
-                    for &row in rows.iter().take(s) {
-                        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-                        column.push((row, sign * scale));
-                    }
-                    column.sort_by_key(|&(r, _)| r);
-                }
+        let scale = 1.0 / (k as f64).sqrt();
+        let mut entries = vec![0.0; k * m];
+        for col in 0..m {
+            for row in 0..k {
+                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                entries[row * m + col] = sign * scale;
             }
         }
-        JlSketch { k, m, columns }
+        JlSketch { k, m, entries }
     }
 
-    /// Applies the sketch: `Q x ∈ R^k`.
-    pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.m, "dimension mismatch");
-        let mut out = vec![0.0; self.k];
-        for (col, entries) in self.columns.iter().enumerate() {
-            let xv = x[col];
-            if xv == 0.0 {
-                continue;
-            }
-            for &(row, val) in entries {
-                out[row] += val * xv;
-            }
-        }
-        out
-    }
-
-    /// Applies the transpose: `Qᵀ y ∈ R^m`. Row `j` of `Qᵀ` is column `j` of
-    /// `Q`, so vertex-local evaluation only needs the columns of the edges the
-    /// vertex knows.
-    pub fn apply_transpose(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(y.len(), self.k, "dimension mismatch");
-        (0..self.m)
-            .map(|col| {
-                self.columns[col]
-                    .iter()
-                    .map(|&(row, val)| val * y[row])
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Row `j` of the sketch as a dense vector (`e_jᵀ Q`), used when sketching
-    /// matrices row by row.
-    pub fn row(&self, j: usize) -> Vec<f64> {
+    /// Row `j` of the sketch (`e_jᵀ Q`), used when sketching matrices row by
+    /// row.
+    pub fn row(&self, j: usize) -> &[f64] {
         assert!(j < self.k);
-        let mut out = vec![0.0; self.m];
-        for (col, entries) in self.columns.iter().enumerate() {
-            for &(row, val) in entries {
-                if row == j {
-                    out[col] = val;
-                }
-            }
-        }
-        out
+        &self.entries[j * self.m..(j + 1) * self.m]
     }
 }
 
@@ -161,14 +85,36 @@ mod tests {
     use super::*;
     use crate::vector;
 
+    /// `Q x`, one row at a time.
+    fn apply(sketch: &JlSketch, x: &[f64]) -> Vec<f64> {
+        (0..sketch.k())
+            .map(|j| vector::dot(sketch.row(j), x))
+            .collect()
+    }
+
+    #[test]
+    fn entries_are_the_column_by_column_draws() {
+        let (k, m, seed) = (5, 7, 13);
+        let sketch = JlSketch::from_shared_seed(k, m, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x4A4C_5F53_4B45_5443);
+        let scale = 1.0 / (k as f64).sqrt();
+        for col in 0..m {
+            for row in 0..k {
+                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                assert_eq!(sketch.row(row)[col].to_bits(), (sign * scale).to_bits());
+            }
+        }
+        assert_eq!(sketch.row(k - 1).len(), m);
+    }
+
     #[test]
     fn same_seed_gives_same_sketch() {
-        let a = JlSketch::from_shared_seed(SketchKind::DenseRademacher, 8, 32, 7);
-        let b = JlSketch::from_shared_seed(SketchKind::DenseRademacher, 8, 32, 7);
-        let c = JlSketch::from_shared_seed(SketchKind::DenseRademacher, 8, 32, 8);
+        let a = JlSketch::from_shared_seed(8, 32, 7);
+        let b = JlSketch::from_shared_seed(8, 32, 7);
+        let c = JlSketch::from_shared_seed(8, 32, 8);
         let x: Vec<f64> = (0..32).map(|i| (i as f64).sin()).collect();
-        assert_eq!(a.apply(&x), b.apply(&x));
-        assert_ne!(a.apply(&x), c.apply(&x));
+        assert_eq!(apply(&a, &x), apply(&b, &x));
+        assert_ne!(apply(&a, &x), apply(&c, &x));
     }
 
     #[test]
@@ -176,14 +122,14 @@ mod tests {
         let m = 200;
         let eta = 0.5;
         let k = JlSketch::dimension_for(m, eta);
-        let sketch = JlSketch::from_shared_seed(SketchKind::DenseRademacher, k, m, 11);
+        let sketch = JlSketch::from_shared_seed(k, m, 11);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut within = 0;
         let trials = 20;
         for _ in 0..trials {
             let x: Vec<f64> = (0..m).map(|_| rng.gen::<f64>() - 0.5).collect();
             let original = vector::norm2(&x);
-            let sketched = vector::norm2(&sketch.apply(&x));
+            let sketched = vector::norm2(&apply(&sketch, &x));
             if sketched >= (1.0 - eta) * original && sketched <= (1.0 + eta) * original {
                 within += 1;
             }
@@ -192,49 +138,6 @@ mod tests {
             within >= trials - 1,
             "only {within}/{trials} norms preserved"
         );
-    }
-
-    #[test]
-    fn sparse_sketch_has_expected_sparsity() {
-        let sketch = JlSketch::from_shared_seed(
-            SketchKind::SparseSigned {
-                nonzeros_per_column: 3,
-            },
-            16,
-            40,
-            5,
-        );
-        for col in 0..40 {
-            assert_eq!(sketch.columns[col].len(), 3);
-        }
-        // Sparse sketches also roughly preserve norms.
-        let x: Vec<f64> = (0..40).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
-        let ratio = vector::norm2(&sketch.apply(&x)) / vector::norm2(&x);
-        assert!(ratio > 0.3 && ratio < 1.9, "ratio = {ratio}");
-    }
-
-    #[test]
-    fn transpose_is_consistent_with_apply() {
-        let sketch = JlSketch::from_shared_seed(SketchKind::DenseRademacher, 6, 15, 2);
-        let x: Vec<f64> = (0..15).map(|i| i as f64).collect();
-        let y: Vec<f64> = (0..6).map(|i| (i as f64) - 2.0).collect();
-        // ⟨Qx, y⟩ = ⟨x, Qᵀy⟩.
-        let lhs = vector::dot(&sketch.apply(&x), &y);
-        let rhs = vector::dot(&x, &sketch.apply_transpose(&y));
-        assert!((lhs - rhs).abs() < 1e-9);
-    }
-
-    #[test]
-    fn row_extraction_matches_apply_on_basis_vectors() {
-        let sketch = JlSketch::from_shared_seed(SketchKind::DenseRademacher, 4, 9, 13);
-        for j in 0..4 {
-            let row = sketch.row(j);
-            for col in 0..9 {
-                let mut e = vec![0.0; 9];
-                e[col] = 1.0;
-                assert!((sketch.apply(&e)[j] - row[col]).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub mod vector;
 pub use cg::{conjugate_gradient, IterativeSolve, IterativeStats};
 pub use chebyshev::{preconditioned_chebyshev, ChebyshevSolve, ChebyshevStats};
 pub use dense::{generalized_extreme_eigenvalues, DenseMatrix, FactoredPsd};
-pub use jl::{JlSketch, SketchKind};
+pub use jl::JlSketch;
 pub use scratch::SolveScratch;
 pub use sparse::CsrMatrix;

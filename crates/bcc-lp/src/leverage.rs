@@ -11,7 +11,7 @@
 //! `M`, `Mᵀ` and Gram solves — all operations the Broadcast Congested Clique
 //! supports.
 
-use bcc_linalg::{DenseMatrix, JlSketch, SketchKind};
+use bcc_linalg::{DenseMatrix, JlSketch};
 use bcc_runtime::{Network, SharedRandomness};
 
 use crate::error::LpError;
@@ -69,16 +69,11 @@ pub fn compute_leverage_scores(
     if let Some(cap) = options.max_sketch_dimension {
         k = k.min(cap.max(1));
     }
-    let sketch = JlSketch::from_shared_seed(
-        SketchKind::DenseRademacher,
-        k,
-        rows,
-        options.shared_seed ^ shared.bits(),
-    );
+    let sketch = JlSketch::from_shared_seed(k, rows, options.shared_seed ^ shared.bits());
 
     // p(j) = M (MᵀM)⁻¹ Mᵀ Q(j), evaluated right to left; the k Gram systems
     // share their matrix, so they are solved as one batch.
-    let mt_q: Vec<Vec<f64>> = (0..k).map(|j| m.apply_transpose(&sketch.row(j))).collect();
+    let mt_q: Vec<Vec<f64>> = (0..k).map(|j| m.apply_transpose(sketch.row(j))).collect();
     let solved = gram_solver.solve_many(net, m.a(), &m.gram_diagonal_scales(), &mt_q)?;
     let mut sigma = vec![0.0; rows];
     for x in &solved {

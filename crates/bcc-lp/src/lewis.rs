@@ -13,8 +13,7 @@
 //!   handful of iterations reaches the accuracy the path following needs.
 //!   (This replaces the `p`-homotopy of Algorithm 8, whose step count —
 //!   `Θ(√n·log m)` calls — exists to keep every intermediate call inside the
-//!   tiny trust region of Algorithm 7; the substitution is recorded in
-//!   DESIGN.md.)
+//!   tiny trust region of Algorithm 7.)
 //! * [`compute_apx_weights`] — Algorithm 7 as stated: the damped update
 //!   clipped to the multiplicative trust region `(1 ± r)·w⁽⁰⁾`, valid when
 //!   the starting point is already close to the true weights.
@@ -153,8 +152,9 @@ pub fn lewis_weights(
 
 /// Algorithm 7 (`ComputeApxWeights`): the damped update clipped to the
 /// multiplicative trust region `(1 ± r)·w⁽⁰⁾`. Valid when
-/// `‖(w⁽⁰⁾)⁻¹(w_p(M) − w⁽⁰⁾)‖_∞` is already small (Lemma 4.6); the LP solver
-/// uses it for the per-step weight refresh ablation.
+/// `‖(w⁽⁰⁾)⁻¹(w_p(M) − w⁽⁰⁾)‖_∞` is already small (Lemma 4.6). The LP solver
+/// does not call it (its weight refresh is [`regularized_lewis_weights`]);
+/// it is kept as the paper's algorithm, checked by its own test.
 ///
 /// # Errors
 ///

@@ -15,7 +15,8 @@
 //!
 //! * [`Network`] — the charged communication layer: message exchanges plus
 //!   numeric primitives (`share_scalars`, `broadcast_from`, ...), all of which
-//!   charge rounds on a [`RoundLedger`].
+//!   charge rounds on a [`RoundLedger`], whose [`RoundReport`] is the one
+//!   record of communication cost.
 //! * [`payload`] — typed message fields with explicit encoded bit widths.
 //! * [`shared_rand`] — leader-sampled shared randomness and reproducible
 //!   per-vertex private randomness.
@@ -46,7 +47,7 @@ pub mod payload;
 pub mod shared_rand;
 
 pub use error::RuntimeError;
-pub use ledger::{PhaseStats, RoundLedger};
+pub use ledger::{PhaseStats, RoundLedger, RoundReport};
 pub use model::{ceil_log2, Model, ModelConfig};
 pub use network::{Network, Topology};
 pub use payload::{Field, Message, MessageSize};

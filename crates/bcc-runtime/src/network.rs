@@ -119,7 +119,8 @@ impl Network {
         &self.ledger
     }
 
-    /// Mutable access to the round ledger (e.g. to merge sub-executions).
+    /// Mutable access to the round ledger (e.g. to charge a cost computed on
+    /// another network).
     pub fn ledger_mut(&mut self) -> &mut RoundLedger {
         &mut self.ledger
     }
@@ -456,8 +457,9 @@ mod tests {
                     );
                     assert!(closed
                         .ledger()
+                        .report()
                         .phase_names()
-                        .eq(looped.ledger().phase_names()));
+                        .eq(looped.ledger().report().phase_names()));
                 }
             }
         }

@@ -362,6 +362,43 @@ fn garbage_input_yields_typed_faults_not_hangs() {
 }
 
 #[test]
+fn an_overflowing_right_hand_side_is_a_typed_fault_and_the_next_tenant_is_served() {
+    let dir = test_dir("overflow");
+    let guard = spawn_daemon(&dir, &[]);
+
+    // Finite JSON numbers whose broadcast range (‖b‖∞ + 1)·n·max_weight
+    // overflows f64.
+    let mut attacker = connect(&guard, "attacker").expect("handshake");
+    let mut b = vec![0.0; 9];
+    b[0] = 1.7e308;
+    b[8] = -1.7e308;
+    let bad = WireRequest::from_request(&Request::laplacian(generators::grid(3, 3), b))
+        .expect("expressible");
+    let ticket = attacker.submit(bad).expect("admitted");
+    match attacker.wait(ticket) {
+        Err(WireError::Remote(fault)) => {
+            assert_eq!(fault.code, "laplacian");
+            assert!(fault.message.contains("overflows"), "{}", fault.message);
+        }
+        other => panic!("expected a laplacian fault, got {other:?}"),
+    }
+
+    // The scope is not poisoned: another tenant's valid request succeeds.
+    let mut bystander = connect(&guard, "bystander").expect("handshake");
+    let mut b = vec![0.0; 9];
+    b[0] = 1.0;
+    b[8] = -1.0;
+    let good = WireRequest::from_request(&Request::laplacian(generators::grid(3, 3), b))
+        .expect("expressible");
+    let ticket = bystander.submit(good).expect("admitted");
+    let outcome = bystander.wait(ticket).expect("served");
+    assert!(outcome.report.total_rounds > 0);
+
+    attacker.shutdown().expect("drained report");
+    guard.wait();
+}
+
+#[test]
 fn shutdown_drains_in_flight_submissions() {
     let dir = test_dir("drain");
     let guard = spawn_daemon(&dir, &[]);

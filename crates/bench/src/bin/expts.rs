@@ -1,26 +1,19 @@
-//! Experiment runner: regenerates the tables recorded in EXPERIMENTS.md and
-//! the machine-readable `BENCH_*.json` cost trajectories.
+//! Experiment runner: prints the tables of the experiments in
+//! `bench::run_experiment` and writes the machine-readable `BENCH_*.json`
+//! cost trajectories.
 //!
 //! Usage:
 //!   `cargo run -p bench --release --bin expts -- [e1|e2|...|e11|a1|a2|all] [--full]`
 //!   `cargo run -p bench --release --bin expts -- --quick-json`  (CI)
 //!   `cargo run -p bench --release --bin expts -- --full-json`
-//!   `cargo run -p bench --release --bin expts -- --load scenarios/smoke.json`
-//!   `cargo run -p bench --release --bin expts -- --metrics`
 //!
 //! The `--*-json` modes write `BENCH_pipelines.json`, `BENCH_batch.json`,
 //! `BENCH_stream.json`, `BENCH_load.json` and `BENCH_load_metrics.json` to
 //! the repository root (schema documented in `bench::trajectory` and
 //! `bench::load`) and print the written paths.
 //!
-//! `--load <scenario.json>` runs one declarative load scenario through the
-//! deterministic virtual-clock harness (`bench::load`) and prints its
-//! per-class latency percentiles (the standalone `load` binary runs whole
-//! scenario sets and can emit JSON, Chrome traces and metrics snapshots).
-//!
-//! `--metrics` runs the committed smoke scenario and prints its
-//! `bcc-metrics/v1` snapshot as JSON — a quick way to eyeball the
-//! telemetry export without writing any files.
+//! Load scenarios run through the `load` binary
+//! (`cargo run -p bench --release --bin load -- scenarios/smoke.json`).
 //!
 //! CI runs `--quick-json`, then fails unless all five files are tracked by
 //! git and match the committed bytes in everything but `wall_ns` values
@@ -31,32 +24,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick_json = args.iter().any(|a| a == "--quick-json");
     let full_json = args.iter().any(|a| a == "--full-json");
-    if let Some(pos) = args.iter().position(|a| a == "--load") {
-        let path = args
-            .get(pos + 1)
-            .unwrap_or_else(|| panic!("--load needs a scenario path"));
-        let scenario = bench::load::read_scenario(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("reading scenario failed: {e}"));
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let trajectory = bench::load::run_scenario(&scenario, workers)
-            .unwrap_or_else(|e| panic!("scenario {:?} failed: {e}", scenario.name));
-        print!("{}", bench::load::summarize(&trajectory));
-        return;
-    }
-    if args.iter().any(|a| a == "--metrics") {
-        let path = bench::trajectory::repo_root()
-            .join("scenarios")
-            .join("smoke.json");
-        let scenario = bench::load::read_scenario(&path)
-            .unwrap_or_else(|e| panic!("reading scenario failed: {e}"));
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let trajectory = bench::load::run_scenario(&scenario, workers)
-            .unwrap_or_else(|e| panic!("scenario {:?} failed: {e}", scenario.name));
-        let snapshot = bench::load::metrics_snapshot(&trajectory);
-        let json = serde_json::to_string_pretty(&snapshot).expect("MetricsSnapshot serializes");
-        println!("{json}");
-        return;
-    }
     if quick_json || full_json {
         let root = bench::trajectory::repo_root();
         let written = bench::trajectory::write_bench_json(&root, 2022, quick_json)

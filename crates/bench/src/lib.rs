@@ -1,8 +1,8 @@
-//! Experiment harness for EXPERIMENTS.md.
+//! Experiment harness.
 //!
-//! Every experiment id (E1–E11, A1–A2) from DESIGN.md §5 has a function here
-//! that generates its workload, runs the algorithms and returns printable
-//! rows. The `expts` binary prints them as tables; the Criterion benches in
+//! Every experiment id (E1–E11, A1–A2; see [`run_experiment`]) has a
+//! function here that generates its workload, runs the algorithms and
+//! returns printable rows. The `expts` binary prints them as tables; the Criterion benches in
 //! `benches/` wrap the same functions for timing.
 //!
 //! Machine-readable cost trajectories live in [`trajectory`]: running

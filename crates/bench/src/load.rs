@@ -90,8 +90,8 @@ use bcc_core::cache::Lru;
 use bcc_core::graph::generators;
 use bcc_core::prelude::*;
 use bcc_core::telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceRecord};
-use bcc_core::wfq::{ClassConfig, SchedulerStats, WfqQueue};
-use bcc_core::{LatencyPercentiles, RateLimit};
+use bcc_core::wfq::{SchedulerStats, WfqQueue};
+use bcc_core::{ClassEntry, LatencyPercentiles, RateLimit};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -808,18 +808,14 @@ fn simulate_core(
         .iter()
         .map(|c| Priority::parse_label(&c.name).expect("validated label"))
         .collect();
-    let class_cfg: Vec<(Priority, ClassConfig)> = scenario
+    let class_cfg: Vec<ClassEntry> = scenario
         .classes
         .iter()
         .zip(&priorities)
-        .map(|(spec, &p)| {
-            (
-                p,
-                ClassConfig {
-                    weight: spec.weight,
-                    rate: spec.rate_limit,
-                },
-            )
+        .map(|(spec, &class)| ClassEntry {
+            class,
+            weight: spec.weight,
+            rate_limit: spec.rate_limit,
         })
         .collect();
 

@@ -258,7 +258,7 @@ pub fn pipelines_trajectory(seed: u64, quick: bool) -> Vec<PipelinePoint> {
                 b[g.n() - k] = -1.0;
                 prepared.solve(&b).expect("well-formed right-hand side");
             }
-            prepared.report()
+            prepared.report().clone()
         });
         points.push(point("laplacian", g.n(), g.m(), seed, report, wall_ns));
     }

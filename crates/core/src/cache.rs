@@ -35,11 +35,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use bcc_graph::GraphFingerprint;
+use bcc_runtime::RoundReport;
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostDims, CostKind, CostModel};
 use crate::error::Error;
-use crate::report::RoundReport;
 use crate::session::PreparedLaplacian;
 use crate::telemetry::{Counter, MetricsRegistry, TelemetrySink};
 
@@ -429,15 +429,7 @@ mod tests {
                 let report = prepared.preprocessing_report().clone();
                 (Ok(prepared), report)
             }
-            Err(e) => (
-                Err(e),
-                RoundReport {
-                    total_rounds: 0,
-                    total_bits: 0,
-                    total_operations: 0,
-                    breakdown: Vec::new(),
-                },
-            ),
+            Err(e) => (Err(e), RoundReport::default()),
         }
     }
 

@@ -25,7 +25,7 @@
 //! use bcc_core::Session;
 //!
 //! // A session owns the model configuration, the master seed and a
-//! // cumulative cost ledger; it serves any number of requests.
+//! // cumulative cost report; it serves any number of requests.
 //! let mut session = Session::builder().seed(42).build();
 //!
 //! // Theorem 1.3: preprocess a graph once, then solve many right-hand
@@ -114,7 +114,6 @@ pub mod config;
 pub mod cost;
 pub mod error;
 pub mod latency;
-pub mod report;
 mod serve;
 pub mod session;
 pub mod stream;
@@ -122,13 +121,13 @@ pub mod telemetry;
 pub mod tenant;
 pub mod wfq;
 
+pub use bcc_runtime::RoundReport;
 pub use cache::CacheStats;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use config::{ClassEntry, ConfigError, EngineConfig, ENGINE_CONFIG_SCHEMA};
 pub use cost::{CostDims, CostKind, CostModel};
 pub use error::Error;
 pub use latency::{ClassLatency, LatencyPercentiles, LatencyReport};
-pub use report::RoundReport;
 pub use session::{
     GramChoice, LaplacianRequest, LpRequest, Outcome, PreparedLaplacian, Session, SessionBuilder,
 };
@@ -146,7 +145,6 @@ pub mod prelude {
     pub use crate::cost::{CostDims, CostKind, CostModel};
     pub use crate::error::Error;
     pub use crate::latency::{LatencyPercentiles, LatencyReport};
-    pub use crate::report::RoundReport;
     pub use crate::session::{LpRequest, Outcome, PreparedLaplacian, Session};
     pub use crate::stream::{BackpressurePolicy, Priority, RateLimit, StreamEngine};
     pub use crate::telemetry::{MetricsSnapshot, TelemetrySink, TraceEvent};
@@ -154,7 +152,7 @@ pub mod prelude {
     pub use bcc_graph::{DiGraph, FlowInstance, Graph};
     pub use bcc_laplacian::LaplacianSolver;
     pub use bcc_lp::{try_lp_solve, LpInstance, LpOptions};
-    pub use bcc_runtime::{Model, ModelConfig, Network, RoundLedger};
+    pub use bcc_runtime::{Model, ModelConfig, Network, RoundLedger, RoundReport};
     pub use bcc_spanner::{baswana_sen_spanner, SpannerParams};
     pub use bcc_sparsifier::{sparsify_ad_hoc, SparsifierConfig};
 }
@@ -177,7 +175,7 @@ mod tests {
             first.report.total_rounds + second.report.total_rounds
         );
 
-        // The other pipelines charge the same ledger: a prepared Laplacian
+        // The other pipelines add to the same report: a prepared Laplacian
         // (preprocessing plus one solve), then a min-cost flow.
         let grid = bcc_graph::generators::grid(3, 4);
         let mut b = vec![0.0; grid.n()];

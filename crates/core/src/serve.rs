@@ -15,14 +15,13 @@ use bcc_flow::{McmfOptions, McmfResult};
 use bcc_graph::{FlowInstance, Graph, GraphFingerprint};
 use bcc_laplacian::LaplacianSolve;
 use bcc_lp::{LpInstance, LpSolution};
-use bcc_runtime::{ModelConfig, RoundLedger};
+use bcc_runtime::{ModelConfig, RoundReport};
 use bcc_sparsifier::SparsifierOutput;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheEntry, LaplacianCache};
 use crate::cost::{CostDims, CostKind, CostModel};
 use crate::error::Error;
-use crate::report::RoundReport;
 use crate::session::{LpRequest, Outcome, Session};
 use crate::telemetry::{MetricsRegistry, TelemetrySink};
 
@@ -310,15 +309,7 @@ impl EngineCore {
                 let report = prepared.preprocessing_report().clone();
                 (Ok(prepared), report)
             }
-            Err(e) => (
-                Err(e),
-                RoundReport {
-                    total_rounds: 0,
-                    total_bits: 0,
-                    total_operations: 0,
-                    breakdown: Vec::new(),
-                },
-            ),
+            Err(e) => (Err(e), RoundReport::default()),
         }
     }
 
@@ -381,7 +372,7 @@ impl EngineCore {
     ) -> Accounting {
         let mut order: Vec<(GraphFingerprint, bool)> = Vec::new();
         let mut uses: HashMap<u128, u64> = HashMap::new();
-        let mut ledger = RoundLedger::new();
+        let mut total = RoundReport::default();
         let mut per_request = Vec::with_capacity(records.len());
         let mut failures = 0u64;
         let mut cache_hits = 0u64;
@@ -410,13 +401,7 @@ impl EngineCore {
             if !record.ok {
                 failures += 1;
             }
-            ledger.charge_phases(
-                record
-                    .report
-                    .breakdown
-                    .iter()
-                    .map(|(n, s)| (n.as_str(), *s)),
-            );
+            total.add(&record.report);
             per_request.push(RequestCost {
                 index: record.index,
                 kind: record.kind.to_string(),
@@ -433,7 +418,7 @@ impl EngineCore {
             .map(|(fp, pre_cached)| {
                 let report = preprocessing_report_of(fp.as_u128());
                 if !pre_cached {
-                    ledger.charge_phases(report.breakdown.iter().map(|(n, s)| (n.as_str(), *s)));
+                    total.add(&report);
                 }
                 PreprocessingCost {
                     fingerprint: fp.to_hex(),
@@ -447,7 +432,7 @@ impl EngineCore {
             failures,
             cache_hits,
             cache_misses,
-            total: RoundReport::from_ledger(&ledger),
+            total,
             preprocessing,
             per_request,
         }

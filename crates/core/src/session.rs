@@ -2,7 +2,7 @@
 //! paper's four theorems.
 //!
 //! A [`Session`] owns the execution environment — a [`ModelConfig`], a master
-//! seed and a cumulative [`bcc_runtime::RoundLedger`] — and serves requests:
+//! seed and a cumulative [`RoundReport`] — and serves requests:
 //!
 //! * [`Session::sparsify`] — Theorem 1.2 (Broadcast CONGEST);
 //! * [`Session::laplacian`] — Theorem 1.3, split into a preprocessing stage
@@ -29,11 +29,10 @@ use bcc_flow::{try_min_cost_max_flow_bcc, McmfOptions, McmfResult};
 use bcc_graph::{FlowInstance, Graph};
 use bcc_laplacian::{LaplacianSolve, LaplacianSolver, ScratchArena};
 use bcc_lp::{try_lp_solve, DenseGramSolver, GramSolver, LpInstance, LpOptions, LpSolution};
-use bcc_runtime::{ModelConfig, Network, RoundLedger};
+use bcc_runtime::{ModelConfig, Network, RoundReport};
 use bcc_sparsifier::{try_sparsify_ad_hoc, SparsifierConfig, SparsifierOutput};
 
 use crate::error::Error;
-use crate::report::RoundReport;
 
 /// The result of a pipeline request: the value plus the communication-cost
 /// report of the run that produced it.
@@ -99,7 +98,7 @@ impl SessionBuilder {
             model: self.model,
             seed: self.seed,
             epsilon: self.epsilon,
-            ledger: RoundLedger::new(),
+            report: RoundReport::default(),
         }
     }
 }
@@ -131,7 +130,7 @@ pub struct Session {
     model: ModelConfig,
     seed: u64,
     epsilon: f64,
-    ledger: RoundLedger,
+    report: RoundReport,
 }
 
 impl Default for Session {
@@ -171,22 +170,22 @@ impl Session {
     /// (prepared Laplacian handles contribute when they are
     /// [`PreparedLaplacian::finish`]ed back into the session).
     pub fn cumulative_report(&self) -> RoundReport {
-        RoundReport::from_ledger(&self.ledger)
+        self.report.clone()
     }
 
+    /// Adds the cost charged on `net` to this session and returns it.
     fn absorb(&mut self, net: &Network) -> RoundReport {
-        self.ledger.absorb(net.ledger());
-        RoundReport::from_ledger(net.ledger())
+        let report = net.ledger().report().clone();
+        self.report.add(&report);
+        report
     }
 
     /// Merges an externally produced cost report into this session's
-    /// cumulative ledger, phase by phase — the plumbing to account work a
+    /// cumulative report, phase by phase — the plumbing to account work a
     /// serving engine executed on worker sessions (e.g. a
     /// [`crate::stream::StreamReport`] total) against one serving session.
     pub fn absorb_report(&mut self, report: &RoundReport) {
-        for (name, stats) in &report.breakdown {
-            self.ledger.charge_phase(name, *stats);
-        }
+        self.report.add(report);
     }
 
     // ------------------------------------------------------------------
@@ -414,10 +413,11 @@ impl LaplacianRequest<'_> {
         } else {
             LaplacianSolver::try_preprocess(&mut net, self.graph, &self.config)?
         };
-        let preprocessing = RoundReport::from_ledger(net.ledger());
+        let preprocessing = net.ledger().report().clone();
         Ok(PreparedLaplacian {
             solver,
-            net,
+            model: self.model,
+            report: preprocessing.clone(),
             preprocessing,
             epsilon: self.epsilon,
             solves: 0,
@@ -426,26 +426,22 @@ impl LaplacianRequest<'_> {
 }
 
 /// A preprocessed Laplacian solver (Theorem 1.3): one sparsifier, many
-/// right-hand sides. The handle owns its network, so its
-/// [`PreparedLaplacian::report`] shows the preprocessing phases charged
-/// exactly once with per-solve rounds accumulating on top — the amortization
-/// the theorem separates.
+/// right-hand sides. Every solve runs on a fresh network and adds its cost
+/// to the handle, so [`PreparedLaplacian::report`] shows the preprocessing
+/// phases charged exactly once with per-solve rounds accumulating on top —
+/// the amortization the theorem separates.
 #[derive(Debug, Clone)]
 pub struct PreparedLaplacian {
     solver: LaplacianSolver,
-    net: Network,
+    model: ModelConfig,
     preprocessing: RoundReport,
+    /// Preprocessing plus every solve so far.
+    report: RoundReport,
     epsilon: f64,
     solves: u64,
 }
 
 impl PreparedLaplacian {
-    fn solve_inner(&mut self, b: &[f64], epsilon: f64) -> Result<LaplacianSolve, Error> {
-        let solve = self.solver.try_solve(&mut self.net, b, epsilon)?;
-        self.solves += 1;
-        Ok(solve)
-    }
-
     /// Solves `L_G x = b` at the request's accuracy.
     ///
     /// The returned [`Outcome::report`] covers **this solve alone** (like
@@ -473,12 +469,10 @@ impl PreparedLaplacian {
         b: &[f64],
         epsilon: f64,
     ) -> Result<Outcome<LaplacianSolve>, Error> {
-        let before = self.report();
-        let solve = self.solve_inner(b, epsilon)?;
-        Ok(Outcome {
-            report: self.report().since(&before),
-            value: solve,
-        })
+        let outcome = self.solve_shared(b, Some(epsilon), &mut ScratchArena::new())?;
+        self.report.add(&outcome.report);
+        self.solves += 1;
+        Ok(outcome)
     }
 
     /// Solves one system per right-hand side, reusing the preprocessing
@@ -495,25 +489,25 @@ impl PreparedLaplacian {
         &mut self,
         rhs_batch: &[Vec<f64>],
     ) -> Result<Outcome<Vec<LaplacianSolve>>, Error> {
-        let before = self.report();
-        let epsilon = self.epsilon;
+        let mut report = RoundReport::default();
         let mut solutions = Vec::with_capacity(rhs_batch.len());
         for b in rhs_batch {
-            solutions.push(self.solve_inner(b, epsilon)?);
+            let outcome = self.solve(b)?;
+            report.add(&outcome.report);
+            solutions.push(outcome.value);
         }
         Ok(Outcome {
-            report: self.report().since(&before),
+            report,
             value: solutions,
         })
     }
 
     /// Solves `L_G x = b` **without mutating this handle**: the solve runs on
-    /// a fresh per-request network (so the returned [`Outcome::report`]
-    /// covers this solve alone, exactly as [`PreparedLaplacian::solve`]'s
-    /// delta report does) and reuses the caller's [`ScratchArena`] work
-    /// vectors. This is the engines' hot path: many workers can serve solves
-    /// from one shared prepared handle without cloning the preprocessing
-    /// state per request.
+    /// a fresh per-request network, as [`PreparedLaplacian::solve`]'s does,
+    /// but its cost is not added to the handle, and it reuses the caller's
+    /// [`ScratchArena`] work vectors. This is the engines' hot path: many
+    /// workers can serve solves from one shared prepared handle without
+    /// cloning the preprocessing state per request.
     ///
     /// `epsilon` of `None` uses the request's configured accuracy.
     ///
@@ -527,12 +521,12 @@ impl PreparedLaplacian {
         epsilon: Option<f64>,
         arena: &mut ScratchArena,
     ) -> Result<Outcome<LaplacianSolve>, Error> {
-        let mut net = Network::clique(self.net.config(), self.net.n());
+        let mut net = Network::clique(self.model, self.solver.sparsifier().n());
         let solve =
             self.solver
                 .try_solve_with(&mut net, b, epsilon.unwrap_or(self.epsilon), arena)?;
         Ok(Outcome {
-            report: RoundReport::from_ledger(net.ledger()),
+            report: net.ledger().report().clone(),
             value: solve,
         })
     }
@@ -549,8 +543,8 @@ impl PreparedLaplacian {
 
     /// Cumulative report of this handle: preprocessing charged once plus all
     /// solves so far.
-    pub fn report(&self) -> RoundReport {
-        RoundReport::from_ledger(self.net.ledger())
+    pub fn report(&self) -> &RoundReport {
+        &self.report
     }
 
     /// Snapshot of the cost of the preprocessing stage alone, charged exactly
@@ -560,8 +554,9 @@ impl PreparedLaplacian {
     }
 
     /// Merges this handle's communication cost into `session`'s cumulative
-    /// ledger and returns the final report.
+    /// report and returns the handle's final report.
     pub fn finish(self, session: &mut Session) -> RoundReport {
-        session.absorb(&self.net)
+        session.absorb_report(&self.report);
+        self.report
     }
 }

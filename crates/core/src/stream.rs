@@ -192,20 +192,19 @@ use std::time::{Duration, Instant};
 
 use bcc_graph::{fingerprint, GraphFingerprint};
 use bcc_laplacian::ScratchArena;
-use bcc_runtime::{ModelConfig, RoundLedger};
+use bcc_runtime::{ModelConfig, RoundReport};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
 use crate::clock::{Clock, SystemClock};
-use crate::config::{ConfigError, EngineConfig};
+use crate::config::{ClassEntry, ConfigError, EngineConfig};
 use crate::cost::{CalibrationCell, CostDims, CostKind, CostModel};
 use crate::error::Error;
 use crate::latency::{ClassLatency, LatencyPercentiles, LatencyReport};
-use crate::report::RoundReport;
 use crate::serve::{EngineCore, RequestRecord};
 use crate::session::{Outcome, Session};
 use crate::telemetry::{EngineCounters, MetricsSnapshot, TelemetrySink, TraceEvent, NO_REQUEST};
-use crate::wfq::{ClassConfig, WfqJob, WfqQueue};
+use crate::wfq::{WfqJob, WfqQueue};
 
 pub use crate::serve::{PreprocessingCost, Request, RequestCost, Response};
 pub use crate::wfq::{ClassStats, Priority, RateLimit, SchedulerStats};
@@ -608,21 +607,12 @@ impl StreamEngineBuilder {
         // deterministic class order of the scheduler stats.
         self.config.class_entry(Priority::Interactive);
         self.config.class_entry(Priority::Bulk);
-        let mut classes: Vec<(Priority, ClassConfig)> = self
-            .config
-            .classes
-            .iter()
-            .map(|entry| {
-                (
-                    entry.class,
-                    ClassConfig {
-                        weight: entry.weight.max(1),
-                        rate: entry.rate_limit.map(RateLimit::clamped),
-                    },
-                )
-            })
-            .collect();
-        classes.sort_by_key(|(p, _)| p.key());
+        let mut classes = self.config.classes;
+        for entry in &mut classes {
+            entry.weight = entry.weight.max(1);
+            entry.rate_limit = entry.rate_limit.map(RateLimit::clamped);
+        }
+        classes.sort_by_key(|entry| entry.class.key());
         StreamEngine {
             core: EngineCore::new(
                 self.config.model,
@@ -639,7 +629,7 @@ impl StreamEngineBuilder {
             backpressure: self.config.backpressure,
             clock: self.clock.unwrap_or_else(|| Arc::new(SystemClock::new())),
             classes,
-            ledger: RoundLedger::new(),
+            report: RoundReport::default(),
             scopes: 0,
         }
     }
@@ -661,8 +651,9 @@ pub struct StreamEngine {
     /// The engine's time source (see [`crate::clock`]).
     clock: Arc<dyn Clock>,
     /// Normalized class configuration, sorted by class key.
-    classes: Vec<(Priority, ClassConfig)>,
-    ledger: RoundLedger,
+    classes: Vec<ClassEntry>,
+    /// Cumulative cost of every serve scope.
+    report: RoundReport,
     /// Serve scopes run so far; brands tickets so stale ones fail loudly.
     scopes: u64,
 }
@@ -727,8 +718,8 @@ impl StreamEngine {
     pub fn class_weight(&self, class: Priority) -> u32 {
         self.classes
             .iter()
-            .find(|(p, _)| *p == class)
-            .map(|(_, c)| c.weight)
+            .find(|entry| entry.class == class)
+            .map(|entry| entry.weight)
             .unwrap_or_else(|| class.default_weight())
     }
 
@@ -736,8 +727,8 @@ impl StreamEngine {
     pub fn class_rate_limit(&self, class: Priority) -> Option<RateLimit> {
         self.classes
             .iter()
-            .find(|(p, _)| *p == class)
-            .and_then(|(_, c)| c.rate)
+            .find(|entry| entry.class == class)
+            .and_then(|entry| entry.rate_limit)
     }
 
     /// Number of prepared Laplacian solvers currently cached (including
@@ -776,7 +767,7 @@ impl StreamEngine {
     /// (per-submission costs plus each newly built preprocessing charged
     /// exactly once per scope).
     pub fn cumulative_report(&self) -> RoundReport {
-        RoundReport::from_ledger(&self.ledger)
+        self.report.clone()
     }
 
     /// Runs a serve scope: spawns the worker pool, hands the closure a
@@ -828,8 +819,7 @@ impl StreamEngine {
             }
         });
         let (uncollected, report, latency) = self.aggregate(&shared);
-        self.ledger
-            .charge_phases(report.total.breakdown.iter().map(|(n, s)| (n.as_str(), *s)));
+        self.report.add(&report.total);
         StreamOutput {
             value,
             uncollected,
@@ -1018,7 +1008,7 @@ struct StreamQueue {
 }
 
 impl StreamQueue {
-    fn new(classes: &[(Priority, ClassConfig)]) -> Self {
+    fn new(classes: &[ClassEntry]) -> Self {
         StreamQueue {
             q: WfqQueue::new(classes),
             closed: false,
@@ -1280,7 +1270,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                         Completion {
                             ok: false,
                             error: Some(error.to_string()),
-                            report: RoundReport::from_ledger(&RoundLedger::new()),
+                            report: RoundReport::default(),
                             expired: true,
                             wait_ns: 0,
                             e2e_ns: 0,
@@ -1363,7 +1353,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
             Err(e) => Completion {
                 ok: false,
                 error: Some(e.to_string()),
-                report: RoundReport::from_ledger(&RoundLedger::new()),
+                report: RoundReport::default(),
                 expired: false,
                 wait_ns,
                 e2e_ns,

@@ -30,6 +30,8 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::ClassEntry;
+
 /// Scheduling class of one submission. Classes form a small open set: the
 /// two built-in classes plus up to 256 caller-defined ones
 /// ([`Priority::custom`]). Each class has a WFQ weight (and optionally a
@@ -153,27 +155,6 @@ impl RateLimit {
     /// arithmetic.
     pub(crate) fn clamped(self) -> Self {
         RateLimit::new(self.tokens, self.window)
-    }
-}
-
-/// Per-class configuration of a [`WfqQueue`]: the WFQ weight and an
-/// optional token-bucket rate limit.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassConfig {
-    /// The class's WFQ weight (clamped to at least 1 by the queue).
-    pub weight: u32,
-    /// The class's rate limit, if any.
-    pub rate: Option<RateLimit>,
-}
-
-impl ClassConfig {
-    /// The default configuration of `class`: its default weight, no rate
-    /// limit.
-    pub fn default_for(class: Priority) -> Self {
-        ClassConfig {
-            weight: class.default_weight(),
-            rate: None,
-        }
     }
 }
 
@@ -340,11 +321,11 @@ struct ClassState<T> {
 }
 
 impl<T> ClassState<T> {
-    fn new(priority: Priority, config: ClassConfig) -> Self {
+    fn new(entry: &ClassEntry) -> Self {
         ClassState {
-            priority,
-            weight: config.weight.max(1),
-            rate: config.rate.map(RateLimit::clamped),
+            priority: entry.class,
+            weight: entry.weight.max(1),
+            rate: entry.rate_limit.map(RateLimit::clamped),
             queue: VecDeque::new(),
             queued_cost: 0,
             last_finish: 0,
@@ -405,14 +386,12 @@ pub struct WfqQueue<T> {
 }
 
 impl<T> WfqQueue<T> {
-    /// An empty queue over the given classes (more join on first use with
-    /// their default configuration).
-    pub fn new(classes: &[(Priority, ClassConfig)]) -> Self {
+    /// An empty queue over the given classes, in the order given (more join
+    /// on first use with their default configuration). The weight is
+    /// clamped to at least 1 and the rate limit as by [`RateLimit::new`].
+    pub fn new(classes: &[ClassEntry]) -> Self {
         WfqQueue {
-            classes: classes
-                .iter()
-                .map(|(p, c)| ClassState::new(*p, *c))
-                .collect(),
+            classes: classes.iter().map(ClassState::new).collect(),
             queued: 0,
             deadlined: 0,
             next_index: 0,
@@ -471,10 +450,8 @@ impl<T> WfqQueue<T> {
             .position(|c| c.priority.key() >= key)
             .unwrap_or(self.classes.len());
         if self.classes.get(pos).is_none_or(|c| c.priority != priority) {
-            self.classes.insert(
-                pos,
-                ClassState::new(priority, ClassConfig::default_for(priority)),
-            );
+            self.classes
+                .insert(pos, ClassState::new(&ClassEntry::default_for(priority)));
         }
         &mut self.classes[pos]
     }
@@ -720,17 +697,13 @@ impl<T> std::fmt::Debug for WfqQueue<T> {
 mod tests {
     use super::*;
 
-    fn config(classes: &[(Priority, u32, Option<RateLimit>)]) -> Vec<(Priority, ClassConfig)> {
+    fn config(classes: &[(Priority, u32, Option<RateLimit>)]) -> Vec<ClassEntry> {
         classes
             .iter()
-            .map(|(p, w, r)| {
-                (
-                    *p,
-                    ClassConfig {
-                        weight: *w,
-                        rate: *r,
-                    },
-                )
+            .map(|&(class, weight, rate_limit)| ClassEntry {
+                class,
+                weight,
+                rate_limit,
             })
             .collect()
     }

@@ -7,7 +7,8 @@
 //! with regularized Lewis weights; with uniform weights the same interior
 //! point method needs `Õ(√m)` iterations. This example solves the same
 //! min-cost-flow LPs with both weight functions and reports the iteration
-//! counts side by side (experiment A2 of EXPERIMENTS.md runs the full sweep).
+//! counts side by side (experiment A2, `cargo run -p bench --release --bin
+//! expts -- a2`, runs the full sweep).
 
 use bcc_core::prelude::*;
 use bcc_flow::{build_flow_lp, FlowLpConfig};

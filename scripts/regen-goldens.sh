@@ -22,7 +22,8 @@
 # median of WALL_CLOCK_REPEATS deterministic repeats, see
 # docs/PERFORMANCE.md). Those values are a fingerprint of the machine that
 # ran this script — CI's diff skips them and a unit test checks only that
-# they are positive, so regenerating on a slower box is fine.
+# they are positive, so regenerating on a slower box is fine. When nothing
+# but `wall_ns` moved, the script restores the committed file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,9 @@ UPDATE_GOLDEN=1 cargo test -q --test stream --test config golden
 
 echo "== regenerating BENCH_*.json (quick trajectories + load scenarios) =="
 cargo run -p bench --release --bin expts -- --quick-json
+if git diff --quiet -I '"wall_ns": [0-9]+,?$' -- BENCH_pipelines.json; then
+  git checkout -- BENCH_pipelines.json
+fi
 
 echo "== done; review and commit the diff =="
 git --no-pager diff --stat -- tests/golden 'BENCH_*.json' || true

@@ -69,7 +69,7 @@ fn from_config_equals_the_fluent_setter_chain() {
 }
 
 #[test]
-fn both_builders_consume_the_same_config() {
+fn from_config_builds_the_configured_engine() {
     let config = golden_config();
     let stream = StreamEngineBuilder::from_config(config.clone())
         .unwrap()
@@ -86,7 +86,7 @@ fn both_builders_consume_the_same_config() {
 }
 
 #[test]
-fn invalid_configs_are_rejected_by_both_builders() {
+fn invalid_configs_are_rejected_by_the_builder() {
     let mut config = golden_config();
     config.queue_capacity = 0;
     assert_eq!(

@@ -194,6 +194,56 @@ fn nan_demand_vector_is_rejected_not_solved() {
 }
 
 #[test]
+fn right_hand_sides_and_weights_near_f64_max_return_typed_errors() {
+    use bcc_core::laplacian::LaplacianError::MagnitudeOverflow;
+    let session = Session::new();
+    // A 4-cycle with one heavy edge.
+    let cycle =
+        |weight: f64| Graph::from_edges(4, [(0, 1, weight), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]);
+    fn overflows<T>(result: Result<T, Error>) -> bool {
+        matches!(result, Err(Error::Laplacian(MagnitudeOverflow)))
+    }
+
+    // (‖b‖∞ + 1)·n·max_weight overflows in the solve, with unit weights and
+    // a huge right-hand side, or with a unit right-hand side and a heavy
+    // edge whose n·max_weight is still finite.
+    let grid = generators::grid(3, 3);
+    let mut b = vec![0.0; 9];
+    b[0] = 1.7e308;
+    b[8] = -1.7e308;
+    let mut prepared = session.laplacian(&grid).preprocess().unwrap();
+    assert!(overflows(prepared.solve(&b)));
+    assert!(overflows(prepared.solve_many(&[b])));
+    assert_eq!(prepared.solves(), 0);
+    assert_eq!(prepared.report(), prepared.preprocessing_report());
+    let heavy = cycle(3e307);
+    let e0_minus_e3 = [1.0, 0.0, 0.0, -1.0];
+    for exact in [false, true] {
+        let request = session.laplacian(&heavy);
+        let request = if exact {
+            request.exact_preconditioner()
+        } else {
+            request
+        };
+        let mut prepared = request.preprocess().unwrap();
+        assert!(overflows(prepared.solve(&e0_minus_e3)), "exact: {exact}");
+    }
+
+    // n·max_weight itself overflows: no right-hand side could be solved, so
+    // preprocessing refuses the graph.
+    let complete =
+        generators::complete(12).map_weights(|e| if e.u + e.v == 1 { 1e308 } else { e.weight });
+    assert!(overflows(session.laplacian(&cycle(1e308)).preprocess()));
+    assert!(overflows(session.laplacian(&complete).preprocess()));
+    assert!(overflows(
+        session
+            .laplacian(&cycle(1.3e308))
+            .exact_preconditioner()
+            .preprocess()
+    ));
+}
+
+#[test]
 fn session_lp_solves_a_valid_instance() {
     use bcc_core::linalg::CsrMatrix;
     let lp = LpInstance {

@@ -1034,7 +1034,7 @@ fn a_frozen_virtual_clock_traces_a_reconciled_lifecycle() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn cost_aware_tags_on_and_off_are_bit_identical_across_configurations() {
+fn cost_aware_tags_are_bit_identical_across_workers_weights_limits_and_deadlines() {
     let workload = mixed_workload();
     let requests: Vec<Request> = workload.iter().map(|(r, _)| r.clone()).collect();
     let reference = sequential_reference(&requests);
