@@ -32,7 +32,8 @@ pub enum LaplacianError {
     /// `(‖b‖∞ + 1)·n·max_weight`, is not a finite `f64`: the right-hand side
     /// or an edge weight is too large. A graph whose `n · max_weight`
     /// overflows is rejected at preprocessing, since no right-hand side
-    /// could be solved on it.
+    /// could be solved on it, and so is a graph on which the sparsifier's
+    /// reweighting carries an edge weight past `f64::MAX`.
     MagnitudeOverflow,
 }
 
@@ -55,8 +56,9 @@ impl std::fmt::Display for LaplacianError {
             ),
             LaplacianError::MagnitudeOverflow => write!(
                 f,
-                "the solve's broadcast range (|b|_inf + 1)·n·max_weight overflows f64; \
-                 scale the right-hand side or the edge weights down"
+                "the solve's broadcast range (|b|_inf + 1)·n·max_weight, or an edge weight \
+                 the sparsifier reweights, overflows f64; scale the right-hand side or the \
+                 edge weights down"
             ),
         }
     }

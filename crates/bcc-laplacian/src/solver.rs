@@ -17,7 +17,9 @@
 use bcc_graph::{laplacian, Graph};
 use bcc_linalg::{chebyshev, vector, DenseMatrix, FactoredPsd, SolveScratch};
 use bcc_runtime::{payload, Network};
-use bcc_sparsifier::{quality, sparsify_ad_hoc, SparsifierConfig, SparsifierOutput};
+use bcc_sparsifier::{
+    quality, sparsify_ad_hoc, try_sparsify_ad_hoc, SparsifierConfig, SparsifierError,
+};
 
 use crate::error::LaplacianError;
 
@@ -87,16 +89,18 @@ impl ScratchArena {
 #[derive(Debug, Clone)]
 pub struct LaplacianSolver {
     graph: Graph,
-    /// The preprocessing sparsifier `H`; `None` when the graph is its own
-    /// preconditioner ([`LaplacianSolver::try_exact_preconditioner`]).
+    /// The preprocessing sparsifier `H`; `None` when the preconditioner is
+    /// the graph itself, either by request
+    /// ([`LaplacianSolver::try_exact_preconditioner`]) or because the
+    /// sparsifier kept every edge at its weight.
     sparsifier: Option<Graph>,
     /// The preconditioner `(1 + 1/2)·L_H`, factored once at preprocessing
     /// time and solved internally by every vertex.
     factored: FactoredPsd,
-    /// The condition number of the Chebyshev iteration, computed once at
-    /// preprocessing time (for a sparsifier, the certificate behind it is an
-    /// `O(n³)` eigensolve — far too expensive to repeat per request; for the
-    /// exact preconditioner it is the constant 3).
+    /// The condition number of the Chebyshev iteration, fixed at
+    /// construction: the constant 3 when `H = G`, otherwise from the
+    /// certificate of [`kappa_of`], an `O(n³)` eigensolve far too expensive
+    /// to repeat per request.
     kappa: f64,
     preprocessing_rounds: u64,
     max_weight: f64,
@@ -156,6 +160,11 @@ impl LaplacianSolver {
     /// Runs the preprocessing stage: a `(1 ± 1/2)`-spectral sparsifier of
     /// `graph` computed with `config`, charged on `net`.
     ///
+    /// When the sparsifier returns `graph` edge for edge, the solver keeps
+    /// one copy and κ is 3 with no further work. Only a sparsifier that
+    /// thins or reweights `graph` pays for the uncharged `O(n³)` certificate
+    /// of its quality that sets κ (see [`LaplacianSolver::kappa`]).
+    ///
     /// # Errors
     ///
     /// * [`LaplacianError::Disconnected`] — the solver's error guarantee is
@@ -163,7 +172,9 @@ impl LaplacianSolver {
     /// * [`LaplacianError::NetworkSizeMismatch`] — `net` does not simulate one
     ///   processor per vertex.
     /// * [`LaplacianError::MagnitudeOverflow`] — `n · max_weight` is not a
-    ///   finite `f64`, so no right-hand side could be solved.
+    ///   finite `f64`, so no right-hand side could be solved, or the
+    ///   sparsifier's reweighting overflows an edge weight (parallel edges
+    ///   near `f64::MAX`).
     pub fn try_preprocess(
         net: &mut Network,
         graph: &Graph,
@@ -178,30 +189,29 @@ impl LaplacianSolver {
         let max_weight = validate_graph(graph)?;
         let rounds_before = net.ledger().total_rounds();
         net.begin_phase("laplacian preprocessing");
-        let SparsifierOutput { sparsifier, .. } = sparsify_ad_hoc(net, graph, config);
+        let sparsifier = match try_sparsify_ad_hoc(net, graph, config) {
+            Ok(output) => output.sparsifier,
+            // A connected graph without edges has at most one vertex; the
+            // sparsifier runs on it all the same.
+            Err(SparsifierError::EmptyGraph) => sparsify_ad_hoc(net, graph, config).sparsifier,
+            Err(SparsifierError::NetworkSizeMismatch { network, graph }) => {
+                return Err(LaplacianError::NetworkSizeMismatch { network, graph })
+            }
+            Err(SparsifierError::WeightOverflow) => return Err(LaplacianError::MagnitudeOverflow),
+        };
         let preprocessing_rounds = net.ledger().total_rounds() - rounds_before;
-        Ok(LaplacianSolver {
+        Ok(LaplacianSolver::with_preconditioner(
+            graph,
+            Some(sparsifier),
             max_weight,
-            kappa: kappa_of(graph, &sparsifier),
-            factored: factor_preconditioner(&sparsifier),
-            graph: graph.clone(),
-            sparsifier: Some(sparsifier),
             preprocessing_rounds,
-        })
+        ))
     }
 
     /// Builds a solver whose "sparsifier" is the graph itself (no
     /// preprocessing rounds). Useful as a baseline and in tests: it makes the
-    /// Chebyshev condition number exactly 3 with a perfect preconditioner.
-    ///
-    /// κ is set to 3 without a certificate. Every generalized eigenvalue of
-    /// the pencil `(L_G, L_G)` is 1, so `kappa_of(graph, graph)` could only
-    /// return `max((1 + ε)/(1 − ε), 3) = 3` with `ε` the rounding error of
-    /// the eigensolve; that holds, bit for bit, whenever the certificate
-    /// reads `ε < 1/2`, which a seeded test pins on Gremban graphs with
-    /// weights spanning `1e±12`. Near `1e±16` the certificate can read
-    /// `ε ≈ 1` from rounding alone and would have inflated κ; the constant
-    /// is the sound value there too.
+    /// Chebyshev condition number exactly 3 with a perfect preconditioner,
+    /// set without a certificate (see [`LaplacianSolver::kappa`]).
     ///
     /// # Errors
     ///
@@ -210,14 +220,41 @@ impl LaplacianSolver {
     ///   finite `f64`.
     pub fn try_exact_preconditioner(graph: &Graph) -> Result<Self, LaplacianError> {
         let max_weight = validate_graph(graph)?;
-        Ok(LaplacianSolver {
+        Ok(LaplacianSolver::with_preconditioner(
+            graph, None, max_weight, 0,
+        ))
+    }
+
+    /// The one constructor. `preconditioner` is the graph `H` whose
+    /// `(1 + 1/2)·L_H` preconditions the iteration, `None` for `G` itself.
+    ///
+    /// An `H` equal to `G` as a [`Graph`] (the same edges in the same order,
+    /// with the same weight bits) is not stored twice, and κ is set to 3
+    /// without a certificate: every generalized eigenvalue of the pencil
+    /// `(L_G, L_G)` is 1, so [`kappa_of`] could only return
+    /// `max((1 + ε)/(1 − ε), 3) = 3` with `ε` the rounding error of the
+    /// eigensolve. That holds, bit for bit, whenever the certificate reads
+    /// `ε < 1/2`, which seeded tests pin on Gremban graphs with weights
+    /// spanning `1e±12` and on graphs the sparsifier returns unchanged. Near
+    /// `1e±16` the certificate can read `ε ≈ 1` from rounding alone and would
+    /// have inflated κ; the constant is the sound value there too. Any other
+    /// `H` keeps the certificate, the only guard of the iteration's soundness
+    /// where the sparsifier thins `G`.
+    fn with_preconditioner(
+        graph: &Graph,
+        preconditioner: Option<Graph>,
+        max_weight: f64,
+        preprocessing_rounds: u64,
+    ) -> Self {
+        let sparsifier = preconditioner.filter(|h| h != graph);
+        LaplacianSolver {
             max_weight,
-            kappa: 3.0,
-            factored: factor_preconditioner(graph),
+            kappa: sparsifier.as_ref().map_or(3.0, |h| kappa_of(graph, h)),
+            factored: factor_preconditioner(sparsifier.as_ref().unwrap_or(graph)),
             graph: graph.clone(),
-            sparsifier: None,
-            preprocessing_rounds: 0,
-        })
+            sparsifier,
+            preprocessing_rounds,
+        }
     }
 
     /// The sparsifier computed during preprocessing (the graph itself for
@@ -239,9 +276,14 @@ impl LaplacianSolver {
 
     /// The relative condition number `κ` used by the Chebyshev iteration.
     /// With a `(1 ± ε_H)` sparsifier this is `(1 + ε_H)/(1 − ε_H)`, the value
-    /// Corollary 2.4 instantiates with `ε_H = 1/2` as `κ = 3`; if the measured
-    /// sparsifier quality is worse, the larger measured value is used so the
-    /// iteration stays sound. Computed once at preprocessing time.
+    /// Corollary 2.4 instantiates with `ε_H = 1/2` as `κ = 3`.
+    ///
+    /// When the preconditioner graph is `G` itself (the exact preconditioner,
+    /// or a sparsifier that kept every edge at its weight), `L_H = L_G` and κ
+    /// is 3 without a certificate. Otherwise the sparsifier's quality is
+    /// certified once at preprocessing time, and if it is worse than
+    /// `ε_H = 1/2`, the larger measured value is used so the iteration stays
+    /// sound.
     pub fn kappa(&self) -> f64 {
         self.kappa
     }
@@ -537,6 +579,24 @@ mod tests {
         let err = solver.relative_error(&b, &solve.solution);
         assert!(err <= 1e-3, "error {err}");
         assert!(solve.rounds > 0);
+    }
+
+    #[test]
+    fn a_graph_without_edges_is_its_own_sparsifier() {
+        // Connected with no edges means at most one vertex. The sparsifier
+        // still runs (and charges) on it, returns it unchanged, and κ is 3;
+        // the certificate would read ε = ∞ on the zero Laplacian.
+        for n in [0, 1] {
+            let g = Graph::new(n);
+            let cfg = SparsifierConfig::laboratory(n, 2, 0.5, 1);
+            let mut net = bcc_net(n);
+            let solver = LaplacianSolver::try_preprocess(&mut net, &g, &cfg)
+                .expect("an edgeless connected graph");
+            assert!(solver.preprocessing_rounds() > 0);
+            assert!(solver.sparsifier() == &g);
+            assert_eq!(solver.kappa(), 3.0);
+            assert_eq!(solver.sparsifier_epsilon(), f64::INFINITY);
+        }
     }
 
     #[test]

@@ -361,19 +361,15 @@ fn garbage_input_yields_typed_faults_not_hangs() {
     guard.wait();
 }
 
-#[test]
-fn an_overflowing_right_hand_side_is_a_typed_fault_and_the_next_tenant_is_served() {
-    let dir = test_dir("overflow");
+/// Submits `bad` as one tenant and expects a typed `laplacian` fault that
+/// says what overflowed; then another tenant's valid request must be served,
+/// so the scope is not poisoned.
+fn an_overflow_is_a_typed_fault_and_the_next_tenant_is_served(name: &str, bad: Request) {
+    let dir = test_dir(name);
     let guard = spawn_daemon(&dir, &[]);
 
-    // Finite JSON numbers whose broadcast range (‖b‖∞ + 1)·n·max_weight
-    // overflows f64.
     let mut attacker = connect(&guard, "attacker").expect("handshake");
-    let mut b = vec![0.0; 9];
-    b[0] = 1.7e308;
-    b[8] = -1.7e308;
-    let bad = WireRequest::from_request(&Request::laplacian(generators::grid(3, 3), b))
-        .expect("expressible");
+    let bad = WireRequest::from_request(&bad).expect("expressible");
     let ticket = attacker.submit(bad).expect("admitted");
     match attacker.wait(ticket) {
         Err(WireError::Remote(fault)) => {
@@ -383,7 +379,6 @@ fn an_overflowing_right_hand_side_is_a_typed_fault_and_the_next_tenant_is_served
         other => panic!("expected a laplacian fault, got {other:?}"),
     }
 
-    // The scope is not poisoned: another tenant's valid request succeeds.
     let mut bystander = connect(&guard, "bystander").expect("handshake");
     let mut b = vec![0.0; 9];
     b[0] = 1.0;
@@ -396,6 +391,33 @@ fn an_overflowing_right_hand_side_is_a_typed_fault_and_the_next_tenant_is_served
 
     attacker.shutdown().expect("drained report");
     guard.wait();
+}
+
+#[test]
+fn an_overflowing_right_hand_side_is_a_typed_fault_and_the_next_tenant_is_served() {
+    // Finite JSON numbers whose broadcast range (‖b‖∞ + 1)·n·max_weight
+    // overflows f64.
+    let mut b = vec![0.0; 9];
+    b[0] = 1.7e308;
+    b[8] = -1.7e308;
+    an_overflow_is_a_typed_fault_and_the_next_tenant_is_served(
+        "overflow",
+        Request::laplacian(generators::grid(3, 3), b),
+    );
+}
+
+#[test]
+fn a_sparsifier_weight_overflow_is_a_typed_fault_and_the_next_tenant_is_served() {
+    // Finite weights, and a finite n·max_weight, on parallel edges that the
+    // sparsifier's reweighting by 4 per iteration carries past f64::MAX.
+    let mut graph = generators::cycle(4);
+    for _ in 0..12 {
+        graph.add_edge(0, 1, 1e307);
+    }
+    an_overflow_is_a_typed_fault_and_the_next_tenant_is_served(
+        "reweight-overflow",
+        Request::laplacian(graph, vec![1.0, 0.0, 0.0, -1.0]),
+    );
 }
 
 #[test]

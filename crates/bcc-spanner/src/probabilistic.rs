@@ -77,9 +77,7 @@ struct SpannerState<'a> {
     in_spanner: Vec<bool>,
     added_by: BTreeMap<usize, usize>,
     cluster_of: Vec<Option<usize>>,
-    k: usize,
     n_pow: f64,
-    weight_bits: u64,
 }
 
 impl<'a> SpannerState<'a> {
@@ -191,12 +189,8 @@ pub fn probabilistic_spanner(
         in_spanner: vec![false; graph.m()],
         added_by: BTreeMap::new(),
         cluster_of: (0..n).map(Some).collect(),
-        k: params.k,
         n_pow: (n as f64).powf(-1.0 / params.k as f64),
-        weight_bits,
     };
-    let _ = state.k;
-    let _ = state.weight_bits;
     let mut rngs: Vec<_> = (0..n)
         .map(|v| bcc_runtime::vertex_rng(params.seed, v))
         .collect();
@@ -235,9 +229,10 @@ pub fn probabilistic_spanner(
                 continue;
             }
             // Candidates: neighbors lying in marked clusters.
-            let cluster_of = state.cluster_of.clone();
             let groups = state.candidates_by_cluster(v, p, |u, _e, _w| {
-                cluster_of[u].filter(|c| marked.contains(c)).map(|_| 0usize)
+                state.cluster_of[u]
+                    .filter(|c| marked.contains(c))
+                    .map(|_| 0usize)
             });
             let candidates = groups.into_values().next().unwrap_or_default();
             step2_messages[v] = 1;
@@ -268,9 +263,8 @@ pub fn probabilistic_spanner(
                     continue;
                 }
                 let (threshold_weight, threshold_id) = w_threshold[v];
-                let cluster_of = state.cluster_of.clone();
                 let groups = state.candidates_by_cluster(v, p, |u, _e, w| {
-                    let cu = cluster_of[u]?;
+                    let cu = state.cluster_of[u]?;
                     if marked.contains(&cu) || cu == cluster_v {
                         return None;
                     }
@@ -311,17 +305,15 @@ pub fn probabilistic_spanner(
     //      neighboring remaining cluster.
     // 4.2 / 4.3: vertices inside remaining clusters connect to neighboring
     //      remaining clusters with smaller / larger identifiers.
-    for (substep, in_cluster, smaller_ids) in [(1, false, false), (2, true, true), (3, true, false)]
-    {
+    for (in_cluster, smaller_ids) in [(false, false), (true, true), (true, false)] {
         let mut messages = vec![0usize; n];
         for v in 0..n {
             let my_cluster = state.cluster_of[v].filter(|c| clusters_alive.contains(c));
             if in_cluster != my_cluster.is_some() {
                 continue;
             }
-            let cluster_of = state.cluster_of.clone();
             let groups = state.candidates_by_cluster(v, p, |u, _e, _w| {
-                let cu = cluster_of[u]?;
+                let cu = state.cluster_of[u]?;
                 if !clusters_alive.contains(&cu) {
                     return None;
                 }
@@ -345,7 +337,6 @@ pub fn probabilistic_spanner(
                 }
             }
         }
-        let _ = substep;
         net.share_varying(&messages, message_bits);
     }
 

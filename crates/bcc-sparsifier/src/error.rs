@@ -14,6 +14,10 @@ pub enum SparsifierError {
         /// Vertices in the graph.
         graph: usize,
     },
+    /// An edge weight overflowed `f64` when the ad-hoc sparsifier multiplied
+    /// it by 4 for surviving outside a bundle (every weight of the input is
+    /// finite, but parallel edges can be reweighted past `f64::MAX`).
+    WeightOverflow,
 }
 
 impl std::fmt::Display for SparsifierError {
@@ -25,6 +29,11 @@ impl std::fmt::Display for SparsifierError {
             SparsifierError::NetworkSizeMismatch { network, graph } => write!(
                 f,
                 "network simulates {network} processors but the graph has {graph} vertices"
+            ),
+            SparsifierError::WeightOverflow => write!(
+                f,
+                "an edge weight overflows f64 when the sparsifier reweights it by 4; \
+                 scale the edge weights down"
             ),
         }
     }
@@ -45,5 +54,8 @@ mod tests {
         };
         assert!(err.to_string().contains('3'));
         assert!(err.to_string().contains('8'));
+        assert!(SparsifierError::WeightOverflow
+            .to_string()
+            .contains("overflows"));
     }
 }

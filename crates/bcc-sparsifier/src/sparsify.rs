@@ -89,13 +89,17 @@ impl<'a> Driver<'a> {
 }
 
 /// Fallible variant of [`sparsify_ad_hoc`]: validates the input before
-/// charging any rounds.
+/// charging any rounds, and stops with an error as soon as a reweighted edge
+/// weight overflows (the rounds charged up to then stay on `net`).
 ///
 /// # Errors
 ///
 /// * [`SparsifierError::EmptyGraph`] — the graph has no edges.
 /// * [`SparsifierError::NetworkSizeMismatch`] — `net` does not simulate one
 ///   processor per vertex.
+/// * [`SparsifierError::WeightOverflow`] — an edge weight, multiplied by 4
+///   for each iteration it survives outside a bundle, is no longer a finite
+///   `f64` (parallel edges near `f64::MAX / 4`).
 pub fn try_sparsify_ad_hoc(
     net: &mut Network,
     graph: &Graph,
@@ -110,7 +114,7 @@ pub fn try_sparsify_ad_hoc(
     if graph.m() == 0 {
         return Err(SparsifierError::EmptyGraph);
     }
-    Ok(sparsify_ad_hoc(net, graph, config))
+    ad_hoc(net, graph, config)
 }
 
 /// Algorithm 5: spectral sparsification with ad-hoc sampling in the Broadcast
@@ -118,11 +122,26 @@ pub fn try_sparsify_ad_hoc(
 ///
 /// Rounds are charged on `net` (the bundle-spanner calls dominate,
 /// `O(log⁵(n)/ε² · log(nU/ε))` with the paper's constants).
+///
+/// # Panics
+///
+/// Panics when a reweighted edge weight overflows `f64`, which
+/// [`try_sparsify_ad_hoc`] returns as [`SparsifierError::WeightOverflow`].
 pub fn sparsify_ad_hoc(
     net: &mut Network,
     graph: &Graph,
     config: &SparsifierConfig,
 ) -> SparsifierOutput {
+    ad_hoc(net, graph, config).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The body of Algorithm 5, failing only with
+/// [`SparsifierError::WeightOverflow`].
+fn ad_hoc(
+    net: &mut Network,
+    graph: &Graph,
+    config: &SparsifierConfig,
+) -> Result<SparsifierOutput, SparsifierError> {
     let n = graph.n();
     let m = graph.m();
     let mut driver = Driver::new(graph);
@@ -161,6 +180,9 @@ pub fn sparsify_ad_hoc(
             } else {
                 probability[e] /= 4.0;
                 driver.weights[e] *= 4.0;
+                if !driver.weights[e].is_finite() {
+                    return Err(SparsifierError::WeightOverflow);
+                }
             }
         }
         last_bundle = bundle.bundle;
@@ -199,7 +221,7 @@ pub fn sparsify_ad_hoc(
     net.share_varying(&announce_counts, 2 * id_bits + weight_bits);
 
     kept.sort_unstable_by_key(|&(e, _)| e);
-    driver.finish(kept)
+    Ok(driver.finish(kept))
 }
 
 /// Algorithm 4: the a-priori sampling reference (Koutis–Xu with the fixed-`t`
@@ -390,6 +412,28 @@ mod tests {
         let deg = out.out_degrees(g.n());
         assert_eq!(deg.iter().sum::<usize>(), out.sparsifier.m());
         assert!(out.max_out_degree(g.n()) >= 1);
+    }
+
+    #[test]
+    fn a_reweighting_overflow_is_a_typed_error() {
+        // Every weight, and n times the largest, is finite; but parallel
+        // edges outside each bundle are multiplied by 4 per iteration.
+        let mut g = generators::cycle(4);
+        for _ in 0..12 {
+            g.add_edge(0, 1, 1e307);
+        }
+        let cfg = SparsifierConfig::laboratory(g.n(), g.m(), 0.5, 2022)
+            .with_t(6)
+            .with_k(2);
+        let mut net = bc_network(&g);
+        assert_eq!(
+            try_sparsify_ad_hoc(&mut net, &g, &cfg),
+            Err(SparsifierError::WeightOverflow)
+        );
+        let panic = std::panic::catch_unwind(|| sparsify_ad_hoc(&mut bc_network(&g), &g, &cfg))
+            .expect_err("the infallible variant panics");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("overflows"), "{message}");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! right-hand sides solved in lockstep against ten single solves, and one
 //! lane through the block kernels against the single-vector kernels. The
 //! LU-replay benchmark times the preconditioner solve alone, on a sparse
-//! and a nearly dense factor.
+//! and a nearly dense factor. The cold-preprocessing benchmark times one
+//! Laplacian build at the session's sparsifier configuration, and the
+//! sparsifier alone on a graph it thins.
 
 use bcc_core::graph::{generators, laplacian};
 use bcc_core::laplacian::{ScratchArena, SddMatrix};
@@ -303,6 +305,50 @@ fn bench_lu_replay(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_cold_preprocess(c: &mut Criterion) {
+    // One cold Laplacian build as `Session::laplacian` runs it (sparsifier
+    // at t = 6, k = 2, then the preconditioner's LU factors) on the 12×12
+    // grid and on a random connected graph drawn like `perfbench`'s heavy
+    // `solve_warm` graph: the sparsifier returns both unchanged, so neither
+    // needs the κ certificate. `complete(128)` times the sparsifier alone
+    // on a graph it thins.
+    const SEED: u64 = 2022;
+    let session_config = |g: &Graph| {
+        SparsifierConfig::laboratory(g.n(), g.m().max(2), 0.5, SEED)
+            .with_t(6)
+            .with_k(2)
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(37);
+    let graphs = [
+        ("grid_12x12", generators::grid(12, 12)),
+        (
+            "random_256",
+            generators::random_connected(256, 0.05, 8, &mut rng),
+        ),
+    ];
+    let mut group = c.benchmark_group("cold_preprocess");
+    group.sample_size(10);
+    for (name, graph) in &graphs {
+        let config = session_config(graph);
+        group.bench_function(format!("{name}/try_preprocess"), |bench| {
+            bench.iter(|| {
+                let mut net = Network::clique(ModelConfig::bcc(), graph.n());
+                LaplacianSolver::try_preprocess(&mut net, black_box(graph), &config)
+                    .expect("a connected graph on a matching network")
+            })
+        });
+    }
+    let complete = generators::complete(128);
+    let config = session_config(&complete);
+    group.bench_function("complete_128/sparsify_ad_hoc", |bench| {
+        bench.iter(|| {
+            let mut net = Network::clique(ModelConfig::bcc(), complete.n());
+            sparsify_ad_hoc(&mut net, black_box(&complete), &config)
+        })
+    });
+    group.finish();
+}
+
 fn bench_spanner(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(19);
     let g = generators::random_connected(64, 0.4, 8, &mut rng);
@@ -359,6 +405,7 @@ criterion_group!(
     bench_laplacian_solve,
     bench_chebyshev_block,
     bench_lu_replay,
+    bench_cold_preprocess,
     bench_spanner,
     bench_leverage
 );

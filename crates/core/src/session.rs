@@ -201,7 +201,8 @@ impl Session {
     /// * [`Error::InvalidEpsilon`] — `epsilon` is not positive and finite.
     /// * [`Error::Runtime`] — the graph's adjacency lists do not form a valid
     ///   topology.
-    /// * [`Error::Sparsifier`] — the graph has no edges.
+    /// * [`Error::Sparsifier`] — the graph has no edges, or the
+    ///   sparsifier's reweighting carries an edge weight past `f64::MAX`.
     pub fn sparsify(
         &mut self,
         graph: &Graph,

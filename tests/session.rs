@@ -244,6 +244,39 @@ fn right_hand_sides_and_weights_near_f64_max_return_typed_errors() {
 }
 
 #[test]
+fn parallel_edges_the_sparsifier_reweights_past_f64_max_return_typed_errors() {
+    use bcc_core::laplacian::LaplacianError::MagnitudeOverflow;
+    use bcc_core::sparsifier::SparsifierError::WeightOverflow;
+    // A 4-cycle plus parallel (0, 1) edges of weight 1e307: every weight and
+    // n·max_weight are finite, but the sparsifier multiplies the weight of an
+    // edge outside its bundle by 4 in each iteration.
+    for parallel in [6, 12] {
+        let mut graph = generators::cycle(4);
+        for _ in 0..parallel {
+            graph.add_edge(0, 1, 1e307);
+        }
+        let mut session = Session::new();
+        assert!(
+            matches!(
+                session.laplacian(&graph).preprocess(),
+                Err(Error::Laplacian(MagnitudeOverflow))
+            ),
+            "{parallel} parallel edges"
+        );
+        assert!(matches!(
+            session.sparsify(&graph, 4.0),
+            Err(Error::Sparsifier(WeightOverflow))
+        ));
+        // The exact preconditioner reweights nothing, so it accepts the graph.
+        assert!(session
+            .laplacian(&graph)
+            .exact_preconditioner()
+            .preprocess()
+            .is_ok());
+    }
+}
+
+#[test]
 fn session_lp_solves_a_valid_instance() {
     use bcc_core::linalg::CsrMatrix;
     let lp = LpInstance {
