@@ -258,7 +258,7 @@ impl LaplacianSolver {
     }
 
     /// The sparsifier computed during preprocessing (the graph itself for
-    /// the exact preconditioner).
+    /// the exact preconditioner, and when the sparsifier returned it).
     pub fn sparsifier(&self) -> &Graph {
         self.sparsifier.as_ref().unwrap_or(&self.graph)
     }
