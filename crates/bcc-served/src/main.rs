@@ -25,12 +25,21 @@
 //! [`bcc_core::stream::StreamReport`] bit-identical to the same sequence
 //! driven in-process with the same config.
 //!
+//! The daemon polls nothing: it accepts in blocking mode, each
+//! connection's handler blocks in its read, and the daemon keeps a
+//! duplicate of every live connection so that shutdown can wake them.
+//!
 //! Shutdown is graceful: on [`ClientMsg::Shutdown`] the daemon stops
-//! accepting connections, lets the engine drain everything admitted, then
-//! answers the requester with the final [`ServerMsg::Report`] and exits
-//! (the report is also printed to stdout).
+//! accepting connections and wakes every other open connection at once,
+//! so a handler blocked between frames or inside a partly sent frame
+//! answers `Fault {code: "shutting-down"}` and closes. The engine then
+//! drains everything admitted, and the daemon answers the requester with
+//! the final [`ServerMsg::Report`] and exits (the report is also printed
+//! to stdout).
 
 use std::collections::HashMap;
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,8 +48,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use bcc_client::wire::{
-    decode_msg, read_frame, send_msg, ClientMsg, ServerMsg, WireError, WireFault, WireOutcome,
-    WireResponse, WIRE_SCHEMA,
+    decode_msg, read_frame, send_msg, ClientMsg, ServerMsg, WireFault, WireOutcome, WireResponse,
+    WIRE_SCHEMA,
 };
 use bcc_core::config::{EngineConfig, Priority};
 use bcc_core::stream::{StreamClient, StreamEngineBuilder, Ticket};
@@ -48,9 +57,9 @@ use bcc_core::telemetry::{TelemetrySink, TenantCounters};
 use bcc_core::tenant::{TenantAccounts, TenantConfig, TenantDirectory};
 use bcc_core::Request;
 
-/// How often idle waits (accept loop, idle connections) re-check the
-/// shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// How long the accept loop waits after a failed `accept` (out of
+/// descriptors, say) before it tries again. The only timer in the daemon.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 struct Options {
     socket: PathBuf,
@@ -97,10 +106,47 @@ struct Daemon {
     accounts: TenantAccounts,
     /// Retained handle on the engine's telemetry (shared registry/tracer).
     sink: TelemetrySink,
-    /// Set by the first `Shutdown` message; checked by every idle loop.
+    /// Set by the first `Shutdown` message; checked around every blocking
+    /// read and accept.
     shutdown: AtomicBool,
     /// The connection that asked for shutdown — it gets the final report.
     finisher: Mutex<Option<UnixStream>>,
+    /// A duplicate of every live connection, by connection number, so that
+    /// shutdown can wake the handler blocked in its read.
+    connections: Mutex<HashMap<u64, UnixStream>>,
+    /// A duplicate of the listener: shutting it down wakes the blocked
+    /// `accept`.
+    listener_waker: UnixStream,
+    /// The listener's path, for the fallback wake-up.
+    socket: PathBuf,
+}
+
+impl Daemon {
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Starts the shutdown that connection `requester` asked for: its
+    /// registered duplicate becomes the finisher, and every other handler
+    /// and the accept loop are woken.
+    fn shut_down(&self, requester: u64) {
+        let mut connections = self.connections.lock().expect("connections");
+        *self.finisher.lock().expect("finisher") = connections.remove(&requester);
+        self.shutdown.store(true, Ordering::SeqCst);
+        // A read blocked at a frame boundary or inside a frame returns at
+        // once; a handler that registered after this sweep sees the flag
+        // before it reads.
+        for stream in connections.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        drop(connections);
+        // On Linux, shutdown(2) on a listening socket makes a blocked
+        // accept(2) return EINVAL. Where it is refused, a connection to the
+        // socket wakes the accept instead.
+        if self.listener_waker.shutdown(Shutdown::Both).is_err() {
+            let _ = UnixStream::connect(&self.socket);
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -157,9 +203,10 @@ fn run(options: Options) -> Result<(), String> {
     let _ = std::fs::remove_file(&options.socket);
     let listener = UnixListener::bind(&options.socket)
         .map_err(|e| format!("cannot bind {}: {e}", options.socket.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
+    let listener_waker = listener
+        .try_clone()
+        .map(|listener| UnixStream::from(OwnedFd::from(listener)))
+        .map_err(|e| format!("cannot duplicate the listener: {e}"))?;
     eprintln!(
         "bcc-served: serving on {} ({} enrollment, seed {})",
         options.socket.display(),
@@ -175,27 +222,51 @@ fn run(options: Options) -> Result<(), String> {
         sink,
         shutdown: AtomicBool::new(false),
         finisher: Mutex::new(None),
+        connections: Mutex::new(HashMap::new()),
+        listener_waker,
+        socket: options.socket.clone(),
     };
 
     let output = engine.serve(|client| {
         std::thread::scope(|scope| {
-            while !daemon.shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let daemon = &daemon;
-                        scope.spawn(move || handle_connection(stream, client, daemon));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
+            let mut next_id = 0u64;
+            let mut failing = false;
+            while !daemon.shutting_down() {
+                // Each connection holds two descriptors: the handler's and
+                // the duplicate registered for shutdown.
+                let accepted = listener
+                    .accept()
+                    .and_then(|(stream, _)| Ok((stream.try_clone()?, stream)));
+                let (registered, stream) = match accepted {
+                    Ok(pair) => pair,
+                    // The shutdown wake-up surfaces here as an error.
+                    Err(_) if daemon.shutting_down() => break,
                     Err(e) => {
-                        eprintln!("bcc-served: accept failed: {e}");
-                        break;
+                        // Out of descriptors, say: keep serving the open
+                        // connections and retry until one closes.
+                        if !failing {
+                            eprintln!("bcc-served: accept failed: {e} (retrying)");
+                        }
+                        failing = true;
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
                     }
-                }
+                };
+                failing = false;
+                let id = next_id;
+                next_id += 1;
+                let daemon = &daemon;
+                daemon
+                    .connections
+                    .lock()
+                    .expect("connections")
+                    .insert(id, registered);
+                scope.spawn(move || {
+                    handle_connection(id, &stream, client, daemon);
+                    daemon.connections.lock().expect("connections").remove(&id);
+                });
             }
-            // Scope exit joins every handler; each one notices the
-            // shutdown flag at its next frame boundary.
+            // Scope exit joins every handler; shutdown woke each one.
         });
     });
     let _ = std::fs::remove_file(&options.socket);
@@ -218,76 +289,43 @@ fn run(options: Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads the next client frame, riding out idle timeouts until shutdown.
-/// `Ok(None)` means the connection is over (peer hang-up, fatal framing
-/// error after a best-effort fault reply, or daemon shutdown).
-fn next_msg(
-    reader: &mut UnixStream,
-    writer: &mut UnixStream,
-    daemon: &Daemon,
-) -> Option<ClientMsg> {
-    loop {
-        if daemon.shutdown.load(Ordering::SeqCst) {
-            let _ = send_msg(
-                writer,
-                &ServerMsg::Fault {
-                    fault: WireFault::new("shutting-down", "daemon is draining and will exit"),
-                },
-            );
-            return None;
-        }
-        match read_frame(reader) {
-            Ok(Some(payload)) => match decode_msg::<ClientMsg>(&payload) {
-                Ok(msg) => return Some(msg),
-                Err(e) => {
-                    // The frame boundary is intact but the payload is not a
-                    // protocol message; reject and drop the connection.
-                    let _ = send_msg(
-                        writer,
-                        &ServerMsg::Fault {
-                            fault: WireFault::new("malformed", e.to_string()),
-                        },
-                    );
-                    return None;
-                }
-            },
-            Ok(None) => return None,
-            Err(WireError::TimedOut) => continue,
-            Err(e) => {
-                // Framing is unrecoverable mid-stream: report best-effort
-                // and drop.
-                let _ = send_msg(
-                    writer,
-                    &ServerMsg::Fault {
-                        fault: WireFault::new("framing", e.to_string()),
-                    },
-                );
-                return None;
-            }
-        }
-    }
+/// Reads the next client frame. `None` means the connection is over (peer
+/// hang-up, fatal framing error after a best-effort fault reply, or daemon
+/// shutdown).
+fn next_msg(mut stream: &UnixStream, daemon: &Daemon) -> Option<ClientMsg> {
+    // The flag is read before the blocking read, for a connection that
+    // registered after the shutdown sweep, and after it, because a read the
+    // sweep woke returns an end of stream or a truncated frame.
+    let frame = (!daemon.shutting_down())
+        .then(|| read_frame(&mut stream))
+        .filter(|_| !daemon.shutting_down());
+    let fault = match frame {
+        None => fault_msg("shutting-down", "daemon is draining and will exit"),
+        Some(Ok(Some(payload))) => match decode_msg::<ClientMsg>(&payload) {
+            Ok(msg) => return Some(msg),
+            // The frame boundary is intact but the payload is not a
+            // protocol message; reject and drop the connection.
+            Err(e) => fault_msg("malformed", e.to_string()),
+        },
+        Some(Ok(None)) => return None,
+        // Framing is unrecoverable mid-stream: report best-effort and drop.
+        Some(Err(e)) => fault_msg("framing", e.to_string()),
+    };
+    let _ = send_msg(&mut stream, &fault);
+    None
 }
 
 /// Authenticates the connection's tenant from its `Hello` frame.
-fn handshake(
-    reader: &mut UnixStream,
-    writer: &mut UnixStream,
-    daemon: &Daemon,
-) -> Option<(TenantConfig, Priority)> {
-    let refuse = |writer: &mut UnixStream, code: &str, message: String| {
-        let _ = send_msg(
-            writer,
-            &ServerMsg::Fault {
-                fault: WireFault::new(code, message),
-            },
-        );
+fn handshake(mut stream: &UnixStream, daemon: &Daemon) -> Option<(TenantConfig, Priority)> {
+    let refuse = |mut stream: &UnixStream, code: &str, message: String| {
+        let _ = send_msg(&mut stream, &fault_msg(code, message));
         None
     };
-    let (schema, tenant) = match next_msg(reader, writer, daemon)? {
+    let (schema, tenant) = match next_msg(stream, daemon)? {
         ClientMsg::Hello { schema, tenant } => (schema, tenant),
         other => {
             return refuse(
-                writer,
+                stream,
                 "protocol",
                 format!("expected Hello as the first message, got {other:?}"),
             )
@@ -295,7 +333,7 @@ fn handshake(
     };
     if schema != WIRE_SCHEMA {
         return refuse(
-            writer,
+            stream,
             "unsupported-schema",
             format!("peer speaks `{schema}`, this daemon speaks `{WIRE_SCHEMA}`"),
         );
@@ -306,12 +344,12 @@ fn handshake(
         None if daemon.open_enrollment => {
             match directory.register(TenantConfig::new(tenant.clone())) {
                 Ok(class) => class,
-                Err(e) => return refuse(writer, "tenant-rejected", e.to_string()),
+                Err(e) => return refuse(stream, "tenant-rejected", e.to_string()),
             }
         }
         None => {
             return refuse(
-                writer,
+                stream,
                 "unknown-tenant",
                 format!("tenant `{tenant}` is not enrolled (closed enrollment)"),
             )
@@ -328,21 +366,14 @@ fn handshake(
         class,
         config: daemon.config.clone(),
     };
-    match send_msg(writer, &hello) {
+    match send_msg(&mut stream, &hello) {
         Ok(()) => Some((tenant_config, class)),
         Err(_) => None,
     }
 }
 
-fn handle_connection(stream: UnixStream, client: &StreamClient<'_>, daemon: &Daemon) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let Ok(mut reader) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let Some((tenant, class)) = handshake(&mut reader, &mut writer, daemon) else {
+fn handle_connection(id: u64, mut stream: &UnixStream, client: &StreamClient<'_>, daemon: &Daemon) {
+    let Some((tenant, class)) = handshake(stream, daemon) else {
         return;
     };
     // Per-tenant metric handles, resolved once per connection: the counters
@@ -355,14 +386,12 @@ fn handle_connection(stream: UnixStream, client: &StreamClient<'_>, daemon: &Dae
     // Wire tickets are submission indices; the opaque engine tickets live
     // here, so a bogus index from the wire is a typed fault, never a panic.
     let mut tickets: HashMap<u64, Ticket> = HashMap::new();
-    while let Some(msg) = next_msg(&mut reader, &mut writer, daemon) {
+    while let Some(msg) = next_msg(stream, daemon) {
         let reply = match msg {
             ClientMsg::Hello { .. } => {
                 let _ = send_msg(
-                    &mut writer,
-                    &ServerMsg::Fault {
-                        fault: WireFault::new("protocol", "connection is already authenticated"),
-                    },
+                    &mut stream,
+                    &fault_msg("protocol", "connection is already authenticated"),
                 );
                 return;
             }
@@ -392,16 +421,13 @@ fn handle_connection(stream: UnixStream, client: &StreamClient<'_>, daemon: &Dae
                 None => fault_msg("telemetry-disabled", "the engine has no telemetry sink"),
             },
             ClientMsg::Shutdown => {
-                // The final report is written after the engine drains; keep
-                // a duplicate of the stream so this handler can exit now.
-                if let Ok(clone) = writer.try_clone() {
-                    *daemon.finisher.lock().expect("finisher") = Some(clone);
-                }
-                daemon.shutdown.store(true, Ordering::SeqCst);
+                // The final report is written after the engine drains,
+                // through the registered duplicate; this handler exits now.
+                daemon.shut_down(id);
                 return;
             }
         };
-        if send_msg(&mut writer, &reply).is_err() {
+        if send_msg(&mut stream, &reply).is_err() {
             return;
         }
     }

@@ -1,15 +1,19 @@
 //! End-to-end tests of the `bcc-served` daemon over a real Unix socket:
 //! the determinism contract across the IPC boundary (wire report
 //! bit-identical to in-process), tenant enrollment and quota enforcement,
-//! protocol robustness against garbage input, and graceful drain.
+//! protocol robustness against garbage input and descriptor exhaustion,
+//! handshake latency, and graceful drain.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use bcc_client::wire::{read_frame, send_msg, write_frame, ClientMsg, ServerMsg, WIRE_SCHEMA};
+use bcc_client::wire::{
+    read_frame, recv_msg, send_msg, write_frame, ClientMsg, ServerMsg, WIRE_SCHEMA,
+};
 use bcc_client::{ServedClient, WireError, WireRequest};
 use bcc_core::config::Priority;
 use bcc_core::stream::{StreamEngineBuilder, StreamReport};
@@ -26,9 +30,20 @@ struct DaemonGuard {
 }
 
 impl DaemonGuard {
-    /// Waits for the daemon to exit on its own (after a clean shutdown).
+    /// Waits for the daemon to exit on its own (after a clean shutdown),
+    /// failing if it is still running 10 s later.
     fn wait(mut self) {
-        let status = self.child.wait().expect("daemon waitable");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("daemon waitable") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "daemon still running 10 s after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
         assert!(status.success(), "daemon exited with {status}");
         // Disarm the Drop kill; wait() already reaped the child.
         self.child = Command::new("true").spawn().expect("spawn true");
@@ -50,14 +65,16 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 fn spawn_daemon(dir: &Path, extra: &[&str]) -> DaemonGuard {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bcc-served"));
+    cmd.args(extra).stderr(Stdio::null());
+    spawn(dir, cmd)
+}
+
+/// Spawns `cmd`, which runs the daemon, with `--socket` appended.
+fn spawn(dir: &Path, mut cmd: Command) -> DaemonGuard {
     let socket = dir.join("bcc.sock");
     let _ = std::fs::remove_file(&socket);
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bcc-served"));
-    cmd.arg("--socket").arg(&socket);
-    for arg in extra {
-        cmd.arg(arg);
-    }
-    cmd.stdout(Stdio::null()).stderr(Stdio::null());
+    cmd.arg("--socket").arg(&socket).stdout(Stdio::null());
     let child = cmd.spawn().expect("spawn bcc-served");
     DaemonGuard { child, socket }
 }
@@ -357,8 +374,110 @@ fn garbage_input_yields_typed_faults_not_hangs() {
         .expect("expressible");
     let ticket = client.submit(request).expect("admit");
     client.wait(ticket).expect("complete");
-    client.shutdown().expect("drained report");
+
+    // A client that stalls inside a frame: after its handshake it sends two
+    // bytes of a length prefix and nothing more. Shutdown must still answer
+    // at once, and the stalled connection reads a typed fault.
+    let mut stalled = raw_connect(&guard);
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    send_msg(
+        &mut stalled,
+        &ClientMsg::Hello {
+            schema: WIRE_SCHEMA.to_string(),
+            tenant: "staller".to_string(),
+        },
+    )
+    .unwrap();
+    match recv_msg::<ServerMsg>(&mut stalled) {
+        Ok(ServerMsg::Hello { .. }) => {}
+        other => panic!("expected a handshake, got {other:?}"),
+    }
+    stalled.write_all(&[0, 0]).unwrap();
+    stalled.flush().unwrap();
+
+    let (done, report) = mpsc::channel();
+    let requester = std::thread::spawn(move || {
+        let _ = done.send(client.shutdown());
+    });
+    report
+        .recv_timeout(Duration::from_secs(5))
+        .expect("no final report within 5 s of shutdown")
+        .expect("drained report");
+    requester.join().expect("shutdown requester");
     guard.wait();
+    match recv_msg::<ServerMsg>(&mut stalled) {
+        Ok(ServerMsg::Fault { fault }) => assert_eq!(fault.code, "shutting-down"),
+        other => panic!("expected a shutting-down fault, got {other:?}"),
+    }
+}
+
+#[test]
+fn twenty_handshakes_are_answered_without_waiting_out_a_poll() {
+    let dir = test_dir("handshakes");
+    let guard = spawn_daemon(&dir, &[]);
+    // The first handshake also waits for the daemon to listen.
+    let first = connect(&guard, "tenant-0").expect("handshake");
+
+    let started = Instant::now();
+    let others: Vec<ServedClient> = (1..=20)
+        .map(|i| ServedClient::connect(&guard.socket, &format!("tenant-{i}")).expect("handshake"))
+        .collect();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "20 sequential handshakes took {elapsed:?}"
+    );
+
+    // Shutdown wakes the twenty idle connections too.
+    first.shutdown().expect("drained report");
+    guard.wait();
+    drop(others);
+}
+
+#[test]
+fn a_descriptor_storm_does_not_end_the_daemon() {
+    let dir = test_dir("storm");
+    // With 32 descriptors the daemon holds about a dozen connections, so
+    // a storm of 40 makes `accept` fail with "Too many open files".
+    let mut cmd = Command::new("sh");
+    cmd.arg("-c")
+        .arg(r#"ulimit -n 32; exec "$0" "$@""#)
+        .arg(env!("CARGO_BIN_EXE_bcc-served"))
+        .stderr(Stdio::piped());
+    let mut guard = spawn(&dir, cmd);
+    let (line, lines) = mpsc::channel();
+    let stderr = BufReader::new(guard.child.stderr.take().expect("piped stderr"));
+    let log = std::thread::spawn(move || {
+        for text in stderr.lines().map_while(Result::ok) {
+            let _ = line.send(text);
+        }
+    });
+
+    let storm: Vec<UnixStream> = (0..40).map(|_| raw_connect(&guard)).collect();
+    // The daemon logs the first failed accept; wait for it, so the storm
+    // closes only after it has exhausted the daemon's descriptors.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match lines.recv_timeout(left) {
+            Ok(text) if text.contains("accept failed") => break,
+            Ok(_) => {}
+            Err(e) => panic!("no failed accept logged during the storm: {e}"),
+        }
+    }
+    drop(storm);
+
+    let mut client = connect(&guard, "after-storm").expect("daemon still serving");
+    let request = WireRequest::from_request(&Request::sparsify(generators::grid(3, 3), 0.9))
+        .expect("expressible");
+    let ticket = client.submit(request).expect("admit");
+    client.wait(ticket).expect("complete");
+    let report = client.shutdown().expect("drained report");
+    guard.wait();
+    log.join().expect("stderr reader");
+    assert_eq!(report.requests, 1);
 }
 
 /// Submits `bad` as one tenant and expects a typed `laplacian` fault that
