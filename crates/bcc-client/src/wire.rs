@@ -58,9 +58,9 @@ pub enum WireError {
     /// The peer closed the connection where a frame was required.
     Closed,
     /// A read timeout elapsed at a frame boundary (no bytes of the next
-    /// frame had arrived). Only surfaces on sockets with a read timeout
-    /// configured — the daemon uses it to poll its shutdown flag between
-    /// frames. A timeout *inside* a frame keeps blocking instead: the
+    /// frame had arrived). Only surfaces on sockets whose owner configured a
+    /// read timeout; the daemon sets none, so only a client that sets one
+    /// meets it. A timeout *inside* a frame keeps blocking instead: the
     /// prefix promised more bytes, and abandoning them would desync the
     /// stream.
     TimedOut,

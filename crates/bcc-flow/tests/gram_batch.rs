@@ -139,7 +139,8 @@ fn reference_solve_many(
 #[test]
 fn solve_many_matches_a_one_at_a_time_reference_from_public_pieces() {
     for seed in 0..INSTANCES {
-        for batch in [0, 1, RIGHT_HAND_SIDES] {
+        // 3 pads one lockstep group of ten, 40 fills four.
+        for batch in [0, 1, 3, RIGHT_HAND_SIDES, 40] {
             let (vertices, flow_lp, d, ys) = gram_instance(seed, batch);
             let lp = &flow_lp.lp;
             let sparsifier = SparsifierConfig::laboratory(2 * lp.n(), 4 * lp.m(), 0.5, seed)

@@ -21,53 +21,39 @@ pub fn laplacian_apply(g: &Graph, x: &[f64]) -> Vec<f64> {
 }
 
 /// Allocation-free variant of [`laplacian_apply`]: writes `L x` into `out`.
-/// Bit-identical to the allocating form (same edge-accumulation order).
+/// Bit-identical to the allocating form (same edge-accumulation order). The
+/// one-lane instance of [`laplacian_apply_lanes_into`].
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != g.n()` or `out.len() != g.n()`.
 pub fn laplacian_apply_into(g: &Graph, x: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), g.n(), "dimension mismatch");
-    assert_eq!(out.len(), g.n(), "dimension mismatch");
-    out.fill(0.0);
-    for e in g.edges() {
-        let d = x[e.u] - x[e.v];
-        out[e.u] += e.weight * d;
-        out[e.v] -= e.weight * d;
-    }
+    laplacian_apply_lanes_into::<1>(g, x, out);
 }
 
-/// [`laplacian_apply_into`] on `lanes` vectors at once, stored as one
-/// interleaved block: entry `i` of lane `j` sits at `i·lanes + j` in both `x`
-/// and `out`. Each edge updates all lanes before the next edge, so every lane
-/// of `out` is bit-identical to `laplacian_apply_into` on that lane alone.
+/// [`laplacian_apply_into`] on `L` vectors at once, stored as one
+/// interleaved block: entry `i` of lane `j` sits at `i·L + j` in both `x` and
+/// `out`. Each edge updates all lanes before the next edge, so every lane of
+/// `out` is bit-identical to `laplacian_apply_into` on that lane alone. The
+/// width is a compile-time constant, so each vertex's lanes are a
+/// fixed-size array the compiler unrolls.
 ///
 /// # Panics
 ///
-/// Panics if `x` or `out` do not hold `g.n() · lanes` entries.
-pub fn laplacian_apply_block_into(g: &Graph, x: &[f64], out: &mut [f64], lanes: usize) {
-    assert_eq!(x.len(), g.n() * lanes, "dimension mismatch");
-    assert_eq!(out.len(), g.n() * lanes, "dimension mismatch");
-    out.fill(0.0);
+/// Panics if `x` or `out` do not hold `g.n() · L` entries.
+pub fn laplacian_apply_lanes_into<const L: usize>(g: &Graph, x: &[f64], out: &mut [f64]) {
+    assert_eq!(x.len(), g.n() * L, "dimension mismatch");
+    assert_eq!(out.len(), g.n() * L, "dimension mismatch");
+    let ((x, _), (out, _)) = (x.as_chunks::<L>(), out.as_chunks_mut::<L>());
+    out.fill([0.0; L]);
     for e in g.edges() {
-        let (u, v) = (e.u * lanes, e.v * lanes);
-        // Graphs have no self-loops, so rows u and v are disjoint.
-        let (out_u, out_v) = if u < v {
-            let (head, tail) = out.split_at_mut(v);
-            (&mut head[u..u + lanes], &mut tail[..lanes])
-        } else {
-            let (head, tail) = out.split_at_mut(u);
-            (&mut tail[..lanes], &mut head[v..v + lanes])
-        };
-        let lanes_of_edge = out_u
-            .iter_mut()
-            .zip(out_v)
-            .zip(&x[u..u + lanes])
-            .zip(&x[v..v + lanes]);
-        for (((yu, yv), xu), xv) in lanes_of_edge {
-            let d = xu - xv;
-            *yu += e.weight * d;
-            *yv -= e.weight * d;
+        let (xu, xv) = (x[e.u], x[e.v]);
+        let d: [f64; L] = std::array::from_fn(|j| xu[j] - xv[j]);
+        for (y, d) in out[e.u].iter_mut().zip(d) {
+            *y += e.weight * d;
+        }
+        for (y, d) in out[e.v].iter_mut().zip(d) {
+            *y -= e.weight * d;
         }
     }
 }
@@ -182,38 +168,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn block_apply_is_bit_identical_to_per_lane_apply() {
-        let g = Graph::from_edges(4, [(0, 1, 1.5), (1, 2, 0.1), (2, 3, 7.0), (0, 3, 1e-3)]);
-        for lanes in [1, 2, 3, 10] {
-            let vectors: Vec<Vec<f64>> = (0..lanes)
-                .map(|j| {
-                    (0..4)
-                        .map(|i| ((3 * i + 7 * j) as f64).sin() * 1e3)
-                        .collect()
-                })
-                .collect();
-            let mut block = vec![0.0; 4 * lanes];
-            for (j, x) in vectors.iter().enumerate() {
-                for (i, &v) in x.iter().enumerate() {
-                    block[i * lanes + j] = v;
-                }
-            }
-            // A dirty output buffer: the kernel must overwrite every entry.
-            let mut out = vec![f64::NAN; 4 * lanes];
-            laplacian_apply_block_into(&g, &block, &mut out, lanes);
-            for (j, x) in vectors.iter().enumerate() {
-                let mut single = vec![0.0; 4];
-                laplacian_apply_into(&g, x, &mut single);
-                for i in 0..4 {
-                    assert_eq!(
-                        out[i * lanes + j].to_bits(),
-                        single[i].to_bits(),
-                        "lanes {lanes}, lane {j}, entry {i}"
-                    );
-                }
+    /// `L x` for one vector, edge by edge in edge order: the scalar
+    /// arithmetic every lane of [`laplacian_apply_lanes_into`] must match.
+    fn scalar_apply(g: &Graph, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; g.n()];
+        for e in g.edges() {
+            let d = x[e.u] - x[e.v];
+            y[e.u] += e.weight * d;
+            y[e.v] -= e.weight * d;
+        }
+        y
+    }
+
+    /// Every lane of the `L`-lane product against [`scalar_apply`], bit for
+    /// bit, into a dirty output buffer.
+    fn assert_lanes_match_scalar_apply<const L: usize>(g: &Graph) {
+        let n = g.n();
+        let block: Vec<f64> = (0..n * L)
+            .map(|k| ((3 * (k / L) + 7 * (k % L)) as f64).sin() * 1e3)
+            .collect();
+        let mut out = vec![f64::NAN; n * L];
+        laplacian_apply_lanes_into::<L>(g, &block, &mut out);
+        for j in 0..L {
+            let lane: Vec<f64> = block.iter().skip(j).step_by(L).copied().collect();
+            let expected = scalar_apply(g, &lane);
+            for i in 0..n {
+                assert_eq!(
+                    out[i * L + j].to_bits(),
+                    expected[i].to_bits(),
+                    "L = {L}, lane {j}, entry {i}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn lanes_apply_is_bit_identical_to_a_scalar_edge_loop() {
+        let g = Graph::from_edges(4, [(0, 1, 1.5), (1, 2, 0.1), (2, 3, 7.0), (0, 3, 1e-3)]);
+        assert_lanes_match_scalar_apply::<1>(&g);
+        assert_lanes_match_scalar_apply::<3>(&g);
+        assert_lanes_match_scalar_apply::<10>(&g);
     }
 
     #[test]

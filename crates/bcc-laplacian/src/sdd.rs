@@ -271,7 +271,7 @@ pub fn solve_sdd_many<B: AsRef<[f64]>>(
         &block,
         lanes,
         epsilon.min(0.5),
-        &mut ScratchArena::with_dimension(block.len()),
+        &mut ScratchArena::new(),
         &mut solution,
         &mut lane_stats,
     )?;

@@ -34,6 +34,16 @@ pub struct LaplacianSolve {
     pub rounds: u64,
 }
 
+/// Lanes a block of right-hand sides is solved in lockstep, side by side:
+/// the width of the flow pipeline's JL sketches
+/// (`max_sketch_dimension = Some(10)` in `try_min_cost_max_flow_bcc`), so
+/// that every Gram batch of Algorithm 6 is one group. The lockstep kernels
+/// take it as a compile-time constant, which lets them keep each vertex's
+/// lanes in registers; a block of any other width than one runs in groups
+/// of this many, and one lane runs the one-lane instance of the same
+/// kernels.
+const LOCKSTEP_LANES: usize = 10;
+
 /// Statistics of an in-place solve ([`LaplacianSolver::try_solve_into`], or
 /// one lane of [`LaplacianSolver::try_solve_block_into`]); the solution
 /// itself is written into the caller's buffer.
@@ -48,10 +58,10 @@ pub struct LaplacianSolveStats {
 }
 
 /// Per-worker reusable solve state: the [`SolveScratch`] work vectors of the
-/// Chebyshev iteration plus a right-hand-side staging buffer. A worker that
-/// keeps one arena across requests performs zero heap allocations per warm
-/// solve (buffers grow to the largest `n` seen and stay there until
-/// [`ScratchArena::release`]).
+/// Chebyshev iteration plus a right-hand-side staging buffer, which holds a
+/// block's lanes group by group. A worker that keeps one arena across
+/// requests performs zero heap allocations per warm solve (buffers grow to
+/// the largest block seen and stay there until [`ScratchArena::release`]).
 #[derive(Debug, Clone, Default)]
 pub struct ScratchArena {
     scratch: SolveScratch,
@@ -355,12 +365,14 @@ impl LaplacianSolver {
         Ok(stats.expect("one lane solved"))
     }
 
-    /// Solves `lanes` right-hand sides in lockstep: one Chebyshev sweep over
-    /// the interleaved block `b`, where entry `i` of lane `j` sits at
-    /// `b[i·lanes + j]`, with one `L_G`-product and one preconditioner replay
-    /// per iteration for all lanes at once. The solutions come back in `out`
-    /// in the same layout and the per-lane statistics in `stats`, in lane
-    /// order.
+    /// Solves `lanes` right-hand sides in lockstep, given as the interleaved
+    /// block `b`, where entry `i` of lane `j` sits at `b[i·lanes + j]`. The
+    /// solutions come back in `out` in the same layout and the per-lane
+    /// statistics in `stats`, in lane order. A block of more than one lane
+    /// runs in groups of ten, the width of the flow pipeline's JL sketches:
+    /// one Chebyshev sweep per group, with one `L_G`-product and one
+    /// preconditioner replay per iteration for all its lanes at once. A
+    /// short last group repeats its last lane and drops the copies' results.
     ///
     /// Every lane is bit-identical to [`LaplacianSolver::try_solve_into`] on
     /// that lane alone, and `net` is charged exactly what those `lanes` calls
@@ -389,7 +401,8 @@ impl LaplacianSolver {
     }
 
     /// The one solve behind both entry points; reports each lane's
-    /// statistics to `on_lane`, in lane order.
+    /// statistics to `on_lane`, in lane order. One lane runs the one-lane
+    /// kernels, any other count groups of [`LOCKSTEP_LANES`].
     fn try_solve_lanes_into(
         &self,
         net: &mut Network,
@@ -398,7 +411,7 @@ impl LaplacianSolver {
         epsilon: f64,
         arena: &mut ScratchArena,
         out: &mut Vec<f64>,
-        mut on_lane: impl FnMut(LaplacianSolveStats),
+        on_lane: impl FnMut(LaplacianSolveStats),
     ) -> Result<(), LaplacianError> {
         if !(epsilon > 0.0 && epsilon <= 0.5) {
             return Err(LaplacianError::InvalidEpsilon { epsilon });
@@ -410,10 +423,42 @@ impl LaplacianSolver {
                 actual: b.len(),
             });
         }
+        if lanes == 1 {
+            self.solve_in_groups::<1>(net, b, lanes, epsilon, arena, out, on_lane)
+        } else {
+            self.solve_in_groups::<LOCKSTEP_LANES>(net, b, lanes, epsilon, arena, out, on_lane)
+        }
+    }
+
+    /// [`LaplacianSolver::try_solve_lanes_into`] on validated input, in
+    /// groups of `L` lanes. Group `g` is staged in the arena as `n` rows of
+    /// `L` entries, lanes `g·L, …, g·L + L − 1` of `b`, the last real lane
+    /// standing in for lanes past `lanes`.
+    fn solve_in_groups<const L: usize>(
+        &self,
+        net: &mut Network,
+        b: &[f64],
+        lanes: usize,
+        epsilon: f64,
+        arena: &mut ScratchArena,
+        out: &mut Vec<f64>,
+        mut on_lane: impl FnMut(LaplacianSolveStats),
+    ) -> Result<(), LaplacianError> {
+        let n = self.graph.n();
+        let groups = lanes.div_ceil(L);
+        let group = |g: usize| g * n * L..(g + 1) * n * L;
         let ScratchArena { scratch, rhs } = arena;
         rhs.clear();
-        rhs.extend_from_slice(b);
-        vector::remove_lane_means_in_place(rhs, lanes);
+        rhs.resize(groups * n * L, 0.0);
+        for g in 0..groups {
+            let staged = &mut rhs[group(g)];
+            for (row, source) in staged.chunks_exact_mut(L).zip(b.chunks_exact(lanes)) {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = source[(g * L + j).min(lanes - 1)];
+                }
+            }
+            vector::remove_lane_means_in_place::<L>(staged);
+        }
         // The widest lane bounds every lane's range; reject before charging.
         let block_norm = rhs.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
         if !((block_norm + 1.0) * (n as f64) * self.max_weight).is_finite() {
@@ -424,9 +469,11 @@ impl LaplacianSolver {
         // Bits per broadcast coordinate: O(log(n·U/ε)).
         let resolution = (epsilon / (n.max(2) as f64)).min(0.5);
         for lane in 0..lanes {
-            let norm_inf = (lane..rhs.len())
-                .step_by(lanes)
-                .fold(0.0f64, |acc, i| acc.max(rhs[i].abs()));
+            let norm_inf = rhs[group(lane / L)]
+                .iter()
+                .skip(lane % L)
+                .step_by(L)
+                .fold(0.0f64, |acc, v| acc.max(v.abs()));
             let magnitude = (norm_inf + 1.0) * (n as f64) * self.max_weight;
             let bits = u64::from(payload::bits_for_real(magnitude, resolution));
             // One coordinate broadcast per iteration (the L_G·vector
@@ -443,36 +490,27 @@ impl LaplacianSolver {
             });
         }
 
-        let graph = &self.graph;
-        let factored = &self.factored;
-        // Both kernel sets give the same bits on one lane, but there the
-        // block kernels take about twice as long (docs/PERFORMANCE.md, "One
-        // lane"), and one-lane solves are every serving-engine solve.
-        if lanes == 1 {
-            chebyshev::preconditioned_chebyshev_fixed_with(
-                |x, product| laplacian::laplacian_apply_into(graph, x, product),
-                |r, z| factored.solve_into(r, z, true),
-                kappa,
-                rhs,
-                iterations,
-                scratch,
-            );
-        } else {
+        let (graph, factored) = (&self.graph, &self.factored);
+        out.clear();
+        out.resize(n * lanes, 0.0);
+        for g in 0..groups {
             // The iteration's vector updates are elementwise and its scalars
             // depend only on κ and the step, so it runs unchanged on the
-            // whole block.
+            // whole group.
             chebyshev::preconditioned_chebyshev_fixed_with(
-                |x, product| laplacian::laplacian_apply_block_into(graph, x, product, lanes),
-                |r, z| factored.solve_block_into(r, z, lanes, true),
+                |x, product| laplacian::laplacian_apply_lanes_into::<L>(graph, x, product),
+                |r, z| factored.solve_lanes_into::<L>(r, z, true),
                 kappa,
-                rhs,
+                &rhs[group(g)],
                 iterations,
                 scratch,
             );
+            vector::remove_lane_means_in_place::<L>(&mut scratch.x);
+            let (first, width) = (g * L, L.min(lanes - g * L));
+            for (solved, row) in scratch.x.chunks_exact(L).zip(out.chunks_exact_mut(lanes)) {
+                row[first..][..width].copy_from_slice(&solved[..width]);
+            }
         }
-        out.clear();
-        out.extend_from_slice(&scratch.x);
-        vector::remove_lane_means_in_place(out, lanes);
         Ok(())
     }
 

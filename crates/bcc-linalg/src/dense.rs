@@ -6,7 +6,7 @@
 //!    Clique, once the sparsifier `H` is known to every vertex, "solving a
 //!    Laplacian system involving `L_H`" happens internally (Corollary 2.4) —
 //!    the models charge nothing for local work, so any correct local method
-//!    is faithful. We use Cholesky/LU factorizations on the (small, sparse)
+//!    is faithful. We use LU factorizations on the (small, sparse)
 //!    sparsifier.
 //! 2. **Ground truth in tests.** Exact solves and eigenvalue computations on
 //!    small instances verify the distributed algorithms.
@@ -309,32 +309,6 @@ impl DenseMatrix {
         })
     }
 
-    /// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite
-    /// matrix. Returns the lower-triangular factor, or `None` if the matrix
-    /// is not (numerically) positive definite.
-    pub fn cholesky(&self) -> Option<DenseMatrix> {
-        assert_eq!(self.rows, self.cols, "cholesky requires a square matrix");
-        let n = self.rows;
-        let mut l = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self.get(i, j);
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
-            }
-        }
-        Some(l)
-    }
-
     /// Eigen-decomposition of a symmetric matrix by the cyclic Jacobi method.
     /// Returns eigenvalues in ascending order and the corresponding
     /// orthonormal eigenvectors as matrix columns.
@@ -531,11 +505,6 @@ impl PackedLines {
     }
 }
 
-/// Lanes that [`FactoredPsd::solve_block_into`] back-substitutes in one pass
-/// over a listed row of `U`, keeping their values before the pass on the
-/// stack.
-const LANE_CHUNK: usize = 16;
-
 impl FactoredPsd {
     /// The order of the factored matrix.
     pub fn n(&self) -> usize {
@@ -544,15 +513,33 @@ impl FactoredPsd {
 
     /// Solves into a caller-provided buffer without allocating; bit-identical
     /// to [`DenseMatrix::solve_psd`] on the matrix this was factored from.
+    /// The one-lane instance of [`FactoredPsd::solve_lanes_into`].
     ///
     /// # Panics
     ///
     /// Panics if `b` or `out` have the wrong length.
     pub fn solve_into(&self, b: &[f64], out: &mut [f64], zero_mean: bool) {
+        self.solve_lanes_into::<1>(b, out, zero_mean);
+    }
+
+    /// Solves `L` right-hand sides at once, interleaved: entry `i` of lane
+    /// `j` sits at `i·L + j` in both `b` and `out`. Every lane of `out` is
+    /// bit-identical to [`DenseMatrix::solve_psd`] on that lane alone: each
+    /// row operation of the replay is applied to all lanes before the next
+    /// one, so every lane sees the same operations in the same order, and
+    /// the lanes' independent dependency chains interleave. The width is a
+    /// compile-time constant, so each row is a fixed-size array the compiler
+    /// unrolls. Zero allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `out` do not hold `n · L` entries.
+    pub fn solve_lanes_into<const L: usize>(&self, b: &[f64], out: &mut [f64], zero_mean: bool) {
         let n = self.n;
-        assert_eq!(b.len(), n, "dimension mismatch");
-        assert_eq!(out.len(), n, "dimension mismatch");
+        assert_eq!(b.len(), n * L, "dimension mismatch");
+        assert_eq!(out.len(), n * L, "dimension mismatch");
         out.copy_from_slice(b);
+        let (out, _) = out.as_chunks_mut::<L>();
         // Replay the recorded row operations on `b` in elimination order.
         for col in 0..n {
             let pivot = self.pivots[col];
@@ -561,88 +548,14 @@ impl FactoredPsd {
             }
             let (eliminated, rest) = out.split_at_mut(col + 1);
             let source = eliminated[col];
-            match self.multipliers.line(col) {
-                Line::Whole(factors) => {
-                    for (v, &factor) in rest.iter_mut().zip(factors) {
-                        if factor != 0.0 {
-                            *v -= factor * source;
-                        }
-                    }
-                }
-                Line::Listed(rows, factors) => {
-                    for (&r, &factor) in rows.iter().zip(factors) {
-                        rest[r as usize - col - 1] -= factor * source;
-                    }
-                }
-            }
-        }
-        // Back substitution against the stored upper triangle.
-        let mut non_finite = false;
-        for col in (0..n).rev() {
-            let (unsolved, solved) = out.split_at_mut(col + 1);
-            let replayed = unsolved[col];
-            let mut v = replayed;
-            match self.upper.line(col) {
-                Line::Whole(coefficients) => {
-                    for (x, &coefficient) in solved.iter().zip(coefficients) {
-                        v -= coefficient * x;
-                    }
-                }
-                Line::Listed(columns, coefficients) => {
-                    for (&j, &coefficient) in columns.iter().zip(coefficients) {
-                        v -= coefficient * solved[j as usize - col - 1];
-                    }
-                    if v == 0.0 || non_finite {
-                        v = self.dense_back_row(col, columns, coefficients, replayed, |j| {
-                            solved[j - col - 1]
-                        });
-                    }
-                }
-            }
-            unsolved[col] = v / self.diagonal[col];
-            non_finite |= !unsolved[col].is_finite();
-        }
-        if zero_mean {
-            vector::remove_mean_in_place(out);
-        }
-    }
-
-    /// [`FactoredPsd::solve_into`] on `lanes` right-hand sides at once, in
-    /// the interleaved block layout of
-    /// [`crate::vector::remove_lane_means_in_place`]: entry `i` of lane `j`
-    /// sits at `i·lanes + j` in both `b` and `out`. Every lane of `out` is
-    /// bit-identical to `solve_into` on that lane alone: each row operation
-    /// of the replay is applied to all lanes before the next one, so every
-    /// lane sees the same operations in the same order, and the lanes'
-    /// independent dependency chains interleave. Zero allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` or `out` do not hold `n · lanes` entries.
-    pub fn solve_block_into(&self, b: &[f64], out: &mut [f64], lanes: usize, zero_mean: bool) {
-        let n = self.n;
-        assert_eq!(b.len(), n * lanes, "dimension mismatch");
-        assert_eq!(out.len(), n * lanes, "dimension mismatch");
-        out.copy_from_slice(b);
-        if lanes == 0 {
-            return;
-        }
-        for col in 0..n {
-            let pivot = self.pivots[col];
-            if pivot != col {
-                let (upper, lower) = out.split_at_mut(pivot * lanes);
-                upper[col * lanes..(col + 1) * lanes].swap_with_slice(&mut lower[..lanes]);
-            }
-            let (eliminated, rest) = out.split_at_mut((col + 1) * lanes);
-            let source = &eliminated[col * lanes..];
-            let eliminate = |row: &mut [f64], factor: f64| {
+            let eliminate = |row: &mut [f64; L], factor: f64| {
                 for (v, s) in row.iter_mut().zip(source) {
                     *v -= factor * s;
                 }
             };
             match self.multipliers.line(col) {
                 Line::Whole(factors) => {
-                    for (row, &factor) in rest.chunks_exact_mut(lanes).zip(factors) {
+                    for (row, &factor) in rest.iter_mut().zip(factors) {
                         if factor != 0.0 {
                             eliminate(row, factor);
                         }
@@ -650,58 +563,52 @@ impl FactoredPsd {
                 }
                 Line::Listed(rows, factors) => {
                     for (&r, &factor) in rows.iter().zip(factors) {
-                        eliminate(&mut rest[(r as usize - col - 1) * lanes..][..lanes], factor);
+                        eliminate(&mut rest[r as usize - col - 1], factor);
                     }
                 }
             }
         }
-        let mut non_finite = false;
+        // Back substitution against the stored upper triangle.
+        let mut non_finite = [false; L];
         for col in (0..n).rev() {
-            let (unsolved, solved) = out.split_at_mut((col + 1) * lanes);
-            let row = &mut unsolved[col * lanes..];
+            let (unsolved, solved) = out.split_at_mut(col + 1);
+            let replayed = unsolved[col];
+            let mut row = replayed;
             match self.upper.line(col) {
                 Line::Whole(coefficients) => {
-                    for (&coefficient, known) in coefficients.iter().zip(solved.chunks_exact(lanes))
-                    {
+                    for (&coefficient, known) in coefficients.iter().zip(solved.iter()) {
                         for (v, x) in row.iter_mut().zip(known) {
                             *v -= coefficient * x;
                         }
                     }
                 }
                 Line::Listed(columns, coefficients) => {
-                    for (chunk_index, chunk) in row.chunks_mut(LANE_CHUNK).enumerate() {
-                        let first = chunk_index * LANE_CHUNK;
-                        let width = chunk.len();
-                        let mut replayed = [0.0; LANE_CHUNK];
-                        replayed[..width].copy_from_slice(chunk);
-                        for (&j, &coefficient) in columns.iter().zip(coefficients) {
-                            let known = &solved[(j as usize - col - 1) * lanes + first..][..width];
-                            for (v, x) in chunk.iter_mut().zip(known) {
-                                *v -= coefficient * x;
-                            }
+                    for (&j, &coefficient) in columns.iter().zip(coefficients) {
+                        for (v, x) in row.iter_mut().zip(&solved[j as usize - col - 1]) {
+                            *v -= coefficient * x;
                         }
-                        for (lane, v) in chunk.iter_mut().enumerate() {
-                            if *v == 0.0 || non_finite {
-                                *v = self.dense_back_row(
-                                    col,
-                                    columns,
-                                    coefficients,
-                                    replayed[lane],
-                                    |j| solved[(j - col - 1) * lanes + first + lane],
-                                );
-                            }
+                    }
+                    for lane in 0..L {
+                        if row[lane] == 0.0 || non_finite[lane] {
+                            row[lane] = self.dense_back_row(
+                                col,
+                                columns,
+                                coefficients,
+                                replayed[lane],
+                                |j| solved[j - col - 1][lane],
+                            );
                         }
                     }
                 }
             }
             let diagonal = self.diagonal[col];
-            for v in row.iter_mut() {
-                *v /= diagonal;
-                non_finite |= !v.is_finite();
+            for ((x, v), non_finite) in unsolved[col].iter_mut().zip(row).zip(&mut non_finite) {
+                *x = v / diagonal;
+                *non_finite |= !x.is_finite();
             }
         }
         if zero_mean {
-            vector::remove_lane_means_in_place(out, lanes);
+            vector::remove_lane_means_in_place::<L>(out.as_flattened_mut());
         }
     }
 
@@ -856,20 +763,6 @@ mod tests {
         let lx = l.matvec(&x);
         assert!(vector::approx_eq(&lx, &b, 1e-6));
         assert!(x.iter().sum::<f64>().abs() < 1e-9);
-    }
-
-    #[test]
-    fn cholesky_reconstructs_spd_matrix() {
-        let a = DenseMatrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
-        let l = a.cholesky().unwrap();
-        let reconstructed = l.matmul(&l.transpose());
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((reconstructed.get(i, j) - a.get(i, j)).abs() < 1e-12);
-            }
-        }
-        let not_pd = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
-        assert!(not_pd.cholesky().is_none());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! * [`vector`] — dense vector operations, weighted and mixed norms
 //!   (`‖·‖_w`, `‖·‖_{w+1}` from Section 4.1).
-//! * [`DenseMatrix`] — dense matrices with direct solvers, Cholesky and a
-//!   Jacobi symmetric eigensolver (ground truth + free local computation).
+//! * [`DenseMatrix`] — dense matrices with direct solvers (LU, and a
+//!   factorization replayed on `L` right-hand sides at once) and a Jacobi
+//!   symmetric eigensolver (ground truth + free local computation).
 //! * [`CsrMatrix`] — sparse matrices for LP constraint matrices and Gram
 //!   matrix assembly (`Aᵀ D A`).
 //! * [`cg`] — (preconditioned) conjugate gradients.

@@ -147,39 +147,41 @@ pub fn remove_mean(x: &[f64]) -> Vec<f64> {
     x.iter().map(|v| v - mean).collect()
 }
 
-/// In-place variant of [`remove_mean`]: `x ← x − mean(x)·1`. Same arithmetic
-/// (one sum, one subtraction per coordinate), zero allocations.
-pub fn remove_mean_in_place(x: &mut [f64]) {
-    if x.is_empty() {
-        return;
-    }
-    let mean = x.iter().sum::<f64>() / x.len() as f64;
-    for v in x.iter_mut() {
-        *v -= mean;
-    }
-}
-
-/// [`remove_mean_in_place`] on every lane of a block of `lanes` interleaved
-/// vectors, where entry `i` of lane `j` sits at `x[i·lanes + j]`. Each lane
-/// gets exactly the arithmetic `remove_mean_in_place` performs on it alone
-/// (one sum in order, one division, one subtraction per entry), so every lane
-/// is bit-identical to it. Zero allocations.
+/// [`remove_mean`] in place on every lane of a block of `L` interleaved
+/// vectors, where entry `i` of lane `j` sits at `x[i·L + j]`. Each lane gets
+/// exactly the arithmetic [`remove_mean`] performs on it alone: one sum in
+/// order from `−0.0`, the neutral element `Iterator::sum::<f64>` starts from
+/// (a lane of all `−0.0` keeps a mean of `−0.0`), one division, one
+/// subtraction per entry. So every lane is bit-identical to it. The sums run
+/// row by row, all lanes side by side. Zero allocations.
 ///
 /// # Panics
 ///
-/// Panics if `x.len()` is not a multiple of `lanes`.
-pub fn remove_lane_means_in_place(x: &mut [f64], lanes: usize) {
-    if x.is_empty() {
+/// Panics if `x.len()` is not a multiple of `L`.
+pub fn remove_lane_means_in_place<const L: usize>(x: &mut [f64]) {
+    let (rows, rest) = x.as_chunks_mut::<L>();
+    assert!(rest.is_empty(), "a block holds a whole number of lanes");
+    if rows.is_empty() {
         return;
     }
-    assert!(
-        x.len().is_multiple_of(lanes),
-        "a block holds a whole number of lanes"
-    );
-    let n = (x.len() / lanes) as f64;
-    for j in 0..lanes {
-        let mean = x[j..].iter().step_by(lanes).sum::<f64>() / n;
-        for v in x[j..].iter_mut().step_by(lanes) {
+    let mut sums = [-0.0; L];
+    for row in rows.iter() {
+        for (sum, v) in sums.iter_mut().zip(row) {
+            *sum += v;
+        }
+    }
+    for (j, sum) in sums.iter_mut().enumerate() {
+        // Addition is commutative bit for bit except in which NaN it
+        // returns, and the compiler may order the operands of the side-by-side
+        // sums either way, so a NaN sum is taken again lane by lane.
+        if sum.is_nan() {
+            *sum = rows.iter().map(|row| row[j]).sum::<f64>();
+        }
+    }
+    let n = rows.len() as f64;
+    let means = sums.map(|sum| sum / n);
+    for row in rows.iter_mut() {
+        for (v, mean) in row.iter_mut().zip(means) {
             *v -= mean;
         }
     }
@@ -267,10 +269,10 @@ mod tests {
         scale_in_place(&mut scaled, -1.7);
         assert_eq!(scaled, scale(&x, -1.7));
         let mut centered = x.clone();
-        remove_mean_in_place(&mut centered);
+        remove_lane_means_in_place::<1>(&mut centered);
         assert_eq!(centered, remove_mean(&x));
         let mut empty: Vec<f64> = Vec::new();
-        remove_mean_in_place(&mut empty);
+        remove_lane_means_in_place::<1>(&mut empty);
         assert!(empty.is_empty());
     }
 
@@ -278,10 +280,10 @@ mod tests {
     fn lane_means_are_removed_lane_by_lane() {
         // Two lanes interleaved: [1, 2, 3] and [10, 20, 60].
         let mut block = vec![1.0, 10.0, 2.0, 20.0, 3.0, 60.0];
-        remove_lane_means_in_place(&mut block, 2);
+        remove_lane_means_in_place::<2>(&mut block);
         assert_eq!(block, vec![-1.0, -20.0, 0.0, -10.0, 1.0, 30.0]);
         let mut empty: Vec<f64> = Vec::new();
-        remove_lane_means_in_place(&mut empty, 0);
+        remove_lane_means_in_place::<2>(&mut empty);
         assert!(empty.is_empty());
     }
 

@@ -5,7 +5,7 @@
 //! single output bit, or the batch/stream/wire bit-identity suites (and the
 //! committed goldens) would drift with engine internals.
 
-use bcc_linalg::{cg, chebyshev, vector, CsrMatrix, DenseMatrix, SolveScratch};
+use bcc_linalg::{cg, chebyshev, vector, CsrMatrix, DenseMatrix, FactoredPsd, SolveScratch};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -181,10 +181,8 @@ fn interleave(vectors: &[Vec<f64>], n: usize) -> Vec<f64> {
     block
 }
 
-/// `lanes` random vectors of length `n`, one of them all `−0.0`, and the
-/// same vectors interleaved as one block (entry `i` of lane `j` at
-/// `i·lanes + j`).
-fn lanes_and_block(n: usize, lanes: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+/// `lanes` random vectors of length `n`, one of them all `−0.0`.
+fn random_lanes(n: usize, lanes: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut vectors: Vec<Vec<f64>> = (0..lanes)
         .map(|_| {
@@ -193,43 +191,73 @@ fn lanes_and_block(n: usize, lanes: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64
         })
         .collect();
     vectors[rng.gen_range(0..lanes)] = vec![-0.0; n];
-    let block = interleave(&vectors, n);
-    (vectors, block)
-}
-
-/// Lane `j` of an interleaved block, as bit patterns.
-fn lane_bits(block: &[f64], lanes: usize, j: usize) -> Vec<u64> {
-    block
-        .iter()
-        .skip(j)
-        .step_by(lanes)
-        .map(|v| v.to_bits())
-        .collect()
+    vectors
 }
 
 fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Both replay kernels, `solve_into` per vector and `solve_block_into` on
-/// all of them, give the bits of `solve_psd` on `matrix`.
+/// `kernel` run on the vectors `L` at a time, interleaved as one block, a
+/// short last group padded with copies of its last vector; the bits of each
+/// vector's lane of the result.
+fn in_groups<const L: usize>(
+    vectors: &[Vec<f64>],
+    kernel: impl Fn(&mut Vec<f64>),
+) -> Vec<Vec<u64>> {
+    let n = vectors[0].len();
+    let mut lanes = Vec::new();
+    for group in vectors.chunks(L) {
+        let padded: Vec<Vec<f64>> = (0..L)
+            .map(|j| group[j.min(group.len() - 1)].clone())
+            .collect();
+        let mut block = interleave(&padded, n);
+        kernel(&mut block);
+        lanes.extend((0..group.len()).map(|j| bits(&block[j..]).into_iter().step_by(L).collect()));
+    }
+    lanes
+}
+
+/// Every vector solved by the `L`-lane replay, `L` at a time.
+fn replay_in_groups<const L: usize>(
+    factored: &FactoredPsd,
+    vectors: &[Vec<f64>],
+    zero_mean: bool,
+) -> Vec<Vec<u64>> {
+    in_groups::<L>(vectors, |block| {
+        // A dirty output buffer: the kernel must overwrite every entry.
+        let mut out = vec![f64::NAN; block.len()];
+        factored.solve_lanes_into::<L>(block, &mut out, zero_mean);
+        *block = out;
+    })
+}
+
+/// The replay at `L = 1` and `L = 10`, every vector of `vectors`, gives the
+/// bits of `solve_psd` on `matrix`.
 fn assert_replays_match_solve_psd(matrix: &DenseMatrix, vectors: &[Vec<f64>]) {
-    let (n, lanes) = (matrix.rows(), vectors.len());
     let factored = matrix.factor_psd().expect("non-singular systems factor");
-    let block = interleave(vectors, n);
     for zero_mean in [false, true] {
-        let mut out = vec![f64::NAN; n * lanes];
-        factored.solve_block_into(&block, &mut out, lanes, zero_mean);
-        let mut single = vec![f64::NAN; n];
-        for (j, b) in vectors.iter().enumerate() {
-            let reference = bits(
-                &matrix
-                    .solve_psd(b, zero_mean)
-                    .expect("non-singular systems solve"),
+        let reference: Vec<Vec<u64>> = vectors
+            .iter()
+            .map(|b| {
+                bits(
+                    &matrix
+                        .solve_psd(b, zero_mean)
+                        .expect("non-singular systems solve"),
+                )
+            })
+            .collect();
+        let one_lane = replay_in_groups::<1>(&factored, vectors, zero_mean);
+        let ten_lanes = replay_in_groups::<10>(&factored, vectors, zero_mean);
+        for (j, expected) in reference.iter().enumerate() {
+            assert_eq!(
+                &one_lane[j], expected,
+                "L = 1, vector {j}, zero_mean {zero_mean}"
             );
-            factored.solve_into(b, &mut single, zero_mean);
-            assert_eq!(&bits(&single), &reference, "solve_into, lane {j}");
-            assert_eq!(&lane_bits(&out, lanes, j), &reference, "block, lane {j}");
+            assert_eq!(
+                &ten_lanes[j], expected,
+                "L = 10, vector {j}, zero_mean {zero_mean}"
+            );
         }
     }
 }
@@ -238,24 +266,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn factored_psd_block_solve_is_bit_identical_to_per_lane_solve_into(
+    fn the_lane_replay_is_bit_identical_to_per_lane_solve_psd(
         n in 1usize..14,
-        lanes in 1usize..13,
+        lanes in 1usize..24,
         seed in any::<u64>(),
     ) {
-        let (vectors, block) = lanes_and_block(n, lanes, seed ^ 0xB10C);
+        let vectors = random_lanes(n, lanes, seed ^ 0xB10C);
         for matrix in [pivoting_matrix(n, seed), spd_system(n, seed).1] {
-            let factored = matrix.factor_psd().expect("non-singular systems factor");
-            for zero_mean in [false, true] {
-                // Dirty output buffers: both kernels must overwrite them.
-                let mut out = vec![f64::NAN; n * lanes];
-                factored.solve_block_into(&block, &mut out, lanes, zero_mean);
-                let mut single = vec![f64::NAN; n];
-                for (j, b) in vectors.iter().enumerate() {
-                    factored.solve_into(b, &mut single, zero_mean);
-                    prop_assert_eq!(lane_bits(&out, lanes, j), bits(&single), "lane {}", j);
-                }
-            }
+            assert_replays_match_solve_psd(&matrix, &vectors);
         }
     }
 
@@ -265,12 +283,14 @@ proptest! {
         lanes in 1usize..40,
         seed in any::<u64>(),
     ) {
-        let (vectors, mut block) = lanes_and_block(n, lanes, seed);
-        vector::remove_lane_means_in_place(&mut block, lanes);
+        let vectors = random_lanes(n, lanes, seed);
+        let one_lane = in_groups::<1>(&vectors, |block| vector::remove_lane_means_in_place::<1>(block));
+        let ten_lanes =
+            in_groups::<10>(&vectors, |block| vector::remove_lane_means_in_place::<10>(block));
         for (j, lane) in vectors.iter().enumerate() {
-            let mut single = lane.clone();
-            vector::remove_mean_in_place(&mut single);
-            prop_assert_eq!(lane_bits(&block, lanes, j), bits(&single), "lane {}", j);
+            let reference = bits(&vector::remove_mean(lane));
+            prop_assert_eq!(&one_lane[j], &reference, "L = 1, lane {}", j);
+            prop_assert_eq!(&ten_lanes[j], &reference, "L = 10, lane {}", j);
         }
     }
 
@@ -438,9 +458,10 @@ proptest! {
     ) {
         // Pivoting, `−0.0` entries, rows ending at exactly `±0` (the blocks),
         // and right-hand sides with `±0`, NaN, `±∞` or an all-`−0.0` lane;
-        // more than 16 lanes take several chunks of the block kernel. Lines
-        // of 16 entries or more are listed when the blocks keep them sparse,
-        // and kept whole when they fill up.
+        // more than 10 lanes take several groups of the ten-lane replay, and
+        // a short last group is padded. Lines of 16 entries or more are
+        // listed when the blocks keep them sparse, and kept whole when they
+        // fill up.
         let (blocks, first) = two_block_matrix(n, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xAD5E);
         let mut vectors: Vec<Vec<f64>> =
@@ -469,10 +490,5 @@ proptest! {
         let mut in_place = x.clone();
         vector::scale_in_place(&mut in_place, alpha);
         prop_assert_eq!(&scaled, &in_place);
-
-        let centered = vector::remove_mean(&x);
-        let mut in_place = x.clone();
-        vector::remove_mean_in_place(&mut in_place);
-        prop_assert_eq!(&centered, &in_place);
     }
 }

@@ -6,10 +6,9 @@
 //! solve benchmark contrasts a cold scratch arena (rebuilt per request, as a
 //! naive server would) against a warm per-worker arena — the hot loop the
 //! serving engines actually run. The Gram-oracle benchmark contrasts ten
-//! right-hand sides solved in lockstep against ten single solves, and one
-//! lane through the block kernels against the single-vector kernels. The
-//! LU-replay benchmark times the preconditioner solve alone, on a sparse
-//! and a nearly dense factor. The cold-preprocessing benchmark times one
+//! right-hand sides solved in lockstep against ten single solves. The
+//! LU-replay benchmark times the preconditioner solve alone, for one lane
+//! and for the ten-lane instance, on a sparse and a nearly dense factor. The cold-preprocessing benchmark times one
 //! Laplacian build at the session's sparsifier configuration, and the
 //! sparsifier alone on a graph it thins.
 
@@ -159,12 +158,9 @@ fn bench_laplacian_solve(c: &mut Criterion) {
 fn bench_chebyshev_block(c: &mut Criterion) {
     // The Gram oracle's shape: ten sketch right-hand sides [b; −b] of one
     // 4×4 SDD system, solved on its 8-vertex Gremban graph with the exact
-    // preconditioner at ε = 1e-8. `lockstep` is one block solve of all ten,
-    // `single` ten `try_solve_into` calls; both reuse warm buffers. The
-    // `one_lane_*` pair runs the same ten right-hand sides one at a time
-    // through the bare Chebyshev iteration, once with the block kernels at
-    // k = 1 and once with the single-vector kernels, so it shows what a
-    // one-lane solve pays for the block layout.
+    // preconditioner at ε = 1e-8. `lockstep` is one block solve of all ten
+    // (one group of the ten-lane kernels), `single` ten `try_solve_into`
+    // calls (the one-lane kernels); both reuse warm buffers.
     const LANES: usize = 10;
     let matrix = SddMatrix::from_triplets(
         4,
@@ -225,50 +221,14 @@ fn bench_chebyshev_block(c: &mut Criterion) {
             }
         })
     });
-    let factored = DenseMatrix::from_rows(&laplacian::laplacian_dense(
-        &gremban.map_weights(|e| 1.5 * e.weight),
-    ))
-    .factor_psd()
-    .expect("the Laplacian of a connected graph factors");
-    let kappa = solver.kappa();
-    let iterations = chebyshev::chebyshev_iteration_count(kappa, 1e-8);
-    let centered: Vec<Vec<f64>> = rhs.iter().map(|b| vector::remove_mean(b)).collect();
-    let mut scratch = SolveScratch::with_dimension(gremban.n());
-    group.bench_function("one_lane_block_kernels", |bench| {
-        bench.iter(|| {
-            for b in &centered {
-                chebyshev::preconditioned_chebyshev_fixed_with(
-                    |x, product| laplacian::laplacian_apply_block_into(&gremban, x, product, 1),
-                    |r, z| factored.solve_block_into(r, z, 1, true),
-                    kappa,
-                    black_box(b),
-                    iterations,
-                    &mut scratch,
-                );
-            }
-        })
-    });
-    group.bench_function("one_lane_single_kernels", |bench| {
-        bench.iter(|| {
-            for b in &centered {
-                chebyshev::preconditioned_chebyshev_fixed_with(
-                    |x, product| laplacian::laplacian_apply_into(&gremban, x, product),
-                    |r, z| factored.solve_into(r, z, true),
-                    kappa,
-                    black_box(b),
-                    iterations,
-                    &mut scratch,
-                );
-            }
-        })
-    });
     group.finish();
 }
 
 fn bench_lu_replay(c: &mut Criterion) {
     // The preconditioner solve inside every Chebyshev iteration: one replay
     // of the LU factors of `1.5·L + λI`, for one right-hand side and for a
-    // ten-lane block. The 12×12 grid's factors are sparse (15% of `U`
+    // ten-lane block (the replay's `L = 10` instance, as a lockstep group
+    // runs it). The 12×12 grid's factors are sparse (15% of `U`
     // filled); a random connected graph on 256 vertices, drawn like
     // `perfbench`'s heavy `solve_warm` graph, fills about 89% and is the
     // control.
@@ -299,7 +259,9 @@ fn bench_lu_replay(c: &mut Criterion) {
         });
         let mut block_out = vec![0.0; n * LANES];
         group.bench_function(format!("{name}/block_{LANES}"), |bench| {
-            bench.iter(|| factored.solve_block_into(black_box(&block), &mut block_out, LANES, true))
+            bench.iter(|| {
+                factored.solve_lanes_into::<LANES>(black_box(&block), &mut block_out, true)
+            })
         });
     }
     group.finish();

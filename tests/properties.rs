@@ -145,3 +145,69 @@ proptest! {
         prop_assert!(laplacian::quadratic_form(&g, &c).abs() < 1e-7);
     }
 }
+
+/// Theorem 1.3's guarantee, lane by lane, for right-hand sides solved in
+/// lockstep: 32 seeded random connected graphs, half of them preconditioned
+/// by the sparsifier, with one lane, one full group of ten and a padded
+/// second group (13). Every lane must meet ε in the `L_G`-norm and carry the
+/// bits and statistics of its own one-lane solve.
+#[test]
+fn lockstep_laplacian_solves_meet_the_guarantee_lane_by_lane_across_seeds() {
+    use bcc_core::laplacian::ScratchArena;
+    for seed in 0..32u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = rng.gen_range(6..28);
+        let g = generators::random_connected(n, rng.gen::<f64>(), rng.gen_range(1..8), &mut rng);
+        let mut net = Network::clique(ModelConfig::bcc(), n);
+        let solver = if seed % 2 == 0 {
+            LaplacianSolver::try_exact_preconditioner(&g)
+        } else {
+            let config = SparsifierConfig::laboratory(n, g.m(), 0.5, seed)
+                .with_t(6)
+                .with_k(2);
+            LaplacianSolver::try_preprocess(&mut net, &g, &config)
+        }
+        .expect("a connected graph on a matching network");
+        let mut arena = ScratchArena::new();
+        let (mut block_out, mut stats, mut single) = (Vec::new(), Vec::new(), Vec::new());
+        for lanes in [1, 10, 13] {
+            let vectors: Vec<Vec<f64>> = (0..lanes)
+                .map(|_| (0..n).map(|_| rng.gen::<f64>() - 0.5).collect())
+                .collect();
+            let block: Vec<f64> = (0..n * lanes)
+                .map(|k| vectors[k % lanes][k / lanes])
+                .collect();
+            for eps in [0.25, 1e-3] {
+                solver
+                    .try_solve_block_into(
+                        &mut net,
+                        &block,
+                        lanes,
+                        eps,
+                        &mut arena,
+                        &mut block_out,
+                        &mut stats,
+                    )
+                    .expect("valid right-hand sides");
+                for (j, b) in vectors.iter().enumerate() {
+                    let lane: Vec<f64> = block_out.iter().skip(j).step_by(lanes).copied().collect();
+                    let err = solver.relative_error(b, &lane);
+                    assert!(
+                        err <= eps * 1.05,
+                        "seed {seed}, {lanes} lanes, lane {j}, eps {eps}: error {err}"
+                    );
+                    let one = solver
+                        .try_solve_into(&mut net, b, eps, &mut arena, &mut single)
+                        .expect("a valid right-hand side");
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&lane),
+                        bits(&single),
+                        "seed {seed}, {lanes} lanes, lane {j}, eps {eps}"
+                    );
+                    assert_eq!(stats[j], one, "seed {seed}, {lanes} lanes, lane {j}");
+                }
+            }
+        }
+    }
+}
