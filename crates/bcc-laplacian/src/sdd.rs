@@ -496,4 +496,19 @@ mod tests {
         );
         assert_eq!(net.ledger().total_rounds(), 0);
     }
+
+    #[test]
+    fn a_nan_right_hand_side_is_a_typed_error_before_any_charge() {
+        let m = strictly_dominant(4, 9);
+        let mut net = Network::clique(ModelConfig::bcc(), 4);
+        for mode in [
+            SddSolveMode::ExactPreconditioner,
+            SddSolveMode::Full(SparsifierConfig::laboratory(8, 8, 0.5, 1)),
+        ] {
+            let err = solve_sdd(&mut net, &m, &[1.0, f64::NAN, 0.0, 2.0], 1e-6, &mode).unwrap_err();
+            assert_eq!(err, LaplacianError::MagnitudeOverflow);
+        }
+        assert_eq!(net.ledger().total_rounds(), 0);
+        assert_eq!(net.ledger().total_operations(), 0);
+    }
 }

@@ -310,7 +310,7 @@ impl LaplacianSolver {
     /// * [`LaplacianError::DimensionMismatch`] — `b` has the wrong length.
     /// * [`LaplacianError::MagnitudeOverflow`] — the broadcast range
     ///   `(‖b‖∞ + 1)·n·max_weight` of the mean-free `b` is not a finite
-    ///   `f64`.
+    ///   `f64`, which includes a `b` holding a NaN. Nothing is charged.
     pub fn try_solve(
         &self,
         net: &mut Network,
@@ -385,7 +385,8 @@ impl LaplacianSolver {
     /// * [`LaplacianError::DimensionMismatch`] — `b` does not hold
     ///   `n · lanes` entries.
     /// * [`LaplacianError::MagnitudeOverflow`] — the broadcast range of a
-    ///   lane is not a finite `f64`, as for [`LaplacianSolver::try_solve`].
+    ///   lane is not a finite `f64`, as for [`LaplacianSolver::try_solve`]
+    ///   (a NaN in any lane included). Nothing is charged for any lane.
     pub fn try_solve_block_into(
         &self,
         net: &mut Network,
@@ -460,7 +461,14 @@ impl LaplacianSolver {
             vector::remove_lane_means_in_place::<L>(staged);
         }
         // The widest lane bounds every lane's range; reject before charging.
-        let block_norm = rhs.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        // Unlike `f64::max`, the fold keeps a NaN, which fails the check.
+        let block_norm = rhs.iter().fold(0.0f64, |acc, v| {
+            if v.is_nan() || v.abs() > acc {
+                v.abs()
+            } else {
+                acc
+            }
+        });
         if !((block_norm + 1.0) * (n as f64) * self.max_weight).is_finite() {
             return Err(LaplacianError::MagnitudeOverflow);
         }
@@ -698,5 +706,72 @@ mod tests {
             solver.try_solve(&mut net, &[0.0; 5], 0.9).unwrap_err(),
             LaplacianError::InvalidEpsilon { epsilon: 0.9 }
         );
+    }
+
+    #[test]
+    fn a_nan_right_hand_side_is_rejected_before_any_charge() {
+        // `f64::max` drops NaN, so a range check built on it alone would
+        // pass a NaN right-hand side on to an all-NaN "solution".
+        let g = generators::grid(3, 3);
+        let mut net = bcc_net(g.n());
+        let solver = LaplacianSolver::try_preprocess(
+            &mut net,
+            &g,
+            &SparsifierConfig::laboratory(g.n(), g.m(), 0.5, 7)
+                .with_t(6)
+                .with_k(2),
+        )
+        .expect("a connected graph");
+        let mut b = random_rhs(g.n(), 3);
+        b[4] = f64::NAN;
+        let mut net = bcc_net(g.n());
+        assert_eq!(
+            solver.try_solve(&mut net, &b, 0.1).unwrap_err(),
+            LaplacianError::MagnitudeOverflow
+        );
+        assert_eq!(net.ledger().total_rounds(), 0);
+
+        // One NaN in lane 11 of 13: the second group of ten, so the check
+        // must cover every group before the first lane is charged.
+        let lanes = 13;
+        let mut block = vec![0.0; g.n() * lanes];
+        for lane in 0..lanes {
+            for (i, v) in random_rhs(g.n(), 10 + lane as u64).into_iter().enumerate() {
+                block[i * lanes + lane] = v;
+            }
+        }
+        block[5 * lanes + 11] = f64::NAN;
+        let (mut out, mut stats) = (Vec::new(), Vec::new());
+        assert_eq!(
+            solver
+                .try_solve_block_into(
+                    &mut net,
+                    &block,
+                    lanes,
+                    0.1,
+                    &mut ScratchArena::new(),
+                    &mut out,
+                    &mut stats,
+                )
+                .unwrap_err(),
+            LaplacianError::MagnitudeOverflow
+        );
+        assert!(stats.is_empty());
+        assert_eq!(net.ledger().total_rounds(), 0);
+
+        // Finite input still solves.
+        block[5 * lanes + 11] = 0.0;
+        solver
+            .try_solve_block_into(
+                &mut net,
+                &block,
+                lanes,
+                0.1,
+                &mut ScratchArena::new(),
+                &mut out,
+                &mut stats,
+            )
+            .expect("a finite block");
+        assert_eq!(stats.len(), lanes);
     }
 }

@@ -414,6 +414,38 @@ fn garbage_input_yields_typed_faults_not_hangs() {
 }
 
 #[test]
+fn an_unterminated_long_string_is_a_prompt_malformed_fault() {
+    // The daemon decodes every frame before it checks anything else, so a
+    // first frame holding a 4 MiB string that never ends must cost it time
+    // linear in its length. A decoder quadratic in that length would keep the
+    // handler busy for hours; the bounded waits make such a decoder fail this
+    // test instead of hanging it.
+    let dir = test_dir("long-string");
+    let guard = spawn_daemon(&dir, &[]);
+    let mut stream = raw_connect(&guard);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut frame = br#"{"Hello":{"schema":""#.to_vec();
+    frame.resize(frame.len() + (4 << 20), b'a');
+    write_frame(&mut stream, &frame).unwrap();
+    let payload = read_frame(&mut stream)
+        .expect("a fault within 5 s")
+        .expect("fault reply");
+    match bcc_client::wire::decode_msg::<ServerMsg>(&payload).unwrap() {
+        ServerMsg::Fault { fault } => assert_eq!(fault.code, "malformed"),
+        other => panic!("expected malformed fault, got {other:?}"),
+    }
+
+    let client = connect(&guard, "after-long-string").expect("daemon still serving");
+    client.shutdown().expect("drained report");
+    guard.wait();
+}
+
+#[test]
 fn twenty_handshakes_are_answered_without_waiting_out_a_poll() {
     let dir = test_dir("handshakes");
     let guard = spawn_daemon(&dir, &[]);

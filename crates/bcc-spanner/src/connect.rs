@@ -5,7 +5,8 @@
 //! candidates in increasing order of edge weight (ties broken towards smaller
 //! identifiers) and samples each edge in turn: the first edge whose sample
 //! succeeds is the connection, every edge sampled *before* it is now known not
-//! to exist and is returned in `N⁻`.
+//! to exist and belongs to `N⁻`, the prefix of the sorted candidates that
+//! [`connect`] leaves before the position it returns.
 //!
 //! The crucial property exploited by the paper is that the outcome of the
 //! sampling is *deducible by the other endpoint* from the broadcast `v` makes
@@ -27,17 +28,6 @@ pub struct Candidate {
     pub probability: f64,
 }
 
-/// Result of one `Connect` call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConnectOutcome {
-    /// The accepted candidate, or `None` (the paper's `⊥`) if every sample
-    /// failed or the candidate set was empty.
-    pub accepted: Option<Candidate>,
-    /// Candidates whose samples failed before the accepted one — these edges
-    /// are now known not to exist (they join `F⁻`).
-    pub rejected: Vec<Candidate>,
-}
-
 /// The sort order used by `Connect`: ascending weight, ties broken by the
 /// smaller neighbor identifier first.
 pub fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
@@ -49,24 +39,17 @@ pub fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
 
 /// Runs `Connect(N, p)` for one vertex using its private randomness.
 ///
-/// Candidates may be passed in any order; they are sorted internally.
-pub fn connect(mut candidates: Vec<Candidate>, rng: &mut impl Rng) -> ConnectOutcome {
+/// Sorts `candidates` in place into the scan order of [`candidate_order`]
+/// (stably, so parallel edges keep their given order) and samples them in
+/// turn. Returns the position of the first candidate whose sample succeeds,
+/// or `None` (the paper's `⊥`) if every sample failed or the set was empty.
+/// The candidates before that position — all of them on `None` — form
+/// `N⁻`: their edges are now known not to exist.
+pub fn connect(candidates: &mut [Candidate], rng: &mut impl Rng) -> Option<usize> {
     candidates.sort_by(candidate_order);
-    let mut rejected = Vec::new();
-    for candidate in candidates {
-        let r: f64 = rng.gen();
-        if r <= candidate.probability {
-            return ConnectOutcome {
-                accepted: Some(candidate),
-                rejected,
-            };
-        }
-        rejected.push(candidate);
-    }
-    ConnectOutcome {
-        accepted: None,
-        rejected,
-    }
+    candidates
+        .iter()
+        .position(|candidate| rng.gen::<f64>() <= candidate.probability)
 }
 
 /// The deduction rule the *other* endpoint applies after hearing `v`'s
@@ -126,62 +109,69 @@ mod tests {
     #[test]
     fn certain_edges_accept_the_lightest() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let out = connect(
-            vec![cand(5, 3.0, 1.0), cand(2, 1.0, 1.0), cand(9, 2.0, 1.0)],
-            &mut rng,
-        );
-        assert_eq!(out.accepted.unwrap().neighbor, 2);
-        assert!(out.rejected.is_empty());
+        let mut candidates = [cand(5, 3.0, 1.0), cand(2, 1.0, 1.0), cand(9, 2.0, 1.0)];
+        let accepted = connect(&mut candidates, &mut rng);
+        // Nothing is rejected: the accepted candidate leads the scan.
+        assert_eq!(accepted, Some(0));
+        assert_eq!(candidates[0].neighbor, 2);
     }
 
     #[test]
     fn ties_break_towards_smaller_id() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let out = connect(vec![cand(7, 1.0, 1.0), cand(3, 1.0, 1.0)], &mut rng);
-        assert_eq!(out.accepted.unwrap().neighbor, 3);
+        let mut candidates = [cand(7, 1.0, 1.0), cand(3, 1.0, 1.0)];
+        let accepted = connect(&mut candidates, &mut rng).unwrap();
+        assert_eq!(candidates[accepted].neighbor, 3);
     }
 
     #[test]
     fn empty_candidate_set_returns_bot() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let out = connect(Vec::new(), &mut rng);
-        assert_eq!(out.accepted, None);
-        assert!(out.rejected.is_empty());
+        assert_eq!(connect(&mut [], &mut rng), None);
     }
 
     #[test]
     fn zero_probability_edges_are_all_rejected() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let out = connect(vec![cand(1, 1.0, 0.0), cand(2, 2.0, 0.0)], &mut rng);
-        assert_eq!(out.accepted, None);
-        assert_eq!(out.rejected.len(), 2);
-        // Rejections appear in scan order.
-        assert_eq!(out.rejected[0].neighbor, 1);
-        assert_eq!(out.rejected[1].neighbor, 2);
+        let mut candidates = [cand(2, 2.0, 0.0), cand(1, 1.0, 0.0)];
+        assert_eq!(connect(&mut candidates, &mut rng), None);
+        // Every candidate is rejected, in scan order.
+        assert_eq!(candidates[0].neighbor, 1);
+        assert_eq!(candidates[1].neighbor, 2);
     }
 
     #[test]
     fn rejected_prefix_precedes_accepted_edge() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         // First candidate never exists, second always does.
-        let out = connect(vec![cand(1, 1.0, 0.0), cand(2, 2.0, 1.0)], &mut rng);
-        let accepted = out.accepted.unwrap();
-        assert_eq!(accepted.neighbor, 2);
-        assert_eq!(out.rejected.len(), 1);
-        assert!(candidate_order(&out.rejected[0], &accepted).is_lt());
+        let mut candidates = [cand(2, 2.0, 1.0), cand(1, 1.0, 0.0)];
+        let accepted = connect(&mut candidates, &mut rng).unwrap();
+        assert_eq!(accepted, 1);
+        assert_eq!(candidates[accepted].neighbor, 2);
+        assert!(candidate_order(&candidates[0], &candidates[accepted]).is_lt());
+    }
+
+    #[test]
+    fn parallel_edges_keep_their_order() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let edge = |edge: usize, probability: f64| Candidate {
+            neighbor: 4,
+            edge,
+            weight: 1.0,
+            probability,
+        };
+        let mut candidates = [edge(9, 0.0), edge(3, 1.0), edge(6, 1.0)];
+        assert_eq!(connect(&mut candidates, &mut rng), Some(1));
+        assert_eq!(candidates.map(|c| c.edge), [9, 3, 6]);
     }
 
     #[test]
     fn acceptance_rate_tracks_probability() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let trials = 4000;
-        let mut accepted = 0;
-        for _ in 0..trials {
-            let out = connect(vec![cand(1, 1.0, 0.25)], &mut rng);
-            if out.accepted.is_some() {
-                accepted += 1;
-            }
-        }
+        let accepted = (0..trials)
+            .filter(|_| connect(&mut [cand(1, 1.0, 0.25)], &mut rng).is_some())
+            .count();
         let rate = accepted as f64 / trials as f64;
         assert!((rate - 0.25).abs() < 0.03, "rate = {rate}");
     }

@@ -36,5 +36,5 @@ pub mod probabilistic;
 pub mod verify;
 
 pub use bundle::{bundle_spanner, BundleOutput};
-pub use connect::{connect, Candidate, ConnectOutcome, EdgeFate};
+pub use connect::{connect, Candidate, EdgeFate};
 pub use probabilistic::{baswana_sen_spanner, probabilistic_spanner, SpannerOutput, SpannerParams};

@@ -16,21 +16,30 @@
 //!
 //! ### Simulation fidelity
 //!
-//! The driver below keeps the cluster memberships and mark bits in plain
-//! arrays. This is faithful: every cluster change and every mark bit is
+//! The driver below keeps the cluster memberships in one array indexed by
+//! vertex and the mark bits and surviving clusters in flag arrays indexed by
+//! cluster id. This is faithful: every cluster change and every mark bit is
 //! broadcast by the algorithm (and charged below), so each vertex's local
 //! knowledge coincides with those arrays. Edge existence, on the other hand,
 //! is *never* centralised: it is decided by exactly one endpoint inside
 //! `Connect` and propagated only through the deduction rule, exactly as in
 //! the paper.
+//!
+//! A vertex's scan fills one buffer, reused across the whole call, with its
+//! candidate edges in incident-edge order. Where the step connects to each
+//! neighboring cluster, the buffer is stably sorted by (cluster id, weight,
+//! neighbor id), and `Connect` runs in place on each cluster's run in
+//! increasing cluster id. The vertex draws from its private randomness in
+//! exactly the order of one `Connect` call per cluster on that cluster's
+//! candidates.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bcc_graph::Graph;
 use bcc_runtime::{ceil_log2, payload, Network};
 use rand::Rng;
 
-use crate::connect::{connect, Candidate};
+use crate::connect::{candidate_order, connect, Candidate};
 
 /// Parameters of one spanner computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,42 +75,45 @@ impl SpannerOutput {
     }
 }
 
-/// Internal per-call state of the spanner computation.
+/// Internal per-call state of the spanner computation: the input and the
+/// edge sets sampled so far.
 struct SpannerState<'a> {
     graph: &'a Graph,
     weights: &'a [f64],
-    active: Vec<bool>,
+    p: &'a [f64],
+    active: &'a [bool],
     /// `F⁻` membership per edge.
     deleted: Vec<bool>,
-    /// `F⁺` membership per edge.
-    in_spanner: Vec<bool>,
-    added_by: BTreeMap<usize, usize>,
-    cluster_of: Vec<Option<usize>>,
-    n_pow: f64,
+    /// The vertex that added each `F⁺` edge; `None` outside `F⁺`.
+    added_by: Vec<Option<usize>>,
 }
 
-impl<'a> SpannerState<'a> {
-    /// Candidate edges from `v` towards vertices for which `filter` holds,
-    /// grouped per neighbor cluster.
-    fn candidates_by_cluster(
+impl SpannerState<'_> {
+    /// Refills `buffer` with the candidate edges of `v`, in incident-edge
+    /// order: its active edges not yet in `F⁻` whose other endpoint and
+    /// weight `admit` accepts.
+    fn scan(
         &self,
         v: usize,
-        p: &[f64],
-        mut filter: impl FnMut(usize, usize, f64) -> Option<usize>,
-    ) -> BTreeMap<usize, Vec<Candidate>> {
-        let mut by_cluster: BTreeMap<usize, Vec<Candidate>> = BTreeMap::new();
+        buffer: &mut Vec<Candidate>,
+        mut admit: impl FnMut(usize, f64) -> bool,
+    ) {
+        buffer.clear();
         for &e in self.graph.incident_edges(v) {
             if !self.active[e] || self.deleted[e] {
                 continue;
             }
-            let edge = self.graph.edge(e);
-            let u = edge.other(v);
+            let u = self.graph.edge(e).other(v);
             let w = self.weights[e];
-            if let Some(group) = filter(u, e, w) {
+            if admit(u, w) {
                 // Edges already known to exist are certain; others carry their
                 // maintained probability.
-                let probability = if self.in_spanner[e] { 1.0 } else { p[e] };
-                by_cluster.entry(group).or_default().push(Candidate {
+                let probability = if self.added_by[e].is_some() {
+                    1.0
+                } else {
+                    self.p[e]
+                };
+                buffer.push(Candidate {
                     neighbor: u,
                     edge: e,
                     weight: w,
@@ -109,22 +121,50 @@ impl<'a> SpannerState<'a> {
                 });
             }
         }
-        by_cluster
     }
 
-    fn accept(&mut self, v: usize, candidate: &Candidate) {
-        if !self.in_spanner[candidate.edge] {
-            self.in_spanner[candidate.edge] = true;
-            self.added_by.insert(candidate.edge, v);
-        }
-    }
-
-    fn reject(&mut self, candidates: &[Candidate]) {
-        for c in candidates {
-            if !self.in_spanner[c.edge] {
+    /// Runs `Connect` for `v` on `candidates` and records the outcome: the
+    /// candidates scanned before the accepted one join `F⁻`, the accepted one
+    /// joins `F⁺`. Returns the accepted candidate.
+    fn connect(
+        &mut self,
+        v: usize,
+        candidates: &mut [Candidate],
+        rng: &mut impl Rng,
+    ) -> Option<Candidate> {
+        let accepted = connect(candidates, rng);
+        for c in &candidates[..accepted.unwrap_or(candidates.len())] {
+            if self.added_by[c.edge].is_none() {
                 self.deleted[c.edge] = true;
             }
         }
+        let candidate = candidates[accepted?];
+        self.added_by[candidate.edge].get_or_insert(v);
+        Some(candidate)
+    }
+
+    /// Runs `Connect` for `v` once per neighboring cluster, in increasing
+    /// cluster id, on that cluster's candidates in `buffer`, and returns the
+    /// number of clusters (one broadcast each).
+    fn connect_per_cluster(
+        &mut self,
+        v: usize,
+        buffer: &mut [Candidate],
+        cluster_of: &[Option<usize>],
+        rng: &mut impl Rng,
+    ) -> usize {
+        let cluster = |c: &Candidate| cluster_of[c.neighbor];
+        buffer.sort_by(|a, b| {
+            cluster(a)
+                .cmp(&cluster(b))
+                .then_with(|| candidate_order(a, b))
+        });
+        let mut clusters = 0;
+        for candidates in buffer.chunk_by_mut(|a, b| cluster(a) == cluster(b)) {
+            self.connect(v, candidates, rng);
+            clusters += 1;
+        }
+        clusters
     }
 }
 
@@ -184,27 +224,28 @@ pub fn probabilistic_spanner(
     let mut state = SpannerState {
         graph,
         weights,
-        active: active.to_vec(),
+        p,
+        active,
         deleted: vec![false; graph.m()],
-        in_spanner: vec![false; graph.m()],
-        added_by: BTreeMap::new(),
-        cluster_of: (0..n).map(Some).collect(),
-        n_pow: (n as f64).powf(-1.0 / params.k as f64),
+        added_by: vec![None; graph.m()],
     };
+    let n_pow = (n as f64).powf(-1.0 / params.k as f64);
     let mut rngs: Vec<_> = (0..n)
         .map(|v| bcc_runtime::vertex_rng(params.seed, v))
         .collect();
-    let mut clusters_alive: BTreeSet<usize> = (0..n).collect();
+    // Cluster ids are the ids of the cluster centers.
+    let mut cluster_of: Vec<Option<usize>> = (0..n).map(Some).collect();
+    let mut alive = vec![true; n];
+    let mut marked = vec![false; n];
+    let mut buffer = Vec::new();
 
     net.begin_phase("spanner");
 
     for _phase in 1..params.k {
         // ---- Step 1: cluster marking --------------------------------------
-        let marked: BTreeSet<usize> = clusters_alive
-            .iter()
-            .copied()
-            .filter(|&center| rngs[center].gen::<f64>() < state.n_pow)
-            .collect();
+        for center in 0..n {
+            marked[center] = alive[center] && rngs[center].gen::<f64>() < n_pow;
+        }
         // The center broadcasts the mark along the cluster tree (depth ≤ k−1)
         // and every clustered vertex announces (cluster id, mark bit) so that
         // neighbors can classify their incident clusters.
@@ -219,35 +260,26 @@ pub fn probabilistic_spanner(
         // which `v` joined a marked cluster; step 3 only considers edges that
         // are lexicographically smaller (the Baswana–Sen tie-break).
         let mut w_threshold = vec![(f64::INFINITY, usize::MAX); n];
-        let mut next_cluster: Vec<Option<usize>> = state.cluster_of.clone();
+        let mut next_cluster = cluster_of.clone();
         let mut step2_messages = vec![0usize; n];
         for v in 0..n {
-            let Some(cluster_v) = state.cluster_of[v] else {
+            let Some(cluster_v) = cluster_of[v] else {
                 continue;
             };
-            if marked.contains(&cluster_v) {
+            if marked[cluster_v] {
                 continue;
             }
-            // Candidates: neighbors lying in marked clusters.
-            let groups = state.candidates_by_cluster(v, p, |u, _e, _w| {
-                state.cluster_of[u]
-                    .filter(|c| marked.contains(c))
-                    .map(|_| 0usize)
+            // Candidates: neighbors lying in marked clusters, as one set.
+            state.scan(v, &mut buffer, |u, _w| {
+                cluster_of[u].is_some_and(|c| marked[c])
             });
-            let candidates = groups.into_values().next().unwrap_or_default();
             step2_messages[v] = 1;
-            let outcome = connect(candidates, &mut rngs[v]);
-            state.reject(&outcome.rejected);
-            match outcome.accepted {
+            match state.connect(v, &mut buffer, &mut rngs[v]) {
                 Some(candidate) => {
-                    state.accept(v, &candidate);
                     w_threshold[v] = (candidate.weight, candidate.neighbor);
-                    next_cluster[v] = state.cluster_of[candidate.neighbor];
+                    next_cluster[v] = cluster_of[candidate.neighbor];
                 }
-                None => {
-                    w_threshold[v] = (f64::INFINITY, usize::MAX);
-                    next_cluster[v] = None;
-                }
+                None => next_cluster[v] = None,
             }
         }
         net.share_varying(&step2_messages, message_bits);
@@ -256,18 +288,17 @@ pub fn probabilistic_spanner(
         for smaller_ids in [true, false] {
             let mut step3_messages = vec![0usize; n];
             for v in 0..n {
-                let Some(cluster_v) = state.cluster_of[v] else {
+                let Some(cluster_v) = cluster_of[v] else {
                     continue;
                 };
-                if marked.contains(&cluster_v) {
+                if marked[cluster_v] {
                     continue;
                 }
                 let (threshold_weight, threshold_id) = w_threshold[v];
-                let groups = state.candidates_by_cluster(v, p, |u, _e, w| {
-                    let cu = state.cluster_of[u]?;
-                    if marked.contains(&cu) || cu == cluster_v {
-                        return None;
-                    }
+                state.scan(v, &mut buffer, |u, w| {
+                    let Some(cu) = cluster_of[u] else {
+                        return false;
+                    };
                     let direction_ok = if smaller_ids {
                         cu < cluster_v
                     } else {
@@ -277,24 +308,18 @@ pub fn probabilistic_spanner(
                     // connection (strict, ties broken by neighbor id).
                     let lighter =
                         w < threshold_weight || (w == threshold_weight && u < threshold_id);
-                    (direction_ok && lighter).then_some(cu)
+                    !marked[cu] && direction_ok && lighter
                 });
-                step3_messages[v] = groups.len();
-                for (_cluster, candidates) in groups {
-                    let outcome = connect(candidates, &mut rngs[v]);
-                    state.reject(&outcome.rejected);
-                    if let Some(candidate) = outcome.accepted {
-                        state.accept(v, &candidate);
-                    }
-                }
+                step3_messages[v] =
+                    state.connect_per_cluster(v, &mut buffer, &cluster_of, &mut rngs[v]);
             }
             net.share_varying(&step3_messages, message_bits);
         }
 
         // ---- End of phase: new clusters take effect ------------------------
-        state.cluster_of = next_cluster;
-        clusters_alive = marked;
-        if clusters_alive.is_empty() {
+        cluster_of = next_cluster;
+        std::mem::swap(&mut alive, &mut marked);
+        if !alive.contains(&true) {
             // No cluster survived; remaining vertices finish in step 4.
             break;
         }
@@ -305,47 +330,37 @@ pub fn probabilistic_spanner(
     //      neighboring remaining cluster.
     // 4.2 / 4.3: vertices inside remaining clusters connect to neighboring
     //      remaining clusters with smaller / larger identifiers.
+    let remaining = |v: usize| cluster_of[v].filter(|&c| alive[c]);
     for (in_cluster, smaller_ids) in [(false, false), (true, true), (true, false)] {
         let mut messages = vec![0usize; n];
         for v in 0..n {
-            let my_cluster = state.cluster_of[v].filter(|c| clusters_alive.contains(c));
+            let my_cluster = remaining(v);
             if in_cluster != my_cluster.is_some() {
                 continue;
             }
-            let groups = state.candidates_by_cluster(v, p, |u, _e, _w| {
-                let cu = state.cluster_of[u]?;
-                if !clusters_alive.contains(&cu) {
-                    return None;
-                }
-                match my_cluster {
-                    None => Some(cu),
-                    Some(mine) => {
-                        if cu == mine {
-                            return None;
-                        }
-                        let direction_ok = if smaller_ids { cu < mine } else { cu > mine };
-                        direction_ok.then_some(cu)
+            state.scan(v, &mut buffer, |u, _w| match (remaining(u), my_cluster) {
+                (None, _) => false,
+                (Some(_), None) => true,
+                (Some(cu), Some(mine)) => {
+                    if smaller_ids {
+                        cu < mine
+                    } else {
+                        cu > mine
                     }
                 }
             });
-            messages[v] = groups.len();
-            for (_cluster, candidates) in groups {
-                let outcome = connect(candidates, &mut rngs[v]);
-                state.reject(&outcome.rejected);
-                if let Some(candidate) = outcome.accepted {
-                    state.accept(v, &candidate);
-                }
-            }
+            messages[v] = state.connect_per_cluster(v, &mut buffer, &cluster_of, &mut rngs[v]);
         }
         net.share_varying(&messages, message_bits);
     }
 
-    let f_plus: Vec<usize> = (0..graph.m()).filter(|&e| state.in_spanner[e]).collect();
-    let f_minus: Vec<usize> = (0..graph.m()).filter(|&e| state.deleted[e]).collect();
+    let added_by: BTreeMap<usize, usize> = (0..graph.m())
+        .filter_map(|e| Some((e, state.added_by[e]?)))
+        .collect();
     SpannerOutput {
-        f_plus,
-        f_minus,
-        added_by: state.added_by,
+        f_plus: added_by.keys().copied().collect(),
+        f_minus: (0..graph.m()).filter(|&e| state.deleted[e]).collect(),
+        added_by,
     }
 }
 

@@ -148,7 +148,8 @@ fn ad_hoc(
     let mut probability = vec![1.0f64; m];
     net.begin_phase("sparsifier");
 
-    let mut last_bundle: Vec<usize> = (0..m).collect();
+    // Membership in the latest bundle; with no iteration, E' is all of E.
+    let mut in_bundle = vec![true; m];
     for iteration in 0..config.iterations {
         let params = SpannerParams {
             k: config.k,
@@ -169,13 +170,16 @@ fn ad_hoc(
         for &e in &bundle.sampled_out {
             driver.active[e] = false;
         }
-        // Edges inside the bundle are now certain again.
-        let in_bundle: std::collections::BTreeSet<usize> = bundle.bundle.iter().copied().collect();
+        in_bundle.fill(false);
+        for &e in &bundle.bundle {
+            in_bundle[e] = true;
+        }
         for e in 0..m {
             if !driver.active[e] {
                 continue;
             }
-            if in_bundle.contains(&e) {
+            if in_bundle[e] {
+                // Edges inside the bundle are now certain again.
                 probability[e] = 1.0;
             } else {
                 probability[e] /= 4.0;
@@ -185,32 +189,28 @@ fn ad_hoc(
                 }
             }
         }
-        last_bundle = bundle.bundle;
     }
 
     // Final step: E' := B_last; every remaining active edge is sampled by its
     // lower-identifier endpoint with its maintained probability and broadcast
-    // if kept.
-    let in_last_bundle: std::collections::BTreeSet<usize> = last_bundle.iter().copied().collect();
+    // if kept. Bundle edges (all active) were added and broadcast by the
+    // spanner layers; they are attributed to their lower endpoint for the
+    // orientation report, and the spanner already charged their
+    // announcement.
     let mut kept: Vec<(usize, usize)> = Vec::new();
-    // Bundle edges were added (and broadcast) by the spanner layers; attribute
-    // them to their lower endpoint for the orientation report (the spanner
-    // already charged their announcement).
-    for &e in &last_bundle {
-        let edge = graph.edge(e);
-        kept.push((e, edge.u.min(edge.v)));
-    }
     let mut rngs: Vec<_> = (0..n)
         .map(|v| bcc_runtime::vertex_rng(config.seed ^ 0xF1A7_C0DE, v))
         .collect();
     let mut announce_counts = vec![0usize; n];
     for e in 0..m {
-        if !driver.active[e] || in_last_bundle.contains(&e) {
+        if !driver.active[e] {
             continue;
         }
         let edge = graph.edge(e);
         let owner = edge.u.min(edge.v);
-        if rngs[owner].gen::<f64>() < probability[e] {
+        if in_bundle[e] {
+            kept.push((e, owner));
+        } else if rngs[owner].gen::<f64>() < probability[e] {
             kept.push((e, owner));
             announce_counts[owner] += 1;
         }
@@ -220,7 +220,6 @@ fn ad_hoc(
     let id_bits = u64::from(ceil_log2(n.max(2) as u64));
     net.share_varying(&announce_counts, 2 * id_bits + weight_bits);
 
-    kept.sort_unstable_by_key(|&(e, _)| e);
     Ok(driver.finish(kept))
 }
 
@@ -258,11 +257,14 @@ pub fn sparsify_a_priori(
             params,
             config.t,
         );
-        let in_bundle: std::collections::BTreeSet<usize> = bundle.bundle.iter().copied().collect();
+        let mut in_bundle = vec![false; m];
+        for &e in &bundle.bundle {
+            in_bundle[e] = true;
+        }
         // E_i := B_i ∪ {sampled quarter of the rest}.
         let mut sample_counts = vec![0usize; n];
         for e in 0..m {
-            if !driver.active[e] || in_bundle.contains(&e) {
+            if !driver.active[e] || in_bundle[e] {
                 continue;
             }
             let edge = graph.edge(e);
@@ -278,12 +280,6 @@ pub fn sparsify_a_priori(
         // (legal in CONGEST, the very step that is infeasible under the
         // broadcast constraint).
         net.share_varying(&sample_counts, 1);
-        // Keep only bundle + surviving sampled edges active for the next round.
-        for e in 0..m {
-            if driver.active[e] && !in_bundle.contains(&e) {
-                // stays active (sampled and survived)
-            }
-        }
         if iteration + 1 == config.iterations {
             // Final edge set: bundle plus survivors.
             let kept: Vec<(usize, usize)> = (0..m)

@@ -8,14 +8,18 @@
 //! serving engines actually run. The Gram-oracle benchmark contrasts ten
 //! right-hand sides solved in lockstep against ten single solves. The
 //! LU-replay benchmark times the preconditioner solve alone, for one lane
-//! and for the ten-lane instance, on a sparse and a nearly dense factor. The cold-preprocessing benchmark times one
-//! Laplacian build at the session's sparsifier configuration, and the
-//! sparsifier alone on a graph it thins.
+//! and for the ten-lane instance, on a sparse and a nearly dense factor. The
+//! cold-preprocessing benchmark times one Laplacian build at the session's
+//! sparsifier configuration, and the sparsifier alone on the graph shape of a
+//! `served_mix` cache miss and on a graph it thins; the spanner benchmark
+//! times a Baswana–Sen spanner and one probabilistic spanner of the
+//! sparsifier's bundles.
 
 use bcc_core::graph::{generators, laplacian};
 use bcc_core::laplacian::{ScratchArena, SddMatrix};
 use bcc_core::linalg::{cg, chebyshev, vector, CsrMatrix, DenseMatrix, SolveScratch};
 use bcc_core::prelude::*;
+use bcc_core::spanner::probabilistic_spanner;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -267,13 +271,21 @@ fn bench_lu_replay(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Laplacian graph of a `served_mix` cache miss: a random connected
+/// graph on 100 vertices, drawn as `perfbench`'s rotating graphs are.
+fn served_mix_miss_graph() -> Graph {
+    generators::random_connected(100, 0.1, 8, &mut ChaCha8Rng::seed_from_u64(100))
+}
+
 fn bench_cold_preprocess(c: &mut Criterion) {
     // One cold Laplacian build as `Session::laplacian` runs it (sparsifier
     // at t = 6, k = 2, then the preconditioner's LU factors) on the 12×12
-    // grid and on a random connected graph drawn like `perfbench`'s heavy
-    // `solve_warm` graph: the sparsifier returns both unchanged, so neither
-    // needs the κ certificate. `complete(128)` times the sparsifier alone
-    // on a graph it thins.
+    // grid, on a random connected graph drawn like `perfbench`'s heavy
+    // `solve_warm` graph, and on one shaped like `served_mix`'s rotating
+    // graphs, whose every cache miss runs this build: the sparsifier returns
+    // all three unchanged, so none needs the κ certificate. The sparsifier
+    // alone is timed on the `served_mix` shape and on `complete(128)`, a
+    // graph it thins.
     const SEED: u64 = 2022;
     let session_config = |g: &Graph| {
         SparsifierConfig::laboratory(g.n(), g.m().max(2), 0.5, SEED)
@@ -287,6 +299,7 @@ fn bench_cold_preprocess(c: &mut Criterion) {
             "random_256",
             generators::random_connected(256, 0.05, 8, &mut rng),
         ),
+        ("random_100", served_mix_miss_graph()),
     ];
     let mut group = c.benchmark_group("cold_preprocess");
     group.sample_size(10);
@@ -300,14 +313,18 @@ fn bench_cold_preprocess(c: &mut Criterion) {
             })
         });
     }
-    let complete = generators::complete(128);
-    let config = session_config(&complete);
-    group.bench_function("complete_128/sparsify_ad_hoc", |bench| {
-        bench.iter(|| {
-            let mut net = Network::clique(ModelConfig::bcc(), complete.n());
-            sparsify_ad_hoc(&mut net, black_box(&complete), &config)
-        })
-    });
+    for (name, graph) in [
+        ("random_100", served_mix_miss_graph()),
+        ("complete_128", generators::complete(128)),
+    ] {
+        let config = session_config(&graph);
+        group.bench_function(format!("{name}/sparsify_ad_hoc"), |bench| {
+            bench.iter(|| {
+                let mut net = Network::clique(ModelConfig::bcc(), graph.n());
+                sparsify_ad_hoc(&mut net, black_box(&graph), &config)
+            })
+        });
+    }
     group.finish();
 }
 
@@ -321,6 +338,26 @@ fn bench_spanner(c: &mut Criterion) {
             let mut net =
                 Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists()).unwrap();
             baswana_sen_spanner(&mut net, black_box(&g), SpannerParams { k: 3, seed: 19 })
+        })
+    });
+    // One spanner of the sparsifier's bundles on the `served_mix` miss graph:
+    // k = 2 with every edge at probability ½, so `Connect` samples edges out.
+    let g = served_mix_miss_graph();
+    let weights: Vec<f64> = g.edges().iter().map(|e| e.weight).collect();
+    let half = vec![0.5; g.m()];
+    let active = vec![true; g.m()];
+    group.bench_function("random_100/probabilistic_k2", |bench| {
+        bench.iter(|| {
+            let mut net =
+                Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists()).unwrap();
+            probabilistic_spanner(
+                &mut net,
+                black_box(&g),
+                &weights,
+                &half,
+                &active,
+                SpannerParams { k: 2, seed: 19 },
+            )
         })
     });
     group.finish();

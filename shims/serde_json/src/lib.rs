@@ -141,12 +141,16 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input; valid UTF-8, so a cut before an ASCII byte falls on a
+    /// character boundary.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value_str(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -322,12 +326,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty string");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash at once.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -391,6 +396,41 @@ mod tests {
         let json = to_string(&original).unwrap();
         assert_eq!(from_str::<String>(&json).unwrap(), original);
         assert_eq!(from_str::<String>(r#""Aé""#).unwrap(), "Aé");
+    }
+
+    #[test]
+    fn multi_byte_and_escaped_strings_round_trip() {
+        for original in [
+            "",
+            "é",
+            "\\",
+            "\"\"",
+            "naïve café — 数学 🦀",
+            "🦀\\\"🦀\n\u{1}\t中",
+            "tail ends in a multi-byte char: ß",
+        ] {
+            let json = to_string(&original).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), original, "{json}");
+        }
+        assert_eq!(
+            from_str::<String>(r#""\u00e9\/\b\f x\u4e2d""#).unwrap(),
+            "é/\u{8}\u{c} x中"
+        );
+        assert!(from_str::<String>("\"é").is_err());
+        assert!(from_str::<String>("\"\\é\"").is_err());
+        assert!(from_str::<String>("\"\\u00é\"").is_err());
+    }
+
+    #[test]
+    fn a_long_string_decodes_in_linear_time() {
+        // A decoder quadratic in the string's length takes seconds here.
+        let original = "ab\\\"é".repeat(1 << 18);
+        assert!(original.len() >= 1 << 20);
+        let json = to_string(&original).unwrap();
+        let start = std::time::Instant::now();
+        assert_eq!(from_str::<String>(&json).unwrap(), original);
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "decoding took {elapsed:?}");
     }
 
     #[test]

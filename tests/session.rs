@@ -194,6 +194,31 @@ fn nan_demand_vector_is_rejected_not_solved() {
 }
 
 #[test]
+fn nan_right_hand_side_is_rejected_before_any_solve_round() {
+    use bcc_core::laplacian::LaplacianError::MagnitudeOverflow;
+    let session = Session::new();
+    let grid = generators::grid(3, 3);
+    let mut b = vec![0.0; 9];
+    b[0] = 1.0;
+    b[4] = f64::NAN;
+    for exact in [false, true] {
+        let request = session.laplacian(&grid);
+        let request = if exact {
+            request.exact_preconditioner()
+        } else {
+            request
+        };
+        let mut prepared = request.preprocess().unwrap();
+        assert!(
+            matches!(prepared.solve(&b), Err(Error::Laplacian(MagnitudeOverflow))),
+            "exact: {exact}"
+        );
+        assert_eq!(prepared.solves(), 0);
+        assert_eq!(prepared.report(), prepared.preprocessing_report());
+    }
+}
+
+#[test]
 fn right_hand_sides_and_weights_near_f64_max_return_typed_errors() {
     use bcc_core::laplacian::LaplacianError::MagnitudeOverflow;
     let session = Session::new();
