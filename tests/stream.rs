@@ -9,7 +9,9 @@ use std::collections::HashMap;
 
 use bcc_core::cache::Lru;
 use bcc_core::prelude::*;
-use bcc_core::stream::{PreprocessingCost, RequestCost, StreamEngine, StreamReport, Ticket};
+use bcc_core::stream::{
+    PreprocessingCost, RequestCost, StreamClient, StreamEngine, StreamReport, Ticket,
+};
 use bcc_core::{graph::generators, CacheStats, Error, Request, Response};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -1344,6 +1346,170 @@ fn wait_timeout_returns_a_typed_error_and_keeps_the_ticket_redeemable() {
     assert_results_match(&output.value, &reference);
     assert!(output.uncollected.is_empty());
     assert_eq!(output.report.failures, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Collection: each result leaves the scope once, through `poll`, `wait` or
+// `wait_timeout`, or at the drain in `uncollected`; which of them takes it
+// never changes the report.
+// ---------------------------------------------------------------------------
+
+/// Submits six requests whose outcomes a frozen [`VirtualClock`] fixes:
+/// index 0 expires in the queue (a zero deadline, admitted before any
+/// completion could calibrate deadline admission), index 2 fails on a
+/// disconnected graph, and the other four succeed.
+fn submit_collection_workload(client: &StreamClient<'_>) -> Vec<Ticket> {
+    let grid = generators::grid(4, 4);
+    let mut b1 = vec![0.0; grid.n()];
+    b1[0] = 1.0;
+    b1[15] = -1.0;
+    let mut b2 = vec![0.0; grid.n()];
+    b2[3] = 1.0;
+    b2[12] = -1.0;
+    let disconnected = Graph::from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]);
+    let doomed = client
+        .submit_with_deadline(
+            Request::laplacian(grid.clone(), b1.clone()),
+            Priority::Interactive,
+            std::time::Duration::ZERO,
+        )
+        .unwrap();
+    let rest = [
+        (Request::laplacian(grid.clone(), b1), Priority::Bulk),
+        (
+            Request::laplacian(disconnected, vec![0.0; 4]),
+            Priority::Interactive,
+        ),
+        (
+            Request::sparsify(generators::complete(10), 0.5),
+            Priority::Bulk,
+        ),
+        (Request::laplacian(grid, b2), Priority::Bulk),
+        (
+            Request::sparsify(generators::grid(3, 4), 0.9),
+            Priority::Interactive,
+        ),
+    ];
+    let mut tickets = vec![doomed];
+    tickets.extend(
+        rest.into_iter()
+            .map(|(request, priority)| client.submit(request, priority).unwrap()),
+    );
+    tickets
+}
+
+/// An engine on a frozen [`VirtualClock`], so that the zero deadline of
+/// [`submit_collection_workload`] expires on every run.
+fn frozen_engine() -> StreamEngine {
+    StreamEngine::builder()
+        .seed(MASTER_SEED)
+        .workers(2)
+        .clock(std::sync::Arc::new(VirtualClock::new()))
+        .build()
+}
+
+#[test]
+#[should_panic(expected = "already collected")]
+fn a_second_wait_on_a_collected_ticket_panics() {
+    let mut engine = StreamEngine::builder().seed(MASTER_SEED).workers(2).build();
+    engine.serve(|client| {
+        let ticket = client
+            .submit(
+                Request::sparsify(generators::grid(3, 4), 0.9),
+                Priority::Bulk,
+            )
+            .unwrap();
+        assert!(client.wait(ticket).is_ok());
+        // The result is gone; waiting again would otherwise block forever.
+        let _ = client.wait(ticket);
+    });
+}
+
+#[test]
+fn poll_after_collection_returns_none() {
+    let mut engine = StreamEngine::builder().seed(MASTER_SEED).workers(2).build();
+    let output = engine.serve(|client| {
+        let submit = || {
+            client
+                .submit(
+                    Request::sparsify(generators::grid(3, 4), 0.9),
+                    Priority::Bulk,
+                )
+                .unwrap()
+        };
+        let waited = submit();
+        assert!(client.wait(waited).is_ok());
+        assert!(client.poll(waited).is_none(), "collected by wait");
+
+        let polled = submit();
+        let result = loop {
+            match client.poll(polled) {
+                Some(result) => break result,
+                None => std::thread::sleep(std::time::Duration::from_millis(1)),
+            }
+        };
+        assert!(result.is_ok());
+        assert!(client.poll(polled).is_none(), "collected by poll");
+    });
+    assert!(output.uncollected.is_empty());
+    assert_eq!(output.report.requests, 2);
+}
+
+#[test]
+fn uncollected_holds_exactly_the_indices_nobody_collected_in_index_order() {
+    let mut engine = frozen_engine();
+    let output = engine.serve(|client| {
+        let tickets = submit_collection_workload(client);
+        // Collect 1, 3 and 5, each by a different path, in no index order.
+        assert!(client.wait(tickets[3]).is_ok());
+        assert!(client
+            .wait_timeout(tickets[1], std::time::Duration::from_secs(600))
+            .is_ok());
+        let polled = loop {
+            match client.poll(tickets[5]) {
+                Some(result) => break result,
+                None => std::thread::sleep(std::time::Duration::from_millis(1)),
+            }
+        };
+        assert!(polled.is_ok());
+    });
+    let indices: Vec<u64> = output.uncollected.iter().map(|(i, _)| *i).collect();
+    assert_eq!(indices, [0, 2, 4]);
+    assert!(matches!(
+        output.uncollected[0].1,
+        Err(Error::DeadlineExceeded { .. })
+    ));
+    assert!(matches!(
+        output.uncollected[1].1,
+        Err(Error::Laplacian(
+            bcc_core::laplacian::LaplacianError::Disconnected
+        ))
+    ));
+    assert!(output.uncollected[2].1.is_ok());
+    assert_eq!(output.report.requests, 6);
+    assert_eq!(output.report.expired, 1);
+    assert_eq!(output.report.failures, 2);
+}
+
+#[test]
+fn collecting_only_some_tickets_leaves_the_report_unchanged() {
+    let serve = |collect: &[usize]| {
+        let mut engine = frozen_engine();
+        let output = engine.serve(|client| {
+            let tickets = submit_collection_workload(client);
+            for &k in collect {
+                let _ = client.wait(tickets[k]);
+            }
+        });
+        assert_eq!(output.uncollected.len(), 6 - collect.len());
+        output.report
+    };
+    let all = serve(&[0, 1, 2, 3, 4, 5]);
+    assert_eq!(all.requests, 6);
+    assert_eq!(all.expired, 1);
+    assert_eq!(all.failures, 2);
+    assert_eq!(serve(&[4, 0, 2]), all);
+    assert_eq!(serve(&[]), all);
 }
 
 #[test]
