@@ -28,6 +28,8 @@
 //! The daemon polls nothing: it accepts in blocking mode, each
 //! connection's handler blocks in its read, and the daemon keeps a
 //! duplicate of every live connection so that shutdown can wake them.
+//! Writes are bounded instead: a write to a client that makes no progress
+//! for [`WRITE_DEADLINE`] fails, and the daemon drops that connection.
 //!
 //! Shutdown is graceful: on [`ClientMsg::Shutdown`] the daemon stops
 //! accepting connections and wakes every other open connection at once,
@@ -58,8 +60,16 @@ use bcc_core::tenant::{TenantAccounts, TenantConfig, TenantDirectory};
 use bcc_core::Request;
 
 /// How long the accept loop waits after a failed `accept` (out of
-/// descriptors, say) before it tries again. The only timer in the daemon.
+/// descriptors, say) before it tries again.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long one write to a client may make no progress before it fails
+/// and the daemon drops the connection. Shutdown wakes a handler blocked in
+/// its read, but not one blocked writing a reply that its client never
+/// reads (a Chrome trace larger than the socket buffer, say), and shutdown
+/// joins every handler. The final `Report` goes out through the same
+/// socket, so it is bounded too.
+const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
 struct Options {
     socket: PathBuf,
@@ -233,10 +243,12 @@ fn run(options: Options) -> Result<(), String> {
             let mut failing = false;
             while !daemon.shutting_down() {
                 // Each connection holds two descriptors: the handler's and
-                // the duplicate registered for shutdown.
-                let accepted = listener
-                    .accept()
-                    .and_then(|(stream, _)| Ok((stream.try_clone()?, stream)));
+                // the duplicate registered for shutdown. They share one
+                // socket, and with it the write deadline.
+                let accepted = listener.accept().and_then(|(stream, _)| {
+                    stream.set_write_timeout(Some(WRITE_DEADLINE))?;
+                    Ok((stream.try_clone()?, stream))
+                });
                 let (registered, stream) = match accepted {
                     Ok(pair) => pair,
                     // The shutdown wake-up surfaces here as an error.

@@ -414,6 +414,65 @@ fn garbage_input_yields_typed_faults_not_hangs() {
 }
 
 #[test]
+fn shutdown_answers_while_a_client_never_reads_its_reply() {
+    let dir = test_dir("never-reads");
+    let guard = spawn_daemon(&dir, &[]);
+
+    // Five hundred warm solves make the engine's Chrome trace about 0.5 MB.
+    let mut client = connect(&guard, "reader").expect("handshake");
+    let grid = generators::grid(4, 4);
+    for k in 0..500 {
+        let mut b = vec![0.0; grid.n()];
+        b[k % 16] += 1.0;
+        b[15 - k % 16] -= 1.0;
+        let request =
+            WireRequest::from_request(&Request::laplacian(grid.clone(), b)).expect("expressible");
+        let ticket = client.submit(request).expect("admit");
+        client.wait(ticket).expect("complete");
+    }
+
+    // Another client asks for the trace and reads only its length prefix.
+    // The reply is larger than the socket buffer (208 KiB by default on
+    // Linux), so its handler is still writing it when shutdown starts.
+    let mut silent = raw_connect(&guard);
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    send_msg(
+        &mut silent,
+        &ClientMsg::Hello {
+            schema: WIRE_SCHEMA.to_string(),
+            tenant: "silent".to_string(),
+        },
+    )
+    .unwrap();
+    match recv_msg::<ServerMsg>(&mut silent) {
+        Ok(ServerMsg::Hello { .. }) => {}
+        other => panic!("expected a handshake, got {other:?}"),
+    }
+    send_msg(&mut silent, &ClientMsg::ChromeTrace).unwrap();
+    let mut prefix = [0u8; 4];
+    silent
+        .read_exact(&mut prefix)
+        .expect("the trace reply starts within 10 s");
+    let len = u32::from_be_bytes(prefix);
+    assert!(len > 256 << 10, "a {len}-byte trace fits the socket buffer");
+
+    let (done, report) = mpsc::channel();
+    let requester = std::thread::spawn(move || {
+        let _ = done.send(client.shutdown());
+    });
+    let report = report
+        .recv_timeout(Duration::from_secs(10))
+        .expect("no final report within 10 s of shutdown")
+        .expect("drained report");
+    assert_eq!(report.requests, 500);
+    requester.join().expect("shutdown requester");
+    guard.wait();
+    drop(silent);
+}
+
+#[test]
 fn an_unterminated_long_string_is_a_prompt_malformed_fault() {
     // The daemon decodes every frame before it checks anything else, so a
     // first frame holding a 4 MiB string that never ends must cost it time
