@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use bcc_graph::GraphFingerprint;
-use bcc_runtime::RoundReport;
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostDims, CostKind, CostModel};
@@ -136,10 +135,17 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     }
 }
 
-/// A cache entry: the prepared handle (or the typed preprocessing error,
-/// which is served to every request on that graph) plus its preprocessing
-/// cost snapshot.
-pub(crate) type CacheEntry = (Result<PreparedLaplacian, Error>, RoundReport);
+/// A cache entry: the prepared handle, or the typed preprocessing error,
+/// which is served to every request on that graph.
+pub(crate) type CacheEntry = Result<PreparedLaplacian, Error>;
+
+/// The rounds a cache entry's preprocessing charged; a failed build charged
+/// none.
+pub(crate) fn preprocessing_rounds(entry: &CacheEntry) -> u64 {
+    entry
+        .as_ref()
+        .map_or(0, |prepared| prepared.preprocessing_report().total_rounds)
+}
 
 /// Serializable counters of a Laplacian cache, surfaced in
 /// [`crate::stream::StreamReport`].
@@ -380,10 +386,10 @@ impl LaplacianCache {
                     .prior_estimate(CostKind::LaplacianPreprocess, dims),
                 Ordering::Relaxed,
             );
-            self.rebuild_actual
-                .fetch_add(entry.1.total_rounds, Ordering::Relaxed);
+            let rounds = preprocessing_rounds(&entry);
+            self.rebuild_actual.fetch_add(rounds, Ordering::Relaxed);
             self.cost
-                .observe(CostKind::LaplacianPreprocess, dims, entry.1.total_rounds);
+                .observe(CostKind::LaplacianPreprocess, dims, rounds);
             let evicted = self.lru().insert(key, Arc::clone(&entry)).len() as u64;
             if evicted > 0 {
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -423,14 +429,11 @@ mod tests {
     }
 
     fn entry_for(seed: u64, graph: &bcc_graph::Graph) -> CacheEntry {
-        let session = Session::builder().seed(seed).build();
-        match session.laplacian(graph).preprocess() {
-            Ok(prepared) => {
-                let report = prepared.preprocessing_report().clone();
-                (Ok(prepared), report)
-            }
-            Err(e) => (Err(e), RoundReport::default()),
-        }
+        Session::builder()
+            .seed(seed)
+            .build()
+            .laplacian(graph)
+            .preprocess()
     }
 
     #[test]
@@ -497,7 +500,8 @@ mod tests {
         let (rebuilt, built) = get_or_build_for(&cache, &a, || entry_for(1, &a));
         assert!(built);
         let (original, _) = get_or_build_for(&cache, &a, || entry_for(1, &a));
-        assert_eq!(rebuilt.1, original.1);
+        let report = |entry: &CacheEntry| entry.as_ref().unwrap().preprocessing_report().clone();
+        assert_eq!(report(&rebuilt), report(&original));
         assert!(!cache.contains(fb));
         assert_eq!(cache.len(), 1);
     }

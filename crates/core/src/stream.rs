@@ -149,6 +149,18 @@
 //! come back in [`StreamOutput::uncollected`]. The aggregated
 //! [`StreamReport`] always covers *every* admitted submission.
 //!
+//! # One slot per submission
+//!
+//! A serve scope keeps what it knows about each admitted submission in one
+//! slot, at the submission's index: admission records the request's kind,
+//! class, fingerprint and cost profile, and the worker that runs it (or the
+//! expiry sweep) records how it ended. Results wait in a table of their
+//! own until a ticket collects them, so a ticket whose slot is complete and
+//! whose result is gone was collected. After the drain, one pass over the
+//! slots in index order folds them into the [`StreamReport`], the latency
+//! percentiles and the calibration replay, which is why none of them
+//! depends on completion order.
+//!
 //! # Example
 //!
 //! ```
@@ -183,7 +195,7 @@
 //! assert!(output.uncollected.is_empty());
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -195,13 +207,12 @@ use bcc_laplacian::ScratchArena;
 use bcc_runtime::{ModelConfig, RoundReport};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::CacheStats;
+use crate::cache::{preprocessing_rounds, CacheStats, LaplacianCache};
 use crate::clock::{Clock, SystemClock};
 use crate::config::{ClassEntry, ConfigError, EngineConfig};
 use crate::cost::{CalibrationCell, CostDims, CostKind, CostModel};
 use crate::error::Error;
 use crate::latency::{ClassLatency, LatencyPercentiles, LatencyReport};
-use crate::serve::{EngineCore, RequestRecord};
 use crate::session::{Outcome, Session};
 use crate::telemetry::{EngineCounters, MetricsSnapshot, TelemetrySink, TraceEvent, NO_REQUEST};
 use crate::wfq::{WfqJob, WfqQueue};
@@ -613,16 +624,20 @@ impl StreamEngineBuilder {
             entry.rate_limit = entry.rate_limit.map(RateLimit::clamped);
         }
         classes.sort_by_key(|entry| entry.class.key());
+        let cost = self
+            .cost_model
+            .unwrap_or_else(|| Arc::new(CostModel::new()));
         StreamEngine {
-            core: EngineCore::new(
-                self.config.model,
-                self.config.seed,
-                self.config.epsilon,
+            model: self.config.model,
+            seed: self.config.seed,
+            epsilon: self.config.epsilon,
+            cache: LaplacianCache::new(
                 self.config.cache_capacity,
-                self.cost_model
-                    .unwrap_or_else(|| Arc::new(CostModel::new())),
-                self.telemetry,
+                Arc::clone(&cost),
+                &self.telemetry,
             ),
+            cost,
+            telemetry: self.telemetry,
             min_workers,
             max_workers,
             queue_capacity: self.config.queue_capacity,
@@ -642,7 +657,18 @@ impl StreamEngineBuilder {
 /// discipline and the determinism contract.
 #[derive(Debug)]
 pub struct StreamEngine {
-    core: EngineCore,
+    model: ModelConfig,
+    seed: u64,
+    epsilon: f64,
+    cache: LaplacianCache,
+    /// The unified cost model: calibrated by completions (and cache
+    /// builds), consulted by the scheduler, deadline admission and the
+    /// elastic pool.
+    cost: Arc<CostModel>,
+    /// Disabled by default, in which case every emission site is a single
+    /// `Option` check. Telemetry is write-only: nothing on the result or
+    /// accounting path reads it.
+    telemetry: TelemetrySink,
     /// Elastic pool bounds; a fixed pool has `min_workers == max_workers`.
     min_workers: usize,
     max_workers: usize,
@@ -674,7 +700,7 @@ impl StreamEngine {
 
     /// The master seed.
     pub fn seed(&self) -> u64 {
-        self.core.seed
+        self.seed
     }
 
     /// The worker-thread count: the number of threads a serve scope spawns.
@@ -703,7 +729,7 @@ impl StreamEngine {
     /// The engine's shared cost model — calibrated by completions, consulted
     /// by the scheduler, deadline admission and the elastic pool.
     pub fn cost_model(&self) -> &CostModel {
-        &self.core.cost
+        &self.cost
     }
 
     /// The engine's telemetry sink (disabled unless one was attached with
@@ -711,7 +737,7 @@ impl StreamEngine {
     /// and tracer, so a caller can export metrics and traces after (or
     /// during) a serve scope from its own handle.
     pub fn telemetry(&self) -> &TelemetrySink {
-        &self.core.telemetry
+        &self.telemetry
     }
 
     /// The WFQ weight of a class (its default if never configured).
@@ -735,23 +761,23 @@ impl StreamEngine {
     /// cached preprocessing failures). Never exceeds the configured
     /// [`StreamEngineBuilder::cache_capacity`].
     pub fn cached_graphs(&self) -> usize {
-        self.core.cache.len()
+        self.cache.len()
     }
 
     /// Hit/miss/eviction counters of the prepared-Laplacian cache over this
     /// engine's lifetime.
     pub fn cache_stats(&self) -> CacheStats {
-        self.core.cache.stats()
+        self.cache.stats()
     }
 
     /// The configured cache capacity bound (`None` = unbounded).
     pub fn cache_capacity(&self) -> Option<usize> {
-        self.core.cache.capacity()
+        self.cache.capacity()
     }
 
     /// Drops every cached prepared solver (counters are kept).
     pub fn clear_cache(&mut self) {
-        self.core.cache.clear();
+        self.cache.clear();
     }
 
     /// The deterministic seed of submission `index`: a splitmix64 finalizer
@@ -760,7 +786,20 @@ impl StreamEngine {
     /// (Laplacian preprocessing uses the master seed instead — it is shared
     /// across every submission on the same graph).
     pub fn request_seed(&self, index: usize) -> u64 {
-        self.core.request_seed(index)
+        bcc_runtime::splitmix64(
+            self.seed
+                .wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
+    }
+
+    /// A fresh worker session at the given seed, mirroring the engine's
+    /// configuration.
+    fn worker_session(&self, seed: u64) -> Session {
+        Session::builder()
+            .model(self.model)
+            .seed(seed)
+            .epsilon(self.epsilon)
+            .build()
     }
 
     /// Cumulative communication cost of every serve scope this engine ran
@@ -781,21 +820,15 @@ impl StreamEngine {
     pub fn serve<T>(&mut self, f: impl FnOnce(&StreamClient<'_>) -> T) -> StreamOutput<T> {
         self.scopes += 1;
         let shared = Shared {
-            core: &self.core,
-            scope: self.scopes,
-            queue_capacity: self.queue_capacity,
-            policy: self.backpressure,
+            engine: self,
             pool: PoolState::new(self.min_workers, self.max_workers),
-            clock: self.clock.as_ref(),
             queue: Mutex::new(StreamQueue::new(&self.classes)),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             done: Mutex::new(DoneState::default()),
             done_cv: Condvar::new(),
-            meta: Mutex::new(Vec::new()),
-            rejected: AtomicU64::new(0),
             prep: Mutex::new(HashMap::new()),
-            tcounters: self.core.telemetry.registry().map(EngineCounters::register),
+            tcounters: self.telemetry.registry().map(EngineCounters::register),
         };
         let value = thread::scope(|scope| {
             // Spawn the pool's upper bound of threads; the ones beyond the
@@ -818,167 +851,9 @@ impl StreamEngine {
                 Err(payload) => panic::resume_unwind(payload),
             }
         });
-        let (uncollected, report, latency) = self.aggregate(&shared);
-        self.report.add(&report.total);
-        StreamOutput {
-            value,
-            uncollected,
-            report,
-            latency,
-            pool: shared.pool.stats(),
-        }
-    }
-
-    /// Folds every admitted submission into the deterministic
-    /// [`StreamReport`] through the shared accounting core: per-request
-    /// costs in submission order, analytic hit/miss accounting (first
-    /// submission of a fingerprint is the miss), preprocessing charged once
-    /// per distinct new fingerprint — all independent of completion order.
-    #[allow(clippy::type_complexity)]
-    fn aggregate(
-        &self,
-        shared: &Shared<'_>,
-    ) -> (
-        Vec<(u64, Result<Outcome<Response>, Error>)>,
-        StreamReport,
-        LatencyReport,
-    ) {
-        let mut meta = std::mem::take(&mut *shared.meta.lock().expect("submission meta"));
-        meta.sort_by_key(|m| m.index);
-        let mut done = shared.done.lock().expect("completion table");
-        let prep = shared.prep.lock().expect("preprocessing reports");
-        let mut scheduler = shared.queue.lock().expect("stream queue").q.stats();
-
-        // Fold the per-ticket timestamps into per-class latency samples, in
-        // submission order (so the fold itself is deterministic; the sample
-        // values are as deterministic as the engine's clock). Expired
-        // submissions never dispatched and carry no samples.
-        let mut samples: HashMap<String, (Vec<u64>, Vec<u64>)> = HashMap::new();
-        for m in &meta {
-            let completion = done
-                .costs
-                .get(&m.index)
-                .expect("the drained scope completed every admitted submission");
-            if completion.expired {
-                continue;
-            }
-            let entry = samples.entry(m.priority.label()).or_default();
-            entry.0.push(completion.wait_ns);
-            entry.1.push(completion.e2e_ns);
-        }
-        let latency = LatencyReport {
-            classes: scheduler
-                .classes
-                .iter()
-                .map(|class| {
-                    let (wait, e2e) = samples.remove(&class.class).unwrap_or_default();
-                    ClassLatency {
-                        class: class.class.clone(),
-                        queue_wait: LatencyPercentiles::from_ns_samples(wait),
-                        end_to_end: LatencyPercentiles::from_ns_samples(e2e),
-                    }
-                })
-                .collect(),
-        };
-
-        // Replay the calibration loop deterministically, in submission
-        // order, on a fresh replica of the engine's model: the per-class
-        // predicted/actual sums this produces are a pure function of the
-        // admitted workload, independent of how scheduling interleaved the
-        // live model's mid-flight estimates. Expired submissions never
-        // executed, and failed ones charge no rounds and are not observed
-        // by the live loop either — both are skipped on both sides of the
-        // comparison.
-        let replay = self.core.cost.fresh_replica();
-        let mut errors: HashMap<String, (u64, u64)> = HashMap::new();
-        for m in &meta {
-            let completion = done
-                .costs
-                .get(&m.index)
-                .expect("the drained scope completed every admitted submission");
-            if completion.expired || !completion.ok {
-                continue;
-            }
-            let predicted = replay.estimate(m.cost_kind, m.dims);
-            let actual = completion.report.total_rounds;
-            let entry = errors.entry(m.priority.label()).or_insert((0, 0));
-            entry.0 += predicted;
-            entry.1 += actual;
-            replay.observe(m.cost_kind, m.dims, actual);
-        }
-        for class in &mut scheduler.classes {
-            if let Some((predicted, actual)) = errors.get(&class.class) {
-                class.predicted_rounds = *predicted;
-                class.actual_rounds = *actual;
-            }
-        }
-        // The replayed replica's final cells are the scope's calibration
-        // state as a pure function of the admitted workload — the per-bucket
-        // coefficients the report (and the CI estimation summary) exposes.
-        let calibration = replay.calibration_cells();
-
-        let mut interactive = 0u64;
-        let mut bulk = 0u64;
-        let records: Vec<RequestRecord> = meta
-            .iter()
-            .map(|m| {
-                match m.priority {
-                    Priority::Interactive => interactive += 1,
-                    Priority::Bulk => bulk += 1,
-                    Priority::Custom(_) => {}
-                }
-                let completion = done
-                    .costs
-                    .remove(&m.index)
-                    .expect("the drained scope completed every admitted submission");
-                // An expired submission never touched the cache: account it
-                // like a fingerprint-less failure so no preprocessing is
-                // demanded (or charged) on its behalf.
-                let (fingerprint, pre_cached) = if completion.expired {
-                    (None, false)
-                } else {
-                    (m.fingerprint, m.pre_cached)
-                };
-                RequestRecord {
-                    index: m.index,
-                    kind: m.kind,
-                    fingerprint,
-                    pre_cached,
-                    ok: completion.ok,
-                    error: completion.error,
-                    report: completion.report,
-                }
-            })
-            .collect();
-        let accounting = self.core.account(records, |key| {
-            prep.get(&key)
-                .expect("every executed fingerprint recorded its preprocessing")
-                .clone()
-        });
-
-        let mut uncollected: Vec<(u64, Result<Outcome<Response>, Error>)> =
-            done.results.drain().collect();
-        uncollected.sort_by_key(|(index, _)| *index);
-
-        let report = StreamReport {
-            schema: STREAM_REPORT_SCHEMA.to_string(),
-            requests: meta.len() as u64,
-            failures: accounting.failures,
-            interactive,
-            bulk,
-            rejected: shared.rejected.load(Ordering::Relaxed),
-            expired: scheduler.expired(),
-            infeasible: scheduler.infeasible(),
-            scheduler,
-            cache_hits: accounting.cache_hits,
-            cache_misses: accounting.cache_misses,
-            cache: self.core.cache.stats(),
-            total: accounting.total,
-            preprocessing: accounting.preprocessing,
-            per_request: accounting.per_request,
-            calibration,
-        };
-        (uncollected, report, latency)
+        let output = shared.finish(value);
+        self.report.add(&output.report.total);
+        output
     }
 }
 
@@ -1005,6 +880,8 @@ struct StreamQueue {
     closed: bool,
     /// Set when a worker panicked: blocked submitters must panic, not hang.
     poisoned: bool,
+    /// Submissions refused with [`Error::Overloaded`].
+    rejected: u64,
 }
 
 impl StreamQueue {
@@ -1013,51 +890,55 @@ impl StreamQueue {
             q: WfqQueue::new(classes),
             closed: false,
             poisoned: false,
+            rejected: 0,
         }
     }
 }
 
-/// Everything submitted about one request, recorded at admission time; the
-/// deterministic half of the final [`RequestCost`].
-struct SubmitMeta {
-    index: u64,
+/// Everything a serve scope keeps about one admitted submission, at its
+/// index in [`DoneState::slots`] (see the [module docs](self)). Its result
+/// waits in [`DoneState::results`] instead, so a collected slot keeps only
+/// what the report needs.
+struct Slot {
     kind: &'static str,
     priority: Priority,
     fingerprint: Option<GraphFingerprint>,
-    /// Whether the fingerprint was already cached when it was first
-    /// submitted in this scope (the stream analogue of
-    /// [`PreprocessingCost::cached`]).
+    /// Whether the fingerprint was cached at admission; the first
+    /// submission of a fingerprint in the scope sets
+    /// [`PreprocessingCost::cached`].
     pre_cached: bool,
-    /// The request's cost kind and instance dimensions — what the
-    /// deterministic calibration replay prices it by at aggregation.
+    /// What the calibration replay prices the request by.
     cost_kind: CostKind,
     dims: CostDims,
+    stage: Stage,
 }
 
-/// What a worker records about one completed submission (the result payload
-/// itself goes to the completion table for `poll`/`wait`).
-struct Completion {
-    ok: bool,
-    error: Option<String>,
-    report: RoundReport,
-    /// Whether the submission expired in the queue instead of executing.
-    expired: bool,
-    /// Admission → dispatch on the engine's clock, nanoseconds (zero for
-    /// expired submissions, which are excluded from the latency report).
-    wait_ns: u64,
-    /// Admission → completion on the engine's clock, nanoseconds.
-    e2e_ns: u64,
+/// How far one submission has come.
+enum Stage {
+    /// Queued or running.
+    Open,
+    /// Expired in the queue: never dispatched, so it touched neither a
+    /// worker session nor the cache and has no latency samples. Holds the
+    /// display form of its [`Error::DeadlineExceeded`].
+    Expired(String),
+    /// Ran to completion: the request's cost (zero for a failure, whose
+    /// partial work is discarded, not metered), the display form of its
+    /// error, and admission → dispatch and admission → completion on the
+    /// engine's clock, in nanoseconds.
+    Ran {
+        report: RoundReport,
+        error: Option<String>,
+        wait_ns: u64,
+        e2e_ns: u64,
+    },
 }
 
 #[derive(Default)]
 struct DoneState {
+    /// One slot per admitted submission, indexed by submission index.
+    slots: Vec<Slot>,
     /// Results not yet collected by the client.
     results: HashMap<u64, Result<Outcome<Response>, Error>>,
-    /// Cost records of every completion, consumed by aggregation.
-    costs: HashMap<u64, Completion>,
-    /// Indices whose results were already handed to the client (so a second
-    /// `wait` on the same ticket can fail loudly instead of hanging).
-    collected: HashSet<u64>,
     /// Set when a worker panicked: blocked waiters must panic, not hang.
     poisoned: bool,
 }
@@ -1124,23 +1005,18 @@ impl PoolState {
 
 /// State shared between the serve scope's client and workers.
 struct Shared<'e> {
-    core: &'e EngineCore,
-    /// Serial of the owning serve scope; tickets are branded with it.
-    scope: u64,
-    queue_capacity: usize,
-    policy: BackpressurePolicy,
+    engine: &'e StreamEngine,
     /// The elastic pool's live sizing state; its current target is also the
     /// worker count expected-wait estimates at admission divide by.
     pool: PoolState,
-    /// The engine's time source (see [`crate::clock`]).
-    clock: &'e dyn Clock,
     queue: Mutex<StreamQueue>,
     not_empty: Condvar,
     not_full: Condvar,
     done: Mutex<DoneState>,
     done_cv: Condvar,
-    meta: Mutex<Vec<SubmitMeta>>,
-    rejected: AtomicU64,
+    /// The preprocessing cost of each fingerprint the scope's requests ran
+    /// on. A report, not the cache entry: an entry the cache evicts must
+    /// not stay pinned for the scope's life.
     prep: Mutex<HashMap<u128, RoundReport>>,
     /// Pre-registered engine counter/gauge/histogram handles — `Some` iff
     /// the engine's telemetry sink is enabled, so one `Option` check gates
@@ -1148,15 +1024,153 @@ struct Shared<'e> {
     tcounters: Option<EngineCounters>,
 }
 
+/// One class's share of the fold in [`Shared::finish`]: its latency samples
+/// and the calibration replay's predicted and actual rounds.
+#[derive(Default)]
+struct ClassFold {
+    wait_ns: Vec<u64>,
+    e2e_ns: Vec<u64>,
+    predicted: u64,
+    actual: u64,
+}
+
 impl Shared<'_> {
     /// Emits one trace event on the engine's clock axis. Reads the clock
     /// only when the sink is enabled, so a disabled sink costs exactly the
     /// `is_enabled` check.
     fn trace(&self, lane: usize, event: TraceEvent, request: u64, detail: u64) {
-        if self.core.telemetry.is_enabled() {
-            self.core
+        if self.engine.telemetry.is_enabled() {
+            self.engine
                 .telemetry
-                .trace(lane, self.clock.now(), event, request, detail);
+                .trace(lane, self.engine.clock.now(), event, request, detail);
+        }
+    }
+
+    /// Folds the drained scope's slots, in submission order, into its
+    /// output. Per slot: the class's latency samples (expired submissions
+    /// never dispatched and have none); a replay of the calibration loop on
+    /// a fresh replica of the engine's model, so the per-class predicted and
+    /// actual rounds are a pure function of the admitted workload (expired
+    /// and failed submissions are skipped, as the live loop skips them);
+    /// and the cost accounting, where the first submission of a fingerprint
+    /// is its miss unless the entry predated the scope. The total adds
+    /// every submission's report in submission order, then each new
+    /// fingerprint's preprocessing once, in first-use order.
+    fn finish<T>(self, value: T) -> StreamOutput<T> {
+        let engine = self.engine;
+        let pool = self.pool.stats();
+        let DoneState { slots, results, .. } = self.done.into_inner().expect("completion table");
+        let mut prep = self.prep.into_inner().expect("preprocessing reports");
+        let queue = self.queue.into_inner().expect("stream queue");
+        let mut scheduler = queue.q.stats();
+        let replay = engine.cost.fresh_replica();
+        let mut classes: HashMap<Priority, ClassFold> = HashMap::new();
+        let mut first_use: HashMap<u128, usize> = HashMap::new();
+        let mut preprocessing: Vec<PreprocessingCost> = Vec::new();
+        let mut per_request = Vec::with_capacity(slots.len());
+        let mut total = RoundReport::default();
+        for (index, slot) in slots.into_iter().enumerate() {
+            let (fingerprint, report, error) = match slot.stage {
+                Stage::Open => {
+                    unreachable!("the drained scope completed every admitted submission")
+                }
+                Stage::Expired(error) => (None, RoundReport::default(), Some(error)),
+                Stage::Ran {
+                    report,
+                    error,
+                    wait_ns,
+                    e2e_ns,
+                } => {
+                    let class = classes.entry(slot.priority).or_default();
+                    class.wait_ns.push(wait_ns);
+                    class.e2e_ns.push(e2e_ns);
+                    if error.is_none() {
+                        class.predicted += replay.estimate(slot.cost_kind, slot.dims);
+                        class.actual += report.total_rounds;
+                        replay.observe(slot.cost_kind, slot.dims, report.total_rounds);
+                    }
+                    (slot.fingerprint, report, error)
+                }
+            };
+            let cache_hit = fingerprint.is_some_and(|fp| {
+                let key = fp.as_u128();
+                let at = *first_use.entry(key).or_insert_with(|| {
+                    preprocessing.push(PreprocessingCost {
+                        fingerprint: fp.to_hex(),
+                        requests: 0,
+                        cached: slot.pre_cached,
+                        report: prep
+                            .remove(&key)
+                            .expect("every executed fingerprint recorded its preprocessing"),
+                    });
+                    preprocessing.len() - 1
+                });
+                let entry = &mut preprocessing[at];
+                entry.requests += 1;
+                entry.requests > 1 || entry.cached
+            });
+            total.add(&report);
+            per_request.push(RequestCost {
+                index: index as u64,
+                kind: slot.kind.to_string(),
+                seed: engine.request_seed(index),
+                fingerprint: fingerprint.map(|fp| fp.to_hex()),
+                cache_hit,
+                ok: error.is_none(),
+                error,
+                report,
+            });
+        }
+        // Each new fingerprint is the one miss of its requests.
+        let mut cache_misses = 0;
+        for new in preprocessing.iter().filter(|p| !p.cached) {
+            total.add(&new.report);
+            cache_misses += 1;
+        }
+        let laplacian_requests: u64 = preprocessing.iter().map(|p| p.requests).sum();
+        let submitted = |class| scheduler.class(class).map_or(0, |stats| stats.submitted);
+        let (interactive, bulk) = (submitted(Priority::Interactive), submitted(Priority::Bulk));
+
+        let mut latency = Vec::with_capacity(scheduler.classes.len());
+        for stats in &mut scheduler.classes {
+            let class = Priority::parse_label(&stats.class)
+                .and_then(|priority| classes.remove(&priority))
+                .unwrap_or_default();
+            stats.predicted_rounds = class.predicted;
+            stats.actual_rounds = class.actual;
+            latency.push(ClassLatency {
+                class: stats.class.clone(),
+                queue_wait: LatencyPercentiles::from_ns_samples(class.wait_ns),
+                end_to_end: LatencyPercentiles::from_ns_samples(class.e2e_ns),
+            });
+        }
+        let mut uncollected: Vec<_> = results.into_iter().collect();
+        uncollected.sort_by_key(|(index, _)| *index);
+        StreamOutput {
+            value,
+            uncollected,
+            report: StreamReport {
+                schema: STREAM_REPORT_SCHEMA.to_string(),
+                requests: per_request.len() as u64,
+                failures: per_request.iter().filter(|cost| !cost.ok).count() as u64,
+                interactive,
+                bulk,
+                rejected: queue.rejected,
+                expired: scheduler.expired(),
+                infeasible: scheduler.infeasible(),
+                scheduler,
+                cache_hits: laplacian_requests - cache_misses,
+                cache_misses,
+                cache: engine.cache.stats(),
+                total,
+                preprocessing,
+                per_request,
+                // The replayed replica's final cells: the scope's
+                // calibration state as a pure function of its workload.
+                calibration: replay.calibration_cells(),
+            },
+            latency: LatencyReport { classes: latency },
+            pool,
         }
     }
 }
@@ -1172,7 +1186,7 @@ fn resize_pool(shared: &Shared<'_>, lane: usize, queue: &StreamQueue) -> bool {
     let grew = shared.pool.resize_to(
         queue
             .q
-            .desired_workers(shared.pool.min, shared.core.cost.service_rate()),
+            .desired_workers(shared.pool.min, shared.engine.cost.service_rate()),
     );
     if let Some(tc) = &shared.tcounters {
         let after = shared.pool.target();
@@ -1235,7 +1249,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                 // Sweep deadline expirations before every scheduling
                 // decision: a job still queued past its deadline is failed
                 // here, never dispatched.
-                let expired = queue.q.take_expired(shared.clock.now());
+                let expired = queue.q.take_expired(shared.engine.clock.now());
                 if !expired.is_empty() {
                     shared.not_full.notify_all();
                     break Work::Expired(expired);
@@ -1265,17 +1279,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                         );
                     }
                     let error = Error::DeadlineExceeded { late_by };
-                    done.costs.insert(
-                        job.index,
-                        Completion {
-                            ok: false,
-                            error: Some(error.to_string()),
-                            report: RoundReport::default(),
-                            expired: true,
-                            wait_ns: 0,
-                            e2e_ns: 0,
-                        },
-                    );
+                    done.slots[job.index as usize].stage = Stage::Expired(error.to_string());
                     done.results.insert(job.index, Err(error));
                 }
                 drop(done);
@@ -1289,7 +1293,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
         // typed API. Poison the scope before re-panicking so a client
         // blocked in `wait`/`submit` fails loudly instead of hanging, then
         // let `thread::scope` propagate the panic out of `serve`.
-        let started = shared.clock.now();
+        let started = shared.engine.clock.now();
         if let Some(tc) = &shared.tcounters {
             let wait = started.saturating_sub(job.payload.admitted_at);
             tc.dispatched.incr();
@@ -1313,7 +1317,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                 panic::resume_unwind(payload);
             }
         };
-        let finished = shared.clock.now();
+        let finished = shared.engine.clock.now();
         if let Some(tc) = &shared.tcounters {
             tc.completed.incr();
             tc.service.record(finished.saturating_sub(started));
@@ -1328,11 +1332,9 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
         if let Ok(outcome) = &result {
             let (kind, dims) = job.payload.request.cost_profile();
             let rounds = outcome.report.total_rounds;
-            shared.core.cost.observe(kind, dims, rounds);
-            shared
-                .core
-                .cost
-                .observe_service(rounds + built_rounds, finished.saturating_sub(started));
+            let cost = &shared.engine.cost;
+            cost.observe(kind, dims, rounds);
+            cost.observe_service(rounds + built_rounds, finished.saturating_sub(started));
         }
         // Latency samples on the engine's clock axis: admission → dispatch
         // and admission → completion, saturating because a virtual clock
@@ -1341,103 +1343,119 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
             .unwrap_or(u64::MAX);
         let e2e_ns = u64::try_from(finished.saturating_sub(job.payload.admitted_at).as_nanos())
             .unwrap_or(u64::MAX);
-        let completion = match &result {
-            Ok(outcome) => Completion {
-                ok: true,
-                error: None,
-                report: outcome.report.clone(),
-                expired: false,
-                wait_ns,
-                e2e_ns,
-            },
-            Err(e) => Completion {
-                ok: false,
-                error: Some(e.to_string()),
-                report: RoundReport::default(),
-                expired: false,
-                wait_ns,
-                e2e_ns,
-            },
+        let (report, error) = match &result {
+            Ok(outcome) => (outcome.report.clone(), None),
+            Err(e) => (RoundReport::default(), Some(e.to_string())),
         };
         let mut done = shared.done.lock().expect("completion table");
-        done.costs.insert(job.index, completion);
+        done.slots[job.index as usize].stage = Stage::Ran {
+            report,
+            error,
+            wait_ns,
+            e2e_ns,
+        };
         done.results.insert(job.index, result);
         drop(done);
         shared.done_cv.notify_all();
     }
 }
 
-/// Executes one job, returning its result plus the preprocessing rounds
-/// this call *built* (zero on cache hits and for non-Laplacian jobs) — a
-/// build shares the job's wall-clock, so the service-rate observation must
-/// count its rounds alongside the solve's.
+/// Executes one job on a fresh worker session seeded by its submission
+/// index, returning its result plus the preprocessing rounds this call
+/// *built* (zero on cache hits and for non-Laplacian jobs) — a build shares
+/// the job's wall-clock, so the service-rate observation must count its
+/// rounds alongside the solve's.
+///
+/// A Laplacian job solves **directly on the shared cache entry**:
+/// `PreparedLaplacian::solve_shared` runs each solve on a fresh per-request
+/// network with the worker's [`ScratchArena`], so no per-request clone of
+/// the preprocessing state is needed and every solve starts from the same
+/// pristine state regardless of scheduling. The entry is built at the
+/// master seed, exactly as `Session::laplacian(graph).preprocess()` would:
+/// a pure function of `(master seed, graph)`, which is what makes entries
+/// shareable (and rebuildable after eviction) without affecting results.
 fn execute_job(
     shared: &Shared<'_>,
     lane: usize,
     job: &Job,
     arena: &mut ScratchArena,
 ) -> (Result<Outcome<Response>, Error>, u64) {
-    match job.payload.fp {
-        Some(fp) => {
-            let graph = match &job.payload.request {
-                Request::Laplacian { graph, .. } => graph,
-                _ => unreachable!("only laplacian jobs carry a fingerprint"),
-            };
+    let engine = shared.engine;
+    let index = job.index;
+    let mut built_rounds = 0;
+    let entry = match (&job.payload.request, job.payload.fp) {
+        (Request::Laplacian { graph, .. }, Some(fp)) => {
             // The build closure runs exactly when this call is the one that
             // builds — which is exactly a cache miss, so the miss and the
             // build bracket are traced inside it. Waiting on (or finding)
             // another worker's build is the hit path.
-            let (entry, built) =
-                shared
-                    .core
-                    .cache
-                    .get_or_build(fp, CostDims::of_graph(graph), || {
-                        shared.trace(lane, TraceEvent::CacheMiss, job.index, 0);
-                        shared.trace(lane, TraceEvent::BuildBegin, job.index, 0);
-                        let entry = shared.core.build_entry(graph);
-                        shared.trace(lane, TraceEvent::BuildEnd, job.index, entry.1.total_rounds);
-                        entry
-                    });
+            let (entry, built) = engine
+                .cache
+                .get_or_build(fp, CostDims::of_graph(graph), || {
+                    shared.trace(lane, TraceEvent::CacheMiss, index, 0);
+                    shared.trace(lane, TraceEvent::BuildBegin, index, 0);
+                    let entry = engine
+                        .worker_session(engine.seed)
+                        .laplacian(graph)
+                        .preprocess();
+                    built_rounds = preprocessing_rounds(&entry);
+                    shared.trace(lane, TraceEvent::BuildEnd, index, built_rounds);
+                    entry
+                });
             if !built {
-                shared.trace(lane, TraceEvent::CacheHit, job.index, 0);
+                shared.trace(lane, TraceEvent::CacheHit, index, 0);
             }
             // Record the preprocessing cost once per distinct fingerprint —
             // a pure function of (master seed, graph), so whichever worker
-            // records it first records the same value.
+            // records it first records the same value. A failed build
+            // charged nothing.
             shared
                 .prep
                 .lock()
                 .expect("preprocessing reports")
                 .entry(fp.as_u128())
-                .or_insert_with(|| entry.1.clone());
-            let built_rounds = if built { entry.1.total_rounds } else { 0 };
-            shared.trace(lane, TraceEvent::SolveBegin, job.index, 0);
-            let result = shared.core.execute(
-                job.index as usize,
-                &job.payload.request,
-                Some(&entry),
-                arena,
-            );
-            let solved_rounds = result
-                .as_ref()
-                .map(|outcome| outcome.report.total_rounds)
-                .unwrap_or(0);
-            shared.trace(lane, TraceEvent::SolveEnd, job.index, solved_rounds);
-            (result, built_rounds)
+                .or_insert_with(|| match &*entry {
+                    Ok(prepared) => prepared.preprocessing_report().clone(),
+                    Err(_) => RoundReport::default(),
+                });
+            Some(entry)
         }
-        None => {
-            shared.trace(lane, TraceEvent::SolveBegin, job.index, 0);
-            let result = shared
-                .core
-                .execute(job.index as usize, &job.payload.request, None, arena);
-            let solved_rounds = result
-                .as_ref()
-                .map(|outcome| outcome.report.total_rounds)
-                .unwrap_or(0);
-            shared.trace(lane, TraceEvent::SolveEnd, job.index, solved_rounds);
-            (result, 0)
+        _ => None,
+    };
+    shared.trace(lane, TraceEvent::SolveBegin, index, 0);
+    let session = || engine.worker_session(engine.request_seed(index as usize));
+    let result = match &job.payload.request {
+        Request::Sparsify { graph, epsilon } => session()
+            .sparsify(graph, *epsilon)
+            .map(|o| o.map(Response::Sparsify)),
+        Request::Laplacian { b, epsilon, .. } => {
+            match entry
+                .as_deref()
+                .expect("laplacian jobs carry their cache entry")
+            {
+                Ok(prepared) => prepared
+                    .solve_shared(b, *epsilon, arena)
+                    .map(|o| o.map(Response::Laplacian)),
+                Err(e) => Err(e.clone()),
+            }
         }
-    }
+        Request::Lp { instance, request } => {
+            session().lp(instance, request).map(|o| o.map(Response::Lp))
+        }
+        Request::MinCostMaxFlow { instance, options } => {
+            let mut session = session();
+            match options {
+                Some(opts) => session.min_cost_max_flow_with(instance, opts),
+                None => session.min_cost_max_flow(instance),
+            }
+            .map(|o| o.map(Response::MinCostMaxFlow))
+        }
+    };
+    let solved_rounds = result
+        .as_ref()
+        .map_or(0, |outcome| outcome.report.total_rounds);
+    shared.trace(lane, TraceEvent::SolveEnd, index, solved_rounds);
+    (result, built_rounds)
 }
 
 /// The submission/collection handle a serve scope's closure works with.
@@ -1510,7 +1528,8 @@ impl StreamClient<'_> {
         // submit call, so anchor it before admission can block on
         // backpressure — time spent waiting for a queue slot counts against
         // both.
-        let admitted_at = self.shared.clock.now();
+        let engine = self.shared.engine;
+        let admitted_at = engine.clock.now();
         let deadline_at = deadline.and_then(|d| admitted_at.checked_add(d));
         // Fingerprint and cost estimation outside the queue lock — they are
         // the only non-trivial parts of admission.
@@ -1518,37 +1537,37 @@ impl StreamClient<'_> {
             Request::Laplacian { graph, .. } => Some(fingerprint(graph)),
             _ => None,
         };
-        let pre_cached = fp.is_some_and(|fp| self.shared.core.cache.contains(fp));
+        let pre_cached = fp.is_some_and(|fp| engine.cache.contains(fp));
         let kind = request.kind();
         let (cost_kind, dims) = request.cost_profile();
         // The job's estimated cost: its execution, plus the preprocessing
         // rebuild it will trigger if its topology is not cached right now.
-        let model = &self.shared.core.cost;
+        let model = &engine.cost;
         let mut cost = model.estimate(cost_kind, dims);
         if fp.is_some() && !pre_cached {
             cost = cost.saturating_add(model.estimate(CostKind::LaplacianPreprocess, dims));
         }
 
         let mut queue = self.shared.queue.lock().expect("stream queue");
-        while queue.q.queued() >= self.shared.queue_capacity {
+        while queue.q.queued() >= engine.queue_capacity {
             assert!(
                 !queue.poisoned,
                 "a stream worker panicked while this submission was blocked on backpressure"
             );
-            match self.shared.policy {
+            match engine.backpressure {
                 BackpressurePolicy::Reject => {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    queue.rejected += 1;
                     if let Some(tc) = &self.shared.tcounters {
                         tc.rejected.incr();
                         self.shared.trace(
                             0,
                             TraceEvent::Rejected,
                             NO_REQUEST,
-                            self.shared.queue_capacity as u64,
+                            engine.queue_capacity as u64,
                         );
                     }
                     return Err(Error::Overloaded {
-                        capacity: self.shared.queue_capacity,
+                        capacity: engine.queue_capacity,
                     });
                 }
                 BackpressurePolicy::Block => {
@@ -1614,39 +1633,38 @@ impl StreamClient<'_> {
         // worker notices the backlog: admission is where queued deadlines
         // start ticking. (`not_empty` is notified below either way.)
         resize_pool(self.shared, 0, &queue);
-        // Record the admission while still holding the queue lock, so the
-        // meta log is in submission order by construction.
-        self.shared
-            .meta
-            .lock()
-            .expect("submission meta")
-            .push(SubmitMeta {
-                index,
-                kind,
-                priority,
-                fingerprint: fp,
-                pre_cached,
-                cost_kind,
-                dims,
-            });
+        // Open the submission's slot while still holding the queue lock: no
+        // worker can pop the job before its slot exists, and slots are
+        // pushed in index order.
+        let mut done = self.shared.done.lock().expect("completion table");
+        done.slots.push(Slot {
+            kind,
+            priority,
+            fingerprint: fp,
+            pre_cached,
+            cost_kind,
+            dims,
+            stage: Stage::Open,
+        });
+        drop(done);
         drop(queue);
         self.shared.not_empty.notify_all();
         Ok(Ticket {
             index,
             priority,
-            scope: self.shared.scope,
+            scope: engine.scopes,
         })
     }
 
     /// Panics on a ticket issued by a different serve scope — its index
     /// would otherwise silently redeem this scope's unrelated result.
     fn check_scope(&self, ticket: Ticket) {
+        let scope = self.shared.engine.scopes;
         assert!(
-            ticket.scope == self.shared.scope,
-            "stream ticket {} was issued by serve scope {}, not the current scope {}",
+            ticket.scope == scope,
+            "stream ticket {} was issued by serve scope {}, not the current scope {scope}",
             ticket.index,
             ticket.scope,
-            self.shared.scope
         );
     }
 
@@ -1659,12 +1677,7 @@ impl StreamClient<'_> {
     pub fn poll(&self, ticket: Ticket) -> Option<Result<Outcome<Response>, Error>> {
         self.check_scope(ticket);
         let mut done = self.shared.done.lock().expect("completion table");
-        let result = done.results.remove(&ticket.index);
-        if result.is_some() {
-            done.collected.insert(ticket.index);
-            self.mark_collected(ticket.index);
-        }
-        result
+        self.take(&mut done, ticket.index)
     }
 
     /// Blocks until the submission completes and takes its result.
@@ -1676,25 +1689,8 @@ impl StreamClient<'_> {
     /// earlier serve scope, or if a worker thread panicked while the wait
     /// was blocked.
     pub fn wait(&self, ticket: Ticket) -> Result<Outcome<Response>, Error> {
-        self.check_scope(ticket);
-        let mut done = self.shared.done.lock().expect("completion table");
-        loop {
-            if let Some(result) = done.results.remove(&ticket.index) {
-                done.collected.insert(ticket.index);
-                self.mark_collected(ticket.index);
-                return result;
-            }
-            assert!(
-                !done.collected.contains(&ticket.index),
-                "stream ticket {} was already collected",
-                ticket.index
-            );
-            assert!(
-                !done.poisoned,
-                "a stream worker panicked while this wait was blocked"
-            );
-            done = self.shared.done_cv.wait(done).expect("completion table");
-        }
+        self.wait_for(ticket, None)
+            .expect("a wait without a timeout ends with the result")
     }
 
     /// Blocks until the submission completes and takes its result, or for
@@ -1721,17 +1717,28 @@ impl StreamClient<'_> {
         ticket: Ticket,
         timeout: Duration,
     ) -> Result<Outcome<Response>, Error> {
+        self.wait_for(ticket, Some(timeout))
+            .unwrap_or(Err(Error::WaitTimeout { waited: timeout }))
+    }
+
+    /// The loop of [`StreamClient::wait`] and [`StreamClient::wait_timeout`]:
+    /// takes the ticket's result once it is there, blocking for at most
+    /// `timeout` (`None`: for as long as it takes). `None` when the timeout
+    /// passed first.
+    fn wait_for(
+        &self,
+        ticket: Ticket,
+        timeout: Option<Duration>,
+    ) -> Option<Result<Outcome<Response>, Error>> {
         self.check_scope(ticket);
         let started = Instant::now();
         let mut done = self.shared.done.lock().expect("completion table");
         loop {
-            if let Some(result) = done.results.remove(&ticket.index) {
-                done.collected.insert(ticket.index);
-                self.mark_collected(ticket.index);
-                return result;
+            if let Some(result) = self.take(&mut done, ticket.index) {
+                return Some(result);
             }
             assert!(
-                !done.collected.contains(&ticket.index),
+                matches!(done.slots[ticket.index as usize].stage, Stage::Open),
                 "stream ticket {} was already collected",
                 ticket.index
             );
@@ -1739,24 +1746,29 @@ impl StreamClient<'_> {
                 !done.poisoned,
                 "a stream worker panicked while this wait was blocked"
             );
-            let Some(remaining) = timeout.checked_sub(started.elapsed()) else {
-                return Err(Error::WaitTimeout { waited: timeout });
+            let cv = &self.shared.done_cv;
+            done = match timeout {
+                None => cv.wait(done).expect("completion table"),
+                Some(timeout) => {
+                    let remaining = timeout.checked_sub(started.elapsed())?;
+                    cv.wait_timeout(done, remaining)
+                        .expect("completion table")
+                        .0
+                }
             };
-            let (guard, _timed_out) = self
-                .shared
-                .done_cv
-                .wait_timeout(done, remaining)
-                .expect("completion table");
-            done = guard;
         }
     }
 
-    /// Emits the collection telemetry of one redeemed ticket.
-    fn mark_collected(&self, index: u64) {
+    /// The one collection path: takes the result of submission `index` if
+    /// it has completed and was not collected yet. Its slot stays behind,
+    /// complete, for the report.
+    fn take(&self, done: &mut DoneState, index: u64) -> Option<Result<Outcome<Response>, Error>> {
+        let result = done.results.remove(&index)?;
         if let Some(tc) = &self.shared.tcounters {
             tc.collected.incr();
             self.shared.trace(0, TraceEvent::Collected, index, 0);
         }
+        Some(result)
     }
 
     /// Snapshots the engine's live telemetry metrics, or `None` when no
@@ -1773,35 +1785,20 @@ impl StreamClient<'_> {
     /// beyond the queue lock the publish step takes, and never perturbs
     /// scheduling or results.
     pub fn telemetry_snapshot(&self) -> Option<MetricsSnapshot> {
-        let registry = self.shared.core.telemetry.registry()?;
+        let engine = self.shared.engine;
+        let registry = engine.telemetry.registry()?;
         {
             let queue = self.shared.queue.lock().expect("stream queue");
             queue.q.publish_metrics(registry);
         }
-        self.shared.core.publish_metrics(registry);
+        engine.cache.publish_metrics(registry);
+        engine.cost.publish_metrics(registry);
         if let Some(tc) = &self.shared.tcounters {
             let pool = self.shared.pool.stats();
             tc.pool_target.set(self.shared.pool.target() as u64);
             tc.pool_peak.set_max(pool.peak_workers as u64);
         }
         Some(registry.snapshot())
-    }
-
-    /// Number of submissions admitted so far in this scope.
-    pub fn submitted(&self) -> u64 {
-        self.shared
-            .queue
-            .lock()
-            .expect("stream queue")
-            .q
-            .next_index()
-    }
-
-    /// Number of submissions completed so far in this scope (collected or
-    /// not).
-    pub fn completed(&self) -> u64 {
-        let done = self.shared.done.lock().expect("completion table");
-        done.costs.len() as u64
     }
 }
 
