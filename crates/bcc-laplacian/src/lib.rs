@@ -37,5 +37,6 @@ pub mod solver;
 pub use error::LaplacianError;
 pub use sdd::{exact_sdd_solve, solve_sdd, solve_sdd_many, NotSddError, SddMatrix, SddSolveMode};
 pub use solver::{
-    cg_baseline, exact_solve, LaplacianSolve, LaplacianSolveStats, LaplacianSolver, ScratchArena,
+    cg_baseline, exact_solve, LaneNetworks, LaplacianSolve, LaplacianSolveStats, LaplacianSolver,
+    ScratchArena, LOCKSTEP_LANES,
 };

@@ -34,15 +34,38 @@ pub struct LaplacianSolve {
     pub rounds: u64,
 }
 
-/// Lanes a block of right-hand sides is solved in lockstep, side by side:
-/// the width of the flow pipeline's JL sketches
-/// (`max_sketch_dimension = Some(10)` in `try_min_cost_max_flow_bcc`), so
-/// that every Gram batch of Algorithm 6 is one group. The lockstep kernels
-/// take it as a compile-time constant, which lets them keep each vertex's
-/// lanes in registers; a block of any other width than one runs in groups
-/// of this many, and one lane runs the one-lane instance of the same
-/// kernels.
-const LOCKSTEP_LANES: usize = 10;
+/// The most lanes one lockstep group holds: the width of the flow
+/// pipeline's JL sketches (`max_sketch_dimension = Some(10)` in
+/// `try_min_cost_max_flow_bcc`), so that every Gram batch of Algorithm 6 is
+/// one group, and the most same-graph requests a serving engine solves in
+/// one block. The lockstep kernels take their width as a compile-time
+/// constant, which lets them keep each vertex's lanes in registers. A block
+/// runs at the narrowest of the widths 1, 2, 4 and this one that holds it,
+/// and a wider block in groups of this many.
+pub const LOCKSTEP_LANES: usize = 10;
+
+/// Where a block solve charges its lanes. A [`Network`] takes every lane's
+/// charge, in lane order, as a Gram batch meters its right-hand sides on
+/// one virtual network; a slice of networks takes one lane each (lane `j`
+/// on element `j`), as a serving engine meters the requests of one block
+/// on their own per-request networks. Either way each lane is charged by
+/// the same rule, in one place.
+pub trait LaneNetworks {
+    /// The network lane `lane` is charged on.
+    fn lane(&mut self, lane: usize) -> &mut Network;
+}
+
+impl LaneNetworks for Network {
+    fn lane(&mut self, _lane: usize) -> &mut Network {
+        self
+    }
+}
+
+impl LaneNetworks for [Network] {
+    fn lane(&mut self, lane: usize) -> &mut Network {
+        &mut self[lane]
+    }
+}
 
 /// Statistics of an in-place solve ([`LaplacianSolver::try_solve_into`], or
 /// one lane of [`LaplacianSolver::try_solve_block_into`]); the solution
@@ -317,26 +340,9 @@ impl LaplacianSolver {
         b: &[f64],
         epsilon: f64,
     ) -> Result<LaplacianSolve, LaplacianError> {
-        let mut arena = ScratchArena::new();
-        self.try_solve_with(net, b, epsilon, &mut arena)
-    }
-
-    /// [`LaplacianSolver::try_solve`] over a caller-provided [`ScratchArena`]
-    /// so the Chebyshev work vectors are reused across solves. Bit-identical
-    /// to `try_solve`; only the solution vector itself is allocated.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LaplacianSolver::try_solve`].
-    pub fn try_solve_with(
-        &self,
-        net: &mut Network,
-        b: &[f64],
-        epsilon: f64,
-        arena: &mut ScratchArena,
-    ) -> Result<LaplacianSolve, LaplacianError> {
         let mut solution = Vec::new();
-        let stats = self.try_solve_into(net, b, epsilon, arena, &mut solution)?;
+        let stats =
+            self.try_solve_into(net, b, epsilon, &mut ScratchArena::new(), &mut solution)?;
         Ok(LaplacianSolve {
             solution,
             iterations: stats.iterations,
@@ -368,16 +374,19 @@ impl LaplacianSolver {
     /// Solves `lanes` right-hand sides in lockstep, given as the interleaved
     /// block `b`, where entry `i` of lane `j` sits at `b[i·lanes + j]`. The
     /// solutions come back in `out` in the same layout and the per-lane
-    /// statistics in `stats`, in lane order. A block of more than one lane
-    /// runs in groups of ten, the width of the flow pipeline's JL sketches:
-    /// one Chebyshev sweep per group, with one `L_G`-product and one
-    /// preconditioner replay per iteration for all its lanes at once. A
-    /// short last group repeats its last lane and drops the copies' results.
+    /// statistics in `stats`, in lane order. The block runs at the narrowest
+    /// kernel width of 1, 2, 4 and [`LOCKSTEP_LANES`] that holds it, a wider
+    /// one in groups of [`LOCKSTEP_LANES`]: one Chebyshev sweep per group,
+    /// with one `L_G`-product and one preconditioner replay per iteration
+    /// for all its lanes at once. A short group repeats its last lane and
+    /// drops the copies' results.
     ///
     /// Every lane is bit-identical to [`LaplacianSolver::try_solve_into`] on
-    /// that lane alone, and `net` is charged exactly what those `lanes` calls
-    /// in lane order would charge. With a warm arena and warm `out` and
-    /// `stats` buffers it performs **zero heap allocations**.
+    /// that lane alone. `nets` is charged exactly what those `lanes` calls
+    /// would charge: on one [`Network`], in lane order; on a slice of
+    /// networks, each lane on its own (see [`LaneNetworks`]). With a warm
+    /// arena and warm `out` and `stats` buffers it performs **zero heap
+    /// allocations**.
     ///
     /// # Errors
     ///
@@ -386,10 +395,16 @@ impl LaplacianSolver {
     ///   `n · lanes` entries.
     /// * [`LaplacianError::MagnitudeOverflow`] — the broadcast range of a
     ///   lane is not a finite `f64`, as for [`LaplacianSolver::try_solve`]
-    ///   (a NaN in any lane included). Nothing is charged for any lane.
+    ///   (a NaN in any lane included). Nothing is charged for any lane; a
+    ///   caller that must not fail the other lanes with it checks each one
+    ///   first ([`LaplacianSolver::check_rhs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nets` is a slice of fewer than `lanes` networks.
     pub fn try_solve_block_into(
         &self,
-        net: &mut Network,
+        nets: &mut (impl LaneNetworks + ?Sized),
         b: &[f64],
         lanes: usize,
         epsilon: f64,
@@ -398,15 +413,61 @@ impl LaplacianSolver {
         stats: &mut Vec<LaplacianSolveStats>,
     ) -> Result<(), LaplacianError> {
         stats.clear();
-        self.try_solve_lanes_into(net, b, lanes, epsilon, arena, out, |lane| stats.push(lane))
+        self.try_solve_lanes_into(nets, b, lanes, epsilon, arena, out, |lane| stats.push(lane))
+    }
+
+    /// The error [`LaplacianSolver::try_solve`] returns for `b` at `epsilon`
+    /// before it charges anything, if any. One malformed lane fails a whole
+    /// lockstep block, so a caller that solves independent requests as one
+    /// block checks each of them alone first.
+    ///
+    /// # Errors
+    ///
+    /// As for [`LaplacianSolver::try_solve`].
+    pub fn check_rhs(&self, b: &[f64], epsilon: f64) -> Result<(), LaplacianError> {
+        self.check_block(b, 1, epsilon)?;
+        self.check_range(&vector::remove_mean(b))
+    }
+
+    /// The checks of [`LaplacianSolver::try_solve_block_into`] that need no
+    /// staging: `epsilon` and the block's length.
+    fn check_block(&self, b: &[f64], lanes: usize, epsilon: f64) -> Result<(), LaplacianError> {
+        if !(epsilon > 0.0 && epsilon <= 0.5) {
+            return Err(LaplacianError::InvalidEpsilon { epsilon });
+        }
+        let expected = self.graph.n() * lanes;
+        if b.len() != expected {
+            return Err(LaplacianError::DimensionMismatch {
+                expected,
+                actual: b.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Rejects mean-free right-hand sides whose widest entry puts the
+    /// broadcast range `(‖b‖∞ + 1)·n·max_weight` past a finite `f64`. Unlike
+    /// `f64::max`, the fold keeps a NaN, which fails the check.
+    fn check_range(&self, centered: &[f64]) -> Result<(), LaplacianError> {
+        let norm = centered.iter().fold(0.0f64, |acc, v| {
+            if v.is_nan() || v.abs() > acc {
+                v.abs()
+            } else {
+                acc
+            }
+        });
+        if ((norm + 1.0) * (self.graph.n() as f64) * self.max_weight).is_finite() {
+            Ok(())
+        } else {
+            Err(LaplacianError::MagnitudeOverflow)
+        }
     }
 
     /// The one solve behind both entry points; reports each lane's
-    /// statistics to `on_lane`, in lane order. One lane runs the one-lane
-    /// kernels, any other count groups of [`LOCKSTEP_LANES`].
-    fn try_solve_lanes_into(
+    /// statistics to `on_lane`, in lane order, and picks the kernel width.
+    fn try_solve_lanes_into<N: LaneNetworks + ?Sized>(
         &self,
-        net: &mut Network,
+        nets: &mut N,
         b: &[f64],
         lanes: usize,
         epsilon: f64,
@@ -414,30 +475,23 @@ impl LaplacianSolver {
         out: &mut Vec<f64>,
         on_lane: impl FnMut(LaplacianSolveStats),
     ) -> Result<(), LaplacianError> {
-        if !(epsilon > 0.0 && epsilon <= 0.5) {
-            return Err(LaplacianError::InvalidEpsilon { epsilon });
-        }
-        let n = self.graph.n();
-        if b.len() != n * lanes {
-            return Err(LaplacianError::DimensionMismatch {
-                expected: n * lanes,
-                actual: b.len(),
-            });
-        }
-        if lanes == 1 {
-            self.solve_in_groups::<1>(net, b, lanes, epsilon, arena, out, on_lane)
-        } else {
-            self.solve_in_groups::<LOCKSTEP_LANES>(net, b, lanes, epsilon, arena, out, on_lane)
+        self.check_block(b, lanes, epsilon)?;
+        match lanes {
+            1 => self.solve_in_groups::<1, N>(nets, b, lanes, epsilon, arena, out, on_lane),
+            2 => self.solve_in_groups::<2, N>(nets, b, lanes, epsilon, arena, out, on_lane),
+            3 | 4 => self.solve_in_groups::<4, N>(nets, b, lanes, epsilon, arena, out, on_lane),
+            _ => self
+                .solve_in_groups::<LOCKSTEP_LANES, N>(nets, b, lanes, epsilon, arena, out, on_lane),
         }
     }
 
-    /// [`LaplacianSolver::try_solve_lanes_into`] on validated input, in
+    /// [`LaplacianSolver::try_solve_lanes_into`] on checked input, in
     /// groups of `L` lanes. Group `g` is staged in the arena as `n` rows of
     /// `L` entries, lanes `g·L, …, g·L + L − 1` of `b`, the last real lane
     /// standing in for lanes past `lanes`.
-    fn solve_in_groups<const L: usize>(
+    fn solve_in_groups<const L: usize, N: LaneNetworks + ?Sized>(
         &self,
-        net: &mut Network,
+        nets: &mut N,
         b: &[f64],
         lanes: usize,
         epsilon: f64,
@@ -461,17 +515,7 @@ impl LaplacianSolver {
             vector::remove_lane_means_in_place::<L>(staged);
         }
         // The widest lane bounds every lane's range; reject before charging.
-        // Unlike `f64::max`, the fold keeps a NaN, which fails the check.
-        let block_norm = rhs.iter().fold(0.0f64, |acc, v| {
-            if v.is_nan() || v.abs() > acc {
-                v.abs()
-            } else {
-                acc
-            }
-        });
-        if !((block_norm + 1.0) * (n as f64) * self.max_weight).is_finite() {
-            return Err(LaplacianError::MagnitudeOverflow);
-        }
+        self.check_range(rhs)?;
         let kappa = self.kappa();
         let iterations = chebyshev::chebyshev_iteration_count(kappa, epsilon);
         // Bits per broadcast coordinate: O(log(n·U/ε)).
@@ -487,6 +531,7 @@ impl LaplacianSolver {
             // One coordinate broadcast per iteration (the L_G·vector
             // product); the preconditioner solve and vector updates are
             // local.
+            let net = nets.lane(lane);
             let (rounds_before, bits_before) =
                 (net.ledger().total_rounds(), net.ledger().total_bits());
             net.begin_phase("laplacian solve");

@@ -116,8 +116,9 @@ fn warm_solves_stay_allocation_free_across_distinct_right_hand_sides() {
 fn a_warm_block_solve_performs_zero_heap_allocations() {
     let g = generators::random_connected(16, 0.3, 8, &mut ChaCha8Rng::seed_from_u64(13));
     let solver = LaplacianSolver::try_exact_preconditioner(&g).expect("a connected graph");
-    // One lane, one lockstep group, and four groups staged in the arena.
-    for lanes in [1, 10, 40] {
+    // Every kernel width (one, two and four lanes, three of them padded to
+    // four, one group of ten) and four groups of ten staged in the arena.
+    for lanes in [1, 2, 3, 4, 10, 40] {
         let mut net = Network::clique(ModelConfig::bcc(), g.n());
         let block = mean_zero_rhs(g.n() * lanes, lanes as u64);
         let mut arena = ScratchArena::new();

@@ -232,8 +232,8 @@ fn replay_in_groups<const L: usize>(
     })
 }
 
-/// The replay at `L = 1` and `L = 10`, every vector of `vectors`, gives the
-/// bits of `solve_psd` on `matrix`.
+/// The replay at every lane width a solver runs (`L = 1`, 2, 4 and 10),
+/// every vector of `vectors`, gives the bits of `solve_psd` on `matrix`.
 fn assert_replays_match_solve_psd(matrix: &DenseMatrix, vectors: &[Vec<f64>]) {
     let factored = matrix.factor_psd().expect("non-singular systems factor");
     for zero_mean in [false, true] {
@@ -247,17 +247,18 @@ fn assert_replays_match_solve_psd(matrix: &DenseMatrix, vectors: &[Vec<f64>]) {
                 )
             })
             .collect();
-        let one_lane = replay_in_groups::<1>(&factored, vectors, zero_mean);
-        let ten_lanes = replay_in_groups::<10>(&factored, vectors, zero_mean);
-        for (j, expected) in reference.iter().enumerate() {
-            assert_eq!(
-                &one_lane[j], expected,
-                "L = 1, vector {j}, zero_mean {zero_mean}"
-            );
-            assert_eq!(
-                &ten_lanes[j], expected,
-                "L = 10, vector {j}, zero_mean {zero_mean}"
-            );
+        for (width, replayed) in [
+            (1, replay_in_groups::<1>(&factored, vectors, zero_mean)),
+            (2, replay_in_groups::<2>(&factored, vectors, zero_mean)),
+            (4, replay_in_groups::<4>(&factored, vectors, zero_mean)),
+            (10, replay_in_groups::<10>(&factored, vectors, zero_mean)),
+        ] {
+            for (j, expected) in reference.iter().enumerate() {
+                assert_eq!(
+                    &replayed[j], expected,
+                    "L = {width}, vector {j}, zero_mean {zero_mean}"
+                );
+            }
         }
     }
 }
@@ -284,13 +285,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let vectors = random_lanes(n, lanes, seed);
-        let one_lane = in_groups::<1>(&vectors, |block| vector::remove_lane_means_in_place::<1>(block));
-        let ten_lanes =
-            in_groups::<10>(&vectors, |block| vector::remove_lane_means_in_place::<10>(block));
-        for (j, lane) in vectors.iter().enumerate() {
-            let reference = bits(&vector::remove_mean(lane));
-            prop_assert_eq!(&one_lane[j], &reference, "L = 1, lane {}", j);
-            prop_assert_eq!(&ten_lanes[j], &reference, "L = 10, lane {}", j);
+        for (width, centered) in [
+            (1, in_groups::<1>(&vectors, |block| vector::remove_lane_means_in_place::<1>(block))),
+            (2, in_groups::<2>(&vectors, |block| vector::remove_lane_means_in_place::<2>(block))),
+            (4, in_groups::<4>(&vectors, |block| vector::remove_lane_means_in_place::<4>(block))),
+            (10, in_groups::<10>(&vectors, |block| vector::remove_lane_means_in_place::<10>(block))),
+        ] {
+            for (j, lane) in vectors.iter().enumerate() {
+                let reference = bits(&vector::remove_mean(lane));
+                prop_assert_eq!(&centered[j], &reference, "L = {}, lane {}", width, j);
+            }
         }
     }
 

@@ -14,11 +14,12 @@ use std::time::{Duration, Instant};
 use bcc_client::wire::{
     read_frame, recv_msg, send_msg, write_frame, ClientMsg, ServerMsg, WIRE_SCHEMA,
 };
-use bcc_client::{ServedClient, WireError, WireRequest};
+use bcc_client::{ServedClient, WireError, WireRequest, WireResponse};
 use bcc_core::config::Priority;
+use bcc_core::laplacian::ScratchArena;
 use bcc_core::stream::{StreamEngineBuilder, StreamReport};
 use bcc_core::tenant::{TenantConfig, TenantDirectory};
-use bcc_core::Request;
+use bcc_core::{Request, Response};
 use bcc_graph::generators;
 use bcc_graph::{DiGraph, FlowInstance};
 
@@ -628,6 +629,89 @@ fn a_sparsifier_weight_overflow_is_a_typed_fault_and_the_next_tenant_is_served()
         "reweight-overflow",
         Request::laplacian(graph, vec![1.0, 0.0, 0.0, -1.0]),
     );
+}
+
+#[test]
+fn same_graph_solves_of_two_connections_share_lockstep_blocks() {
+    // A one-worker daemon held by a slow min-cost flow while two connections
+    // queue solves on one grid: the worker solves the queued solves as
+    // lockstep blocks, and every answer is the solo solve's, bit for bit.
+    let dir = test_dir("lockstep");
+    let config = bcc_core::EngineConfig {
+        workers: Some(1),
+        max_workers: None,
+        ..bcc_core::EngineConfig::default()
+    };
+    let config_path = dir.join("engine.json");
+    std::fs::write(
+        &config_path,
+        serde_json::to_string_pretty(&config).expect("serialize config"),
+    )
+    .expect("write config file");
+    let guard = spawn_daemon(&dir, &["--config", config_path.to_str().unwrap()]);
+    let mut flows = connect(&guard, "flows").expect("handshake");
+    let mut clients = [
+        connect(&guard, "alpha").expect("handshake"),
+        connect(&guard, "beta").expect("handshake"),
+    ];
+
+    let flow = FlowInstance::new(
+        DiGraph::from_arcs(
+            6,
+            [
+                (0, 1, 3, 1),
+                (0, 2, 2, 2),
+                (1, 2, 1, 1),
+                (1, 3, 2, 3),
+                (2, 4, 3, 1),
+                (3, 5, 2, 1),
+                (4, 3, 1, 1),
+                (4, 5, 2, 2),
+            ],
+        ),
+        0,
+        5,
+    );
+    let slow = flows
+        .submit(WireRequest::from_request(&Request::min_cost_max_flow(flow)).expect("expressible"))
+        .expect("admit");
+    let grid = generators::grid(4, 4);
+    let rhs = |k: usize| -> Vec<f64> { (0..16).map(|i| ((5 * i + 3 * k) as f64).cos()).collect() };
+    let mut tickets = Vec::new();
+    for k in 0..8 {
+        let request = WireRequest::from_request(&Request::laplacian(grid.clone(), rhs(k)))
+            .expect("expressible");
+        tickets.push((k, clients[k % 2].submit(request).expect("admit")));
+    }
+    flows.wait(slow).expect("the flow solves");
+
+    let prepared = bcc_core::Session::builder()
+        .model(config.model)
+        .seed(config.seed)
+        .epsilon(config.epsilon)
+        .build()
+        .laplacian(&grid)
+        .preprocess()
+        .expect("a connected grid");
+    for (k, ticket) in tickets {
+        let got = clients[k % 2].wait(ticket).expect("complete");
+        let want = prepared
+            .solve_shared(&rhs(k), None, &mut ScratchArena::new())
+            .expect("a valid right-hand side");
+        let want_value =
+            WireResponse::from_response(&Response::Laplacian(want.value)).expect("expressible");
+        assert_eq!(got.value, want_value, "solve {k}");
+        assert_eq!(got.report, want.report, "solve {k}");
+    }
+    let snapshot = clients[0].telemetry_snapshot().expect("live snapshot");
+    assert!(snapshot.counter("stream.lockstep_batches") >= 1);
+
+    let [alpha, _beta] = clients;
+    let report = alpha.shutdown().expect("drained report");
+    guard.wait();
+    assert_eq!(report.requests, 9);
+    assert_eq!(report.failures, 0);
+    assert_eq!((report.cache_misses, report.cache_hits), (1, 7));
 }
 
 #[test]

@@ -8,19 +8,19 @@
 //! serving engines actually run. The Gram-oracle benchmark contrasts ten
 //! right-hand sides solved in lockstep against ten single solves. The
 //! LU-replay benchmark times the preconditioner solve alone, for one lane
-//! and for the ten-lane instance, on a sparse and a nearly dense factor. The
-//! cold-preprocessing benchmark times one Laplacian build at the session's
-//! sparsifier configuration, and the sparsifier alone on the graph shape of a
-//! `served_mix` cache miss and on a graph it thins; the spanner benchmark
-//! times a Baswana–Sen spanner and one probabilistic spanner of the
-//! sparsifier's bundles.
+//! and for the two-, four- and ten-lane instances, on a sparse and a nearly
+//! dense factor. The cold-preprocessing benchmark times one Laplacian build
+//! at the session's sparsifier configuration, and the sparsifier alone on
+//! the graph shape of a `served_mix` cache miss and on a graph it thins; the
+//! spanner benchmark times a Baswana–Sen spanner and one probabilistic
+//! spanner of the sparsifier's bundles.
 
 use bcc_core::graph::{generators, laplacian};
 use bcc_core::laplacian::{ScratchArena, SddMatrix};
-use bcc_core::linalg::{cg, chebyshev, vector, CsrMatrix, DenseMatrix, SolveScratch};
+use bcc_core::linalg::{cg, chebyshev, vector, CsrMatrix, DenseMatrix, FactoredPsd, SolveScratch};
 use bcc_core::prelude::*;
 use bcc_core::spanner::probabilistic_spanner;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -230,12 +230,12 @@ fn bench_chebyshev_block(c: &mut Criterion) {
 
 fn bench_lu_replay(c: &mut Criterion) {
     // The preconditioner solve inside every Chebyshev iteration: one replay
-    // of the LU factors of `1.5·L + λI`, for one right-hand side and for a
-    // ten-lane block (the replay's `L = 10` instance, as a lockstep group
-    // runs it). The 12×12 grid's factors are sparse (15% of `U`
-    // filled); a random connected graph on 256 vertices, drawn like
-    // `perfbench`'s heavy `solve_warm` graph, fills about 89% and is the
-    // control.
+    // of the LU factors of `1.5·L + λI`, for one right-hand side and for
+    // blocks of two, four and ten lanes (the replay's `L = 2`, 4 and 10
+    // instances, as lockstep blocks of that many requests run them). The
+    // 12×12 grid's factors are sparse (15% of `U` filled); a random
+    // connected graph on 256 vertices, drawn like `perfbench`'s heavy
+    // `solve_warm` graph, fills about 89% and is the control.
     const LANES: usize = 10;
     let mut rng = ChaCha8Rng::seed_from_u64(31);
     let graphs = [
@@ -261,14 +261,30 @@ fn bench_lu_replay(c: &mut Criterion) {
         group.bench_function(format!("{name}/solve_into"), |bench| {
             bench.iter(|| factored.solve_into(black_box(&b), &mut out, true))
         });
-        let mut block_out = vec![0.0; n * LANES];
-        group.bench_function(format!("{name}/block_{LANES}"), |bench| {
-            bench.iter(|| {
-                factored.solve_lanes_into::<LANES>(black_box(&block), &mut block_out, true)
-            })
-        });
+        bench_replay_lanes::<2>(&mut group, name, &factored, &block);
+        bench_replay_lanes::<4>(&mut group, name, &factored, &block);
+        bench_replay_lanes::<LANES>(&mut group, name, &factored, &block);
     }
     group.finish();
+}
+
+/// `lu_replay/<name>/block_<L>`: the replay's `L`-lane instance, as the
+/// solver runs a lockstep block of `L` requests, on the first `L` lanes of
+/// the ten-lane `block`.
+fn bench_replay_lanes<const L: usize>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    factored: &FactoredPsd,
+    block: &[f64],
+) {
+    let lanes: Vec<f64> = block
+        .chunks_exact(10)
+        .flat_map(|row| row[..L].iter().copied())
+        .collect();
+    let mut out = vec![0.0; lanes.len()];
+    group.bench_function(format!("{name}/block_{L}"), |bench| {
+        bench.iter(|| factored.solve_lanes_into::<L>(black_box(&lanes), &mut out, true))
+    });
 }
 
 /// The Laplacian graph of a `served_mix` cache miss: a random connected

@@ -32,7 +32,12 @@
 //! differently: the cache evicts through the engine's
 //! [`bcc_core::cache::Lru`], and a deadline is infeasible at admission by
 //! the engine's [`bcc_core::wfq::WfqQueue::infeasible_wait`], both at the
-//! scenario's fixed service rate.
+//! scenario's fixed service rate. A simulated server holds one job at a
+//! time, although an engine worker solves Laplacian requests queued on one
+//! graph at one accuracy as one lockstep block: a block moves wall time,
+//! not rounds (each request is charged what it would be charged alone), so
+//! in a model whose servers retire rounds at a fixed rate it changes
+//! nothing.
 //!
 //! # Virtual-clock guarantees
 //!

@@ -232,12 +232,18 @@ impl Session {
         LaplacianRequest {
             graph,
             model: self.model,
-            epsilon: self.epsilon.min(0.5),
+            epsilon: self.laplacian_epsilon(),
             config: SparsifierConfig::laboratory(graph.n(), graph.m().max(2), 0.5, self.seed)
                 .with_t(6)
                 .with_k(2),
             exact_preconditioner: false,
         }
+    }
+
+    /// The accuracy a prepared Laplacian handle of this session solves at
+    /// unless a solve names its own: the session's `ε`, at most `1/2`.
+    pub(crate) fn laplacian_epsilon(&self) -> f64 {
+        self.epsilon.min(0.5)
     }
 
     // ------------------------------------------------------------------
@@ -478,9 +484,12 @@ impl PreparedLaplacian {
 
     /// Solves one system per right-hand side, reusing the preprocessing
     /// across the whole batch (the key amortization for repeated traffic on a
-    /// fixed graph). The returned [`Outcome::report`] covers the batch's
-    /// solves alone; the cumulative [`PreparedLaplacian::report`] shows the
-    /// preprocessing phases charged exactly once underneath them.
+    /// fixed graph) and solving the right-hand sides in lockstep
+    /// ([`PreparedLaplacian::solve_lockstep`]). Each solve is bit-identical to
+    /// its own [`PreparedLaplacian::solve`]. The returned [`Outcome::report`]
+    /// covers the batch's solves alone; the cumulative
+    /// [`PreparedLaplacian::report`] shows the preprocessing phases charged
+    /// exactly once underneath them.
     ///
     /// # Errors
     ///
@@ -492,8 +501,10 @@ impl PreparedLaplacian {
     ) -> Result<Outcome<Vec<LaplacianSolve>>, Error> {
         let mut report = RoundReport::default();
         let mut solutions = Vec::with_capacity(rhs_batch.len());
-        for b in rhs_batch {
-            let outcome = self.solve(b)?;
+        for outcome in self.solve_lockstep(rhs_batch, None, &mut ScratchArena::new()) {
+            let outcome = outcome?;
+            self.report.add(&outcome.report);
+            self.solves += 1;
             report.add(&outcome.report);
             solutions.push(outcome.value);
         }
@@ -506,9 +517,9 @@ impl PreparedLaplacian {
     /// Solves `L_G x = b` **without mutating this handle**: the solve runs on
     /// a fresh per-request network, as [`PreparedLaplacian::solve`]'s does,
     /// but its cost is not added to the handle, and it reuses the caller's
-    /// [`ScratchArena`] work vectors. This is the engines' hot path: many
-    /// workers can serve solves from one shared prepared handle without
-    /// cloning the preprocessing state per request.
+    /// [`ScratchArena`] work vectors. Many workers can serve solves from one
+    /// shared prepared handle without cloning the preprocessing state per
+    /// request. The one-lane case of [`PreparedLaplacian::solve_lockstep`].
     ///
     /// `epsilon` of `None` uses the request's configured accuracy.
     ///
@@ -522,14 +533,80 @@ impl PreparedLaplacian {
         epsilon: Option<f64>,
         arena: &mut ScratchArena,
     ) -> Result<Outcome<LaplacianSolve>, Error> {
-        let mut net = Network::clique(self.model, self.solver.sparsifier().n());
-        let solve =
-            self.solver
-                .try_solve_with(&mut net, b, epsilon.unwrap_or(self.epsilon), arena)?;
-        Ok(Outcome {
-            report: net.ledger().report().clone(),
-            value: solve,
-        })
+        self.solve_lockstep(&[b], epsilon, arena)
+            .pop()
+            .expect("one result per right-hand side")
+    }
+
+    /// Solves one system per right-hand side in lockstep, **without mutating
+    /// this handle** — the engines' hot path, where every request queued on
+    /// one graph at one accuracy is solved as one block. Result `j` is
+    /// exactly what [`PreparedLaplacian::solve_shared`] returns for `rhs[j]`
+    /// alone, solution bits, iterations and report alike: each right-hand
+    /// side is charged on its own fresh per-request network. A malformed
+    /// right-hand side gets its own typed error and leaves the block,
+    /// so it fails no other.
+    ///
+    /// `epsilon` of `None` uses the request's configured accuracy.
+    pub fn solve_lockstep<B: AsRef<[f64]>>(
+        &self,
+        rhs: &[B],
+        epsilon: Option<f64>,
+        arena: &mut ScratchArena,
+    ) -> Vec<Result<Outcome<LaplacianSolve>, Error>> {
+        let (solver, epsilon) = (&self.solver, epsilon.unwrap_or(self.epsilon));
+        let n = solver.sparsifier().n();
+        let checked: Vec<_> = rhs
+            .iter()
+            .map(|b| solver.check_rhs(b.as_ref(), epsilon))
+            .collect();
+        // The accepted right-hand sides as one block: entry i of lane j at
+        // i·lanes + j.
+        let accepted: Vec<&[f64]> = rhs
+            .iter()
+            .zip(&checked)
+            .filter(|(_, checked)| checked.is_ok())
+            .map(|(b, _)| b.as_ref())
+            .collect();
+        let lanes = accepted.len();
+        let mut block = vec![0.0; n * lanes];
+        for (j, b) in accepted.iter().enumerate() {
+            for (i, &v) in b.iter().enumerate() {
+                block[i * lanes + j] = v;
+            }
+        }
+        let mut nets: Vec<Network> = (0..lanes).map(|_| Network::clique(self.model, n)).collect();
+        let (mut out, mut stats) = (Vec::new(), Vec::new());
+        let solved = if lanes == 0 {
+            Ok(())
+        } else {
+            solver.try_solve_block_into(
+                nets.as_mut_slice(),
+                &block,
+                lanes,
+                epsilon,
+                arena,
+                &mut out,
+                &mut stats,
+            )
+        };
+        let mut lane = 0..lanes;
+        checked
+            .into_iter()
+            .map(|checked| {
+                checked?;
+                let j = lane.next().expect("one lane per accepted right-hand side");
+                solved.clone()?;
+                Ok(Outcome {
+                    report: nets[j].ledger().report().clone(),
+                    value: LaplacianSolve {
+                        solution: out.iter().skip(j).step_by(lanes).copied().collect(),
+                        iterations: stats[j].iterations,
+                        rounds: stats[j].rounds,
+                    },
+                })
+            })
+            .collect()
     }
 
     /// The underlying solver state (sparsifier, κ, certificates).

@@ -140,6 +140,22 @@
 //! queue-wait and end-to-end percentiles in [`StreamOutput::latency`]
 //! (expired submissions are excluded — they never dispatched).
 //!
+//! # Lockstep blocks
+//!
+//! A worker that dispatches a Laplacian solve also takes, under the same
+//! queue lock, every job WFQ would dispatch next while that job is a
+//! Laplacian solve on the same fingerprint at the same accuracy, up to
+//! [`bcc_laplacian::LOCKSTEP_LANES`] of them, and solves the block on the
+//! shared cache entry with one lockstep call
+//! (`PreparedLaplacian::solve_lockstep`): one `L_G` product and one
+//! preconditioner replay per Chebyshev iteration for all of them. Every
+//! job of a block keeps its own cache probe, trace events, slot and
+//! latency samples, and gets the outcome its solo solve would give, bit
+//! for bit; a malformed right-hand side fails alone. A block moves wall
+//! time, never results or rounds: nothing waits for a block to fill, and a
+//! job that queues alone runs alone. Blocks are counted in the
+//! `stream.lockstep_batches` and `stream.lockstep_lanes` metrics.
+//!
 //! # Shutdown and drain
 //!
 //! [`StreamEngine::serve`] scopes the worker pool around a closure. When the
@@ -203,7 +219,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bcc_graph::{fingerprint, GraphFingerprint};
-use bcc_laplacian::ScratchArena;
+use bcc_laplacian::{ScratchArena, LOCKSTEP_LANES};
 use bcc_runtime::{ModelConfig, RoundReport};
 use serde::{Deserialize, Serialize};
 
@@ -1204,24 +1220,39 @@ fn resize_pool(shared: &Shared<'_>, lane: usize, queue: &StreamQueue) -> bool {
     grew
 }
 
-/// One scheduling decision: either a job to execute, a batch of jobs that
-/// expired in the queue, or shutdown.
-// A `Work` value lives once per dispatch, not in bulk: the size skew
-// between a popped job and the other variants does not matter here.
-#[allow(clippy::large_enum_variant)]
+/// One scheduling decision: a dispatch to execute (its jobs wait in the
+/// worker's batch buffer), a batch of jobs that expired in the queue, or
+/// shutdown.
 enum Work {
-    Run(Job),
+    Run,
     Expired(Vec<(Job, Duration)>),
     Done,
+}
+
+/// What makes two queued jobs one lockstep block: a Laplacian solve's
+/// fingerprint and the bits of the accuracy it solves at (its own, or the
+/// prepared handle's when it names none). `None` for every other request,
+/// which always runs alone.
+fn lockstep_key(job: &Job, default_epsilon: f64) -> Option<(u128, u64)> {
+    match (&job.payload.request, job.payload.fp) {
+        (Request::Laplacian { epsilon, .. }, Some(fp)) => {
+            Some((fp.as_u128(), epsilon.unwrap_or(default_epsilon).to_bits()))
+        }
+        _ => None,
+    }
 }
 
 fn worker_loop(shared: &Shared<'_>, id: usize) {
     // Trace lane convention: lane 0 is admission/collection (the client
     // side), lane `1 + id` is this worker.
     let lane = 1 + id;
-    // One scratch arena per worker thread: solve state is reused across every
-    // job this worker executes, so a warm worker solves without allocating.
+    let engine = shared.engine;
+    let default_epsilon = engine.worker_session(engine.seed).laplacian_epsilon();
+    // Per-worker state reused across every dispatch: the solve arena, so a
+    // warm worker solves without allocating work vectors, and the jobs of
+    // one dispatch, taken under the queue lock.
     let mut arena = ScratchArena::new();
+    let mut batch: Vec<Job> = Vec::with_capacity(LOCKSTEP_LANES);
     loop {
         let work = {
             let mut queue = shared.queue.lock().expect("stream queue");
@@ -1249,14 +1280,27 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                 // Sweep deadline expirations before every scheduling
                 // decision: a job still queued past its deadline is failed
                 // here, never dispatched.
-                let expired = queue.q.take_expired(shared.engine.clock.now());
+                let expired = queue.q.take_expired(engine.clock.now());
                 if !expired.is_empty() {
                     shared.not_full.notify_all();
                     break Work::Expired(expired);
                 }
                 if let Some(job) = queue.q.pop() {
+                    // While WFQ would dispatch a solve on the same graph at
+                    // the same accuracy next, it joins this one's block.
+                    let key = lockstep_key(&job, default_epsilon);
+                    batch.push(job);
+                    while key.is_some()
+                        && batch.len() < LOCKSTEP_LANES
+                        && queue
+                            .q
+                            .peek()
+                            .is_some_and(|next| lockstep_key(next, default_epsilon) == key)
+                    {
+                        batch.push(queue.q.pop().expect("the peeked job"));
+                    }
                     shared.not_full.notify_all();
-                    break Work::Run(job);
+                    break Work::Run;
                 }
                 if queue.closed {
                     break Work::Done;
@@ -1264,7 +1308,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                 queue = shared.not_empty.wait(queue).expect("stream queue");
             }
         };
-        let job = match work {
+        match work {
             Work::Done => return,
             Work::Expired(expired) => {
                 let mut done = shared.done.lock().expect("completion table");
@@ -1284,17 +1328,22 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                 }
                 drop(done);
                 shared.done_cv.notify_all();
-                continue;
             }
-            Work::Run(job) => job,
-        };
-        // Malformed input surfaces as a typed `Err` result; a panic here is
-        // reachable only through a bug or a legacy panicking path below the
-        // typed API. Poison the scope before re-panicking so a client
-        // blocked in `wait`/`submit` fails loudly instead of hanging, then
-        // let `thread::scope` propagate the panic out of `serve`.
-        let started = shared.engine.clock.now();
-        if let Some(tc) = &shared.tcounters {
+            Work::Run => run_batch(shared, lane, &mut batch, &mut arena),
+        }
+    }
+}
+
+/// Runs one dispatch — a single job, or a lockstep block of Laplacian solves
+/// on one graph at one accuracy — and completes every job of it, leaving
+/// `batch` empty. Each job keeps its own dispatch and completion telemetry,
+/// latency samples and slot; the service rate is observed once, over the
+/// dispatch's summed rounds.
+fn run_batch(shared: &Shared<'_>, lane: usize, batch: &mut Vec<Job>, arena: &mut ScratchArena) {
+    let engine = shared.engine;
+    let started = engine.clock.now();
+    if let Some(tc) = &shared.tcounters {
+        for job in batch.iter() {
             let wait = started.saturating_sub(job.payload.admitted_at);
             tc.dispatched.incr();
             tc.queue_wait.record(wait);
@@ -1305,157 +1354,192 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
                 u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
             );
         }
-        let (result, built_rounds) = match panic::catch_unwind(AssertUnwindSafe(|| {
-            execute_job(shared, lane, &job, &mut arena)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                shared.queue.lock().expect("stream queue").poisoned = true;
-                shared.not_full.notify_all();
-                shared.done.lock().expect("completion table").poisoned = true;
-                shared.done_cv.notify_all();
-                panic::resume_unwind(payload);
+        if matches!(batch[0].payload.request, Request::Laplacian { .. }) {
+            tc.lockstep_lanes.record_ns(batch.len() as u64);
+            if batch.len() > 1 {
+                tc.lockstep_batches.incr();
             }
-        };
-        let finished = shared.engine.clock.now();
+        }
+    }
+    // Malformed input surfaces as a typed `Err` result; a panic here is
+    // reachable only through a bug or a legacy panicking path below the
+    // typed API. Poison the scope before re-panicking so a client blocked
+    // in `wait`/`submit` fails loudly instead of hanging, then let
+    // `thread::scope` propagate the panic out of `serve`.
+    let (results, built_rounds) = match panic::catch_unwind(AssertUnwindSafe(|| {
+        execute_batch(shared, lane, batch, arena)
+    })) {
+        Ok(executed) => executed,
+        Err(payload) => {
+            shared.queue.lock().expect("stream queue").poisoned = true;
+            shared.not_full.notify_all();
+            shared.done.lock().expect("completion table").poisoned = true;
+            shared.done_cv.notify_all();
+            panic::resume_unwind(payload);
+        }
+    };
+    let finished = engine.clock.now();
+    let service = finished.saturating_sub(started);
+    // Feed the calibration loop: a successful completion's actual rounds
+    // calibrate its kind's rate, and the dispatch's wall-clock time
+    // calibrates the service rate deadline admission converts rounds with
+    // (counting any preprocessing this dispatch built — the build shared the
+    // measured wall-clock). Failures are skipped — their discarded partial
+    // work says nothing about the cost of work that completes.
+    let mut served_rounds = None;
+    for (job, result) in batch.iter().zip(&results) {
         if let Some(tc) = &shared.tcounters {
             tc.completed.incr();
-            tc.service.record(finished.saturating_sub(started));
+            tc.service.record(service);
         }
-        // Feed the calibration loop: a successful completion's actual
-        // rounds calibrate its kind's rate, and its wall-clock time
-        // calibrates the service rate deadline admission converts rounds
-        // with (counting any preprocessing this dispatch built — the build
-        // shared the measured wall-clock). Failures are skipped — their
-        // discarded partial work says nothing about the cost of work that
-        // completes.
-        if let Ok(outcome) = &result {
+        if let Ok(outcome) = result {
             let (kind, dims) = job.payload.request.cost_profile();
             let rounds = outcome.report.total_rounds;
-            let cost = &shared.engine.cost;
-            cost.observe(kind, dims, rounds);
-            cost.observe_service(rounds + built_rounds, finished.saturating_sub(started));
+            engine.cost.observe(kind, dims, rounds);
+            *served_rounds.get_or_insert(built_rounds) += rounds;
         }
-        // Latency samples on the engine's clock axis: admission → dispatch
-        // and admission → completion, saturating because a virtual clock
-        // may stand still between the readings.
-        let wait_ns = u64::try_from(started.saturating_sub(job.payload.admitted_at).as_nanos())
-            .unwrap_or(u64::MAX);
-        let e2e_ns = u64::try_from(finished.saturating_sub(job.payload.admitted_at).as_nanos())
-            .unwrap_or(u64::MAX);
+    }
+    if let Some(rounds) = served_rounds {
+        engine.cost.observe_service(rounds, service);
+    }
+    // Latency samples on the engine's clock axis: admission → dispatch and
+    // admission → completion, saturating because a virtual clock may stand
+    // still between the readings.
+    let mut done = shared.done.lock().expect("completion table");
+    for (job, result) in batch.drain(..).zip(results) {
+        let since_admission =
+            |at: Duration| u64::try_from(at.saturating_sub(job.payload.admitted_at).as_nanos());
         let (report, error) = match &result {
             Ok(outcome) => (outcome.report.clone(), None),
             Err(e) => (RoundReport::default(), Some(e.to_string())),
         };
-        let mut done = shared.done.lock().expect("completion table");
         done.slots[job.index as usize].stage = Stage::Ran {
             report,
             error,
-            wait_ns,
-            e2e_ns,
+            wait_ns: since_admission(started).unwrap_or(u64::MAX),
+            e2e_ns: since_admission(finished).unwrap_or(u64::MAX),
         };
         done.results.insert(job.index, result);
-        drop(done);
-        shared.done_cv.notify_all();
     }
+    drop(done);
+    shared.done_cv.notify_all();
 }
 
-/// Executes one job on a fresh worker session seeded by its submission
-/// index, returning its result plus the preprocessing rounds this call
-/// *built* (zero on cache hits and for non-Laplacian jobs) — a build shares
-/// the job's wall-clock, so the service-rate observation must count its
-/// rounds alongside the solve's.
+/// Executes one dispatch, returning each job's result in batch order plus
+/// the preprocessing rounds this call *built* (zero on cache hits and for
+/// non-Laplacian jobs) — a build shares the dispatch's
+/// wall-clock, so the service-rate observation must count its rounds
+/// alongside the solves'. Every job but a Laplacian solve runs alone on a
+/// fresh worker session seeded by its submission index.
 ///
-/// A Laplacian job solves **directly on the shared cache entry**:
-/// `PreparedLaplacian::solve_shared` runs each solve on a fresh per-request
-/// network with the worker's [`ScratchArena`], so no per-request clone of
-/// the preprocessing state is needed and every solve starts from the same
-/// pristine state regardless of scheduling. The entry is built at the
-/// master seed, exactly as `Session::laplacian(graph).preprocess()` would:
-/// a pure function of `(master seed, graph)`, which is what makes entries
-/// shareable (and rebuildable after eviction) without affecting results.
-fn execute_job(
+/// A Laplacian block solves **directly on the shared cache entry**: every
+/// job probes the cache itself, as a dispatch of its own would (so hits,
+/// misses and the LRU order do not depend on batching), and then
+/// `PreparedLaplacian::solve_lockstep` solves all of them on the worker's
+/// [`ScratchArena`], each on a fresh per-request network, so no
+/// per-request clone of the preprocessing state is needed and every solve
+/// is bit-identical to its solo `solve_shared` regardless of scheduling.
+/// The entry is built at the master seed, exactly as
+/// `Session::laplacian(graph).preprocess()` would: a pure function of
+/// `(master seed, graph)`, which is what makes entries shareable (and
+/// rebuildable after eviction) without affecting results.
+fn execute_batch(
     shared: &Shared<'_>,
     lane: usize,
-    job: &Job,
+    batch: &[Job],
     arena: &mut ScratchArena,
-) -> (Result<Outcome<Response>, Error>, u64) {
+) -> (Vec<Result<Outcome<Response>, Error>>, u64) {
     let engine = shared.engine;
-    let index = job.index;
     let mut built_rounds = 0;
-    let entry = match (&job.payload.request, job.payload.fp) {
-        (Request::Laplacian { graph, .. }, Some(fp)) => {
-            // The build closure runs exactly when this call is the one that
-            // builds — which is exactly a cache miss, so the miss and the
-            // build bracket are traced inside it. Waiting on (or finding)
-            // another worker's build is the hit path.
-            let (entry, built) = engine
-                .cache
-                .get_or_build(fp, CostDims::of_graph(graph), || {
-                    shared.trace(lane, TraceEvent::CacheMiss, index, 0);
-                    shared.trace(lane, TraceEvent::BuildBegin, index, 0);
-                    let entry = engine
-                        .worker_session(engine.seed)
-                        .laplacian(graph)
-                        .preprocess();
-                    built_rounds = preprocessing_rounds(&entry);
-                    shared.trace(lane, TraceEvent::BuildEnd, index, built_rounds);
-                    entry
-                });
-            if !built {
-                shared.trace(lane, TraceEvent::CacheHit, index, 0);
-            }
-            // Record the preprocessing cost once per distinct fingerprint —
-            // a pure function of (master seed, graph), so whichever worker
-            // records it first records the same value. A failed build
-            // charged nothing.
-            shared
-                .prep
-                .lock()
-                .expect("preprocessing reports")
-                .entry(fp.as_u128())
-                .or_insert_with(|| match &*entry {
-                    Ok(prepared) => prepared.preprocessing_report().clone(),
-                    Err(_) => RoundReport::default(),
-                });
-            Some(entry)
+    let mut entry = None;
+    for job in batch {
+        let (Request::Laplacian { graph, .. }, Some(fp)) = (&job.payload.request, job.payload.fp)
+        else {
+            continue;
+        };
+        let index = job.index;
+        // The build closure runs exactly when this call is the one that
+        // builds — which is exactly a cache miss, so the miss and the build
+        // bracket are traced inside it. Waiting on (or finding) another
+        // worker's build is the hit path.
+        let (found, built) = engine
+            .cache
+            .get_or_build(fp, CostDims::of_graph(graph), || {
+                shared.trace(lane, TraceEvent::CacheMiss, index, 0);
+                shared.trace(lane, TraceEvent::BuildBegin, index, 0);
+                let entry = engine
+                    .worker_session(engine.seed)
+                    .laplacian(graph)
+                    .preprocess();
+                let rounds = preprocessing_rounds(&entry);
+                built_rounds += rounds;
+                shared.trace(lane, TraceEvent::BuildEnd, index, rounds);
+                entry
+            });
+        if !built {
+            shared.trace(lane, TraceEvent::CacheHit, index, 0);
         }
-        _ => None,
-    };
-    shared.trace(lane, TraceEvent::SolveBegin, index, 0);
-    let session = || engine.worker_session(engine.request_seed(index as usize));
-    let result = match &job.payload.request {
-        Request::Sparsify { graph, epsilon } => session()
+        // Record the preprocessing cost once per distinct fingerprint — a
+        // pure function of (master seed, graph), so whichever worker
+        // records it first records the same value. A failed build charged
+        // nothing.
+        shared
+            .prep
+            .lock()
+            .expect("preprocessing reports")
+            .entry(fp.as_u128())
+            .or_insert_with(|| match &*found {
+                Ok(prepared) => prepared.preprocessing_report().clone(),
+                Err(_) => RoundReport::default(),
+            });
+        entry.get_or_insert(found);
+    }
+    for job in batch {
+        shared.trace(lane, TraceEvent::SolveBegin, job.index, 0);
+    }
+    let session = || engine.worker_session(engine.request_seed(batch[0].index as usize));
+    let results: Vec<_> = match &batch[0].payload.request {
+        Request::Sparsify { graph, epsilon } => vec![session()
             .sparsify(graph, *epsilon)
-            .map(|o| o.map(Response::Sparsify)),
-        Request::Laplacian { b, epsilon, .. } => {
-            match entry
-                .as_deref()
-                .expect("laplacian jobs carry their cache entry")
-            {
-                Ok(prepared) => prepared
-                    .solve_shared(b, *epsilon, arena)
-                    .map(|o| o.map(Response::Laplacian)),
-                Err(e) => Err(e.clone()),
+            .map(|o| o.map(Response::Sparsify))],
+        Request::Laplacian { epsilon, .. } => {
+            match &*entry.expect("laplacian jobs carry their cache entry") {
+                Ok(prepared) => {
+                    let rhs: Vec<&[f64]> = batch
+                        .iter()
+                        .map(|job| match &job.payload.request {
+                            Request::Laplacian { b, .. } => b.as_slice(),
+                            _ => unreachable!("a lockstep block holds Laplacian solves only"),
+                        })
+                        .collect();
+                    prepared
+                        .solve_lockstep(&rhs, *epsilon, arena)
+                        .into_iter()
+                        .map(|r| r.map(|o| o.map(Response::Laplacian)))
+                        .collect()
+                }
+                Err(e) => batch.iter().map(|_| Err(e.clone())).collect(),
             }
         }
         Request::Lp { instance, request } => {
-            session().lp(instance, request).map(|o| o.map(Response::Lp))
+            vec![session().lp(instance, request).map(|o| o.map(Response::Lp))]
         }
         Request::MinCostMaxFlow { instance, options } => {
             let mut session = session();
-            match options {
+            vec![match options {
                 Some(opts) => session.min_cost_max_flow_with(instance, opts),
                 None => session.min_cost_max_flow(instance),
             }
-            .map(|o| o.map(Response::MinCostMaxFlow))
+            .map(|o| o.map(Response::MinCostMaxFlow))]
         }
     };
-    let solved_rounds = result
-        .as_ref()
-        .map_or(0, |outcome| outcome.report.total_rounds);
-    shared.trace(lane, TraceEvent::SolveEnd, index, solved_rounds);
-    (result, built_rounds)
+    for (job, result) in batch.iter().zip(&results) {
+        let solved_rounds = result
+            .as_ref()
+            .map_or(0, |outcome| outcome.report.total_rounds);
+        shared.trace(lane, TraceEvent::SolveEnd, job.index, solved_rounds);
+    }
+    (results, built_rounds)
 }
 
 /// The submission/collection handle a serve scope's closure works with.

@@ -746,8 +746,8 @@ impl TelemetrySink {
 
 /// The standard stream-engine metrics, registered once at engine build so
 /// the per-event hot path touches only cached atomic handles. Counter names
-/// are `stream.*` and `pool.*`; the histograms record queue wait and worker
-/// service time.
+/// are `stream.*` and `pool.*`; the histograms record queue wait, worker
+/// service time and the requests of each Laplacian dispatch.
 #[derive(Debug)]
 pub struct EngineCounters {
     /// `stream.submitted`: submissions that entered admission control.
@@ -782,6 +782,15 @@ pub struct EngineCounters {
     pub queue_wait: Arc<DurationHistogram>,
     /// `stream.service_ns`: dispatch → completion, per executed job.
     pub service: Arc<DurationHistogram>,
+    /// `stream.lockstep_batches`: dispatches that solved two or more
+    /// Laplacian requests on one graph as one lockstep block.
+    pub lockstep_batches: Arc<Counter>,
+    /// `stream.lockstep_lanes`: the number of requests of every Laplacian
+    /// dispatch, 1 for a solve that ran alone. The sample is a count, not a
+    /// duration: its `_ns` value is the lane count, so the histogram's sum is
+    /// the Laplacian requests dispatched, bucket 1 those that ran alone, and
+    /// the higher buckets those that shared a block.
+    pub lockstep_lanes: Arc<DurationHistogram>,
 }
 
 impl EngineCounters {
@@ -804,6 +813,8 @@ impl EngineCounters {
             queue_depth: registry.gauge("stream.queue_depth"),
             queue_wait: registry.histogram("stream.queue_wait_ns"),
             service: registry.histogram("stream.service_ns"),
+            lockstep_batches: registry.counter("stream.lockstep_batches"),
+            lockstep_lanes: registry.histogram("stream.lockstep_lanes"),
         }
     }
 }

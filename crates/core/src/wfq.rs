@@ -581,18 +581,18 @@ impl<T> WfqQueue<T> {
         expired
     }
 
-    /// Dispatches the queued job with the smallest virtual finish tag whose
-    /// class still has rate-limit budget; when every queued class is
-    /// throttled, the smallest tag runs anyway (work-conserving). Ties break
-    /// by submission index.
-    pub fn pop(&mut self) -> Option<WfqJob<T>> {
+    /// The class whose head [`WfqQueue::pop`] dispatches next: the smallest
+    /// virtual finish tag among the classes with rate-limit budget, else,
+    /// when every queued class is throttled, the smallest tag anyway
+    /// (work-conserving). Ties break by submission index. The flag tells
+    /// whether a class with budget was found. Reads the queue only, so
+    /// [`WfqQueue::peek`] and `pop` share one selection rule.
+    fn select(&self) -> Option<(usize, bool)> {
         if self.queued == 0 {
             return None;
         }
-        let dispatches = self.dispatches;
         let mut best_allowed: Option<(u128, u64, usize)> = None;
         let mut best_any: Option<(u128, u64, usize)> = None;
-        let mut throttled: Vec<usize> = Vec::new();
         for (i, class) in self.classes.iter().enumerate() {
             let Some(head) = class.queue.front() else {
                 continue;
@@ -601,23 +601,38 @@ impl<T> WfqQueue<T> {
             if best_any.is_none_or(|b| key < b) {
                 best_any = Some(key);
             }
-            if class.throttled_at(dispatches) {
-                throttled.push(i);
-            } else if best_allowed.is_none_or(|b| key < b) {
+            if !class.throttled_at(self.dispatches) && best_allowed.is_none_or(|b| key < b) {
                 best_allowed = Some(key);
             }
         }
-        let (_, _, i) = match best_allowed {
-            Some(key) => {
-                for t in throttled {
-                    self.classes[t].throttled += 1;
+        match best_allowed {
+            Some((_, _, i)) => Some((i, true)),
+            None => best_any.map(|(_, _, i)| (i, false)),
+        }
+    }
+
+    /// The job [`WfqQueue::pop`] would dispatch now, without dispatching it
+    /// or touching any counter.
+    pub fn peek(&self) -> Option<&WfqJob<T>> {
+        let (i, _) = self.select()?;
+        self.classes[i].queue.front()
+    }
+
+    /// Dispatches the queued job with the smallest virtual finish tag whose
+    /// class still has rate-limit budget; when every queued class is
+    /// throttled, the smallest tag runs anyway (work-conserving). Ties break
+    /// by submission index. A dispatch that passes over throttled classes
+    /// counts one skip against each of them.
+    pub fn pop(&mut self) -> Option<WfqJob<T>> {
+        let (i, allowed) = self.select()?;
+        if allowed {
+            let dispatches = self.dispatches;
+            for class in &mut self.classes {
+                if !class.queue.is_empty() && class.throttled_at(dispatches) {
+                    class.throttled += 1;
                 }
-                key
             }
-            // Every queued class is over budget: stay work-conserving and
-            // dispatch the smallest tag anyway.
-            None => best_any?,
-        };
+        }
         let job = self.classes[i].queue.pop_front().expect("head exists");
         debug_assert_eq!(self.classes[i].priority, job.class);
         self.queued -= 1;
@@ -843,6 +858,32 @@ mod tests {
         );
         assert_eq!(bulk.rate_limit, Some(RateLimit::new(1, 4)));
         assert_eq!(stats.policy, "wfq");
+    }
+
+    #[test]
+    fn peek_shows_the_next_dispatch_and_changes_nothing() {
+        // Weights, a rate limit that bites, and a custom class: at every
+        // step `peek` names the job `pop` then dispatches, and a peek alone
+        // leaves every counter and the dispatch order as they were.
+        let mut s = WfqQueue::new(&config(&[
+            (Priority::Interactive, 3, None),
+            (Priority::Bulk, 1, Some(RateLimit::new(1, 3))),
+        ]));
+        for i in 0..24u64 {
+            let class =
+                [Priority::Bulk, Priority::Interactive, Priority::custom(2)][i as usize % 3];
+            s.push(class, (), None, 1 + i % 4);
+        }
+        while let Some(next) = s.peek().map(|job| job.index) {
+            let stats = s.stats();
+            assert_eq!(s.peek().map(|job| job.index), Some(next));
+            assert_eq!(s.stats(), stats, "a peek charges nothing");
+            assert_eq!(s.pop().map(|job| job.index), Some(next));
+        }
+        assert!(s.pop().is_none());
+        let bulk = s.stats().class(Priority::Bulk).cloned().unwrap();
+        assert_eq!(bulk.dispatched, 8);
+        assert!(bulk.throttled > 0, "the limiter must have bitten");
     }
 
     #[test]

@@ -148,9 +148,10 @@ proptest! {
 
 /// Theorem 1.3's guarantee, lane by lane, for right-hand sides solved in
 /// lockstep: 32 seeded random connected graphs, half of them preconditioned
-/// by the sparsifier, with one lane, one full group of ten and a padded
-/// second group (13). Every lane must meet ε in the `L_G`-norm and carry the
-/// bits and statistics of its own one-lane solve.
+/// by the sparsifier, at every kernel width the solver picks — one lane,
+/// two, four (3 and 4 lanes), ten (5 lanes padded, a full group) — and a
+/// padded second group of ten (13). Every lane must meet ε in the
+/// `L_G`-norm and carry the bits and statistics of its own one-lane solve.
 #[test]
 fn lockstep_laplacian_solves_meet_the_guarantee_lane_by_lane_across_seeds() {
     use bcc_core::laplacian::ScratchArena;
@@ -170,7 +171,7 @@ fn lockstep_laplacian_solves_meet_the_guarantee_lane_by_lane_across_seeds() {
         .expect("a connected graph on a matching network");
         let mut arena = ScratchArena::new();
         let (mut block_out, mut stats, mut single) = (Vec::new(), Vec::new(), Vec::new());
-        for lanes in [1, 10, 13] {
+        for lanes in [1, 2, 3, 4, 5, 10, 13] {
             let vectors: Vec<Vec<f64>> = (0..lanes)
                 .map(|_| (0..n).map(|_| rng.gen::<f64>() - 0.5).collect())
                 .collect();

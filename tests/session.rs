@@ -401,6 +401,58 @@ fn round_reports_round_trip_through_json_for_cost_telemetry() {
 }
 
 #[test]
+fn lockstep_solves_match_solo_solves_and_fail_alone() {
+    // Thirteen right-hand sides (a group of ten and a padded second one), a
+    // NaN, a short one and an overflowing one among them, at every kernel
+    // width: each result is the solver's own one-lane solve on a fresh
+    // network, bits, iterations and report alike, and a malformed right-hand
+    // side fails with its own error without failing the others.
+    use bcc_core::laplacian::ScratchArena;
+    let graph = generators::grid(4, 5);
+    let n = graph.n();
+    let prepared = Session::builder()
+        .seed(3)
+        .build()
+        .laplacian(&graph)
+        .preprocess()
+        .unwrap();
+    let mut rhs: Vec<Vec<f64>> = (0..13)
+        .map(|k| (0..n).map(|i| ((7 * i + 3 * k) as f64).sin()).collect())
+        .collect();
+    rhs[2][5] = f64::NAN;
+    rhs[6].truncate(n - 1);
+    rhs[9][0] = 1.7e308;
+    let mut arena = ScratchArena::new();
+    for lanes in [1, 2, 3, 4, 5, 13] {
+        for epsilon in [None, Some(1e-3), Some(0.9)] {
+            let got = prepared.solve_lockstep(&rhs[..lanes], epsilon, &mut arena);
+            assert_eq!(got.len(), lanes);
+            for (j, (b, got)) in rhs.iter().zip(&got).enumerate() {
+                let mut net = Network::clique(ModelConfig::bcc(), n);
+                let want = prepared
+                    .solver()
+                    .try_solve(&mut net, b, epsilon.unwrap_or(1e-6));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got.value.solution), bits(&want.solution));
+                        assert_eq!(got.value.iterations, want.iterations);
+                        assert_eq!(got.value.rounds, want.rounds);
+                        assert_eq!(&got.report, net.ledger().report());
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got, &Error::from(want)),
+                    other => panic!("{lanes} lanes, lane {j}, {epsilon:?}: {other:?}"),
+                }
+            }
+        }
+    }
+    // Three right-hand sides fail alone; the others solve.
+    let results = prepared.solve_lockstep(&rhs, None, &mut arena);
+    let failed: Vec<usize> = (0..rhs.len()).filter(|&j| results[j].is_err()).collect();
+    assert_eq!(failed, [2, 6, 9]);
+}
+
+#[test]
 fn solve_many_matches_sequential_solves_bit_for_bit() {
     let graph = generators::grid(4, 4);
     let session = Session::builder().seed(21).build();

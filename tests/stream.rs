@@ -1031,6 +1031,158 @@ fn a_frozen_virtual_clock_traces_a_reconciled_lifecycle() {
 }
 
 // ---------------------------------------------------------------------------
+// Lockstep blocks: Laplacian solves queued on one graph at one accuracy are
+// solved together, each with the outcome of its solo solve.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn queued_same_graph_solves_run_in_lockstep_with_their_solo_outcomes() {
+    use bcc_core::graph::fingerprint::fingerprint;
+    use bcc_core::laplacian::{LaplacianError, ScratchArena};
+    use rand::Rng;
+
+    let grid = generators::grid(5, 5);
+    let other = generators::random_connected(12, 0.4, 4, &mut ChaCha8Rng::seed_from_u64(9));
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    let mut rhs = |g: &Graph| -> Vec<f64> { (0..g.n()).map(|_| rng.gen::<f64>() - 0.5).collect() };
+    // Twelve solves on the grid, more than one block holds, with a NaN and a
+    // short right-hand side among them; two on another graph; two at
+    // another accuracy; and two at the engine's own accuracy, one naming it
+    // and one not, which share a block.
+    let mut solves: Vec<Request> = (0..12)
+        .map(|k| {
+            let mut b = rhs(&grid);
+            match k {
+                3 => b[7] = f64::NAN,
+                5 => b.truncate(20),
+                _ => {}
+            }
+            Request::laplacian(grid.clone(), b)
+        })
+        .collect();
+    for _ in 0..2 {
+        solves.push(Request::laplacian(other.clone(), rhs(&other)));
+    }
+    for _ in 0..2 {
+        solves.push(Request::laplacian_with_epsilon(
+            grid.clone(),
+            rhs(&grid),
+            1e-3,
+        ));
+    }
+    solves.push(Request::laplacian(grid.clone(), rhs(&grid)));
+    solves.push(Request::laplacian_with_epsilon(
+        grid.clone(),
+        rhs(&grid),
+        1e-6,
+    ));
+
+    // One worker, held by a sparsification while the solves queue behind
+    // it in one class, so WFQ dispatches them in submission order.
+    let sink = TelemetrySink::enabled();
+    let mut engine = StreamEngine::builder()
+        .seed(MASTER_SEED)
+        .workers(1)
+        .telemetry(sink.clone())
+        .build();
+    let output = engine.serve(|client| {
+        let slow = client
+            .submit(
+                Request::sparsify(generators::complete(32), 0.5),
+                Priority::Interactive,
+            )
+            .unwrap();
+        let tickets: Vec<Ticket> = solves
+            .iter()
+            .map(|request| {
+                client
+                    .submit(request.clone(), Priority::Interactive)
+                    .unwrap()
+            })
+            .collect();
+        client.wait(slow).expect("the sparsification runs");
+        tickets
+            .into_iter()
+            .map(|ticket| client.wait(ticket))
+            .collect::<Vec<_>>()
+    });
+
+    // Every outcome is its solo solve on a handle the session prepares.
+    let mut prepared: HashMap<u128, PreparedLaplacian> = HashMap::new();
+    for (i, (request, got)) in solves.iter().zip(&output.value).enumerate() {
+        let Request::Laplacian { graph, b, epsilon } = request else {
+            unreachable!("every queued request is a Laplacian solve")
+        };
+        let handle = prepared
+            .entry(fingerprint(graph).as_u128())
+            .or_insert_with(|| {
+                Session::builder()
+                    .seed(MASTER_SEED)
+                    .build()
+                    .laplacian(graph)
+                    .preprocess()
+                    .unwrap()
+            });
+        match (
+            got,
+            handle.solve_shared(b, *epsilon, &mut ScratchArena::new()),
+        ) {
+            (Ok(got), Ok(want)) => {
+                let solve = got.value.as_laplacian().expect("a Laplacian response");
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&solve.solution),
+                    bits(&want.value.solution),
+                    "solve {i}"
+                );
+                assert_eq!(solve.iterations, want.value.iterations, "solve {i}");
+                assert_eq!(solve.rounds, want.value.rounds, "solve {i}");
+                assert_eq!(got.report, want.report, "solve {i}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, &want, "solve {i}"),
+            other => panic!("solve {i}: lockstep and solo disagree: {other:?}"),
+        }
+    }
+    assert!(matches!(
+        output.value[3],
+        Err(Error::Laplacian(LaplacianError::MagnitudeOverflow))
+    ));
+    assert!(matches!(
+        output.value[5],
+        Err(Error::Laplacian(LaplacianError::DimensionMismatch { .. }))
+    ));
+
+    // The cache saw one dispatch per job: one miss per graph, a hit for
+    // every other solve, and every job's lifecycle traced once.
+    let laplacian = solves.len() as u64;
+    assert_eq!(output.report.failures, 2);
+    assert_eq!(
+        (output.report.cache_misses, output.report.cache_hits),
+        (2, laplacian - 2)
+    );
+    let records = sink.trace_records();
+    let count = |event: TraceEvent| records.iter().filter(|r| r.event == event).count() as u64;
+    for event in [
+        TraceEvent::Dispatched,
+        TraceEvent::SolveBegin,
+        TraceEvent::SolveEnd,
+    ] {
+        assert_eq!(count(event), laplacian + 1, "{event:?}");
+    }
+    assert_eq!(count(TraceEvent::CacheMiss), 2);
+    assert_eq!(count(TraceEvent::CacheHit), laplacian - 2);
+
+    // At least one block ran, and every Laplacian job ran in one.
+    let metrics = sink.metrics_snapshot().expect("an enabled sink");
+    assert!(metrics.counter("stream.lockstep_batches") >= 1);
+    let lanes = metrics
+        .histogram("stream.lockstep_lanes")
+        .expect("Laplacian dispatches record their lanes");
+    assert_eq!(lanes.sum_ns, laplacian);
+    assert!(lanes.count < laplacian);
+}
+
+// ---------------------------------------------------------------------------
 // The unified cost model: size-aware tags and deadline-aware admission steer
 // latency only; estimation error is reported deterministically.
 // ---------------------------------------------------------------------------
