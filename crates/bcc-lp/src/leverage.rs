@@ -12,7 +12,7 @@
 //! supports.
 
 use bcc_linalg::{DenseMatrix, JlSketch};
-use bcc_runtime::{Network, SharedRandomness};
+use bcc_runtime::Network;
 
 use crate::error::LpError;
 use crate::gram::{GramSolver, ScaledMatrix};
@@ -43,8 +43,9 @@ impl LeverageOptions {
 /// Approximates the leverage scores of `M = diag(d)·A` (Algorithm 6).
 ///
 /// Charges on `net`: one leader election plus the broadcast of `Θ(log² m)`
-/// shared bits, and `k` rounds of (matrix product + Gram solve), the latter
-/// through one [`GramSolver::solve_many`] call of `gram_solver`.
+/// shared bits ([`Network::share_random_bits`]), and `k` rounds of (matrix
+/// product + Gram solve), the latter through one [`GramSolver::solve_many`]
+/// call of `gram_solver`.
 ///
 /// # Errors
 ///
@@ -63,13 +64,12 @@ pub fn compute_leverage_scores(
     net.begin_phase("leverage scores");
     // Shared randomness: Θ(log² m) bits sampled by the leader (Theorem 4.4).
     let bits = JlSketch::shared_bits_needed(rows);
-    let shared = SharedRandomness::sample_and_broadcast(net, options.shared_seed, bits)
-        .expect("network has at least one vertex");
+    net.share_random_bits(bits);
     let mut k = JlSketch::dimension_for(rows, options.eta);
     if let Some(cap) = options.max_sketch_dimension {
         k = k.min(cap.max(1));
     }
-    let sketch = JlSketch::from_shared_seed(k, rows, options.shared_seed ^ shared.bits());
+    let sketch = JlSketch::from_shared_seed(k, rows, options.shared_seed ^ bits);
 
     // p(j) = M (MᵀM)⁻¹ Mᵀ Q(j), evaluated right to left; the k Gram systems
     // share their matrix, so they are solved as one batch.

@@ -1,39 +1,44 @@
 //! # bcc-runtime
 //!
-//! A deterministic, round-accounting simulator of the four synchronous
+//! Deterministic round accounting for the four synchronous
 //! bandwidth-constrained message-passing models used in *"The Laplacian
 //! Paradigm in the Broadcast Congested Clique"* (Forster & de Vos, PODC 2022):
 //! CONGEST, Broadcast CONGEST, Congested Clique and Broadcast Congested
 //! Clique.
 //!
-//! The simulator's job is **not** to parallelize work — local computation is
-//! free in these models — but to account the single cost metric the paper
-//! bounds: the number of synchronous rounds, with `B = Θ(log n)`-bit messages
-//! and the broadcast constraint enforced.
+//! Local computation is free in these models, so nothing here moves
+//! messages: the runtime accounts the single cost metric the paper bounds,
+//! the number of synchronous rounds of `B = c·⌈log₂ n⌉`-bit messages. Every
+//! vertex owns its coordinate of every vector by construction, so each
+//! communication step of an algorithm is one named broadcast pattern (every
+//! vertex shares a value, every vertex shares its own number of values, a
+//! leader shares random bits, ...), and a charge depends only on `B` and
+//! that pattern.
 //!
 //! ## Layers
 //!
-//! * [`Network`] — the charged communication layer: message exchanges plus
-//!   numeric primitives (`share_scalars`, `broadcast_from`, ...), all of which
-//!   charge rounds on a [`RoundLedger`], whose [`RoundReport`] is the one
-//!   record of communication cost.
-//! * [`payload`] — typed message fields with explicit encoded bit widths.
-//! * [`shared_rand`] — leader-sampled shared randomness and reproducible
-//!   per-vertex private randomness.
+//! * [`Network`] — the closed-form broadcast patterns (`share_scalars`,
+//!   `share_varying`, `aggregate_scalar`, `share_random_bits`), each charged
+//!   on a [`RoundLedger`], whose [`RoundReport`] is the one record of
+//!   communication cost.
+//! * [`payload`] — encoded bit widths of bounded integers and fixed-point
+//!   reals.
+//! * [`shared_rand`] — reproducible per-vertex private randomness.
 //!
 //! ## Example
 //!
 //! ```
 //! use bcc_runtime::{ModelConfig, Network};
-//! use bcc_runtime::payload::Field;
 //!
-//! // 64 processors in the Broadcast Congested Clique.
+//! // 64 processors in the Broadcast Congested Clique: B = ⌈log₂ 64⌉ = 6 bits.
 //! let mut net = Network::clique(ModelConfig::bcc(), 64);
 //! net.begin_phase("hello");
-//! // Everyone announces its identifier on the blackboard: a single round.
-//! let heard = net.exchange(|v| Some(Field::id(v, 64)));
-//! assert_eq!(heard[0].len(), 63);
-//! assert_eq!(net.ledger().total_rounds(), 1);
+//! // Every vertex writes one 6-bit value to the blackboard: one round.
+//! net.share_scalars(6);
+//! // One 13-bit value per vertex needs ⌈13 / 6⌉ = 3 rounds.
+//! net.share_scalars(13);
+//! assert_eq!(net.ledger().total_rounds(), 4);
+//! assert_eq!(net.ledger().total_bits(), 64 * (6 + 13));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,6 +54,5 @@ pub mod shared_rand;
 pub use error::RuntimeError;
 pub use ledger::{PhaseStats, RoundLedger, RoundReport};
 pub use model::{ceil_log2, Model, ModelConfig};
-pub use network::{Network, Topology};
-pub use payload::{Field, Message, MessageSize};
-pub use shared_rand::{splitmix64, vertex_rng, SharedRandomness};
+pub use network::Network;
+pub use shared_rand::{splitmix64, vertex_rng};

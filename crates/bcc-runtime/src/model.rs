@@ -11,20 +11,28 @@
 //!   message to all of them (broadcast).
 //!
 //! All four share the bandwidth constraint: messages carry `B = Θ(log n)`
-//! bits per round.
+//! bits per round. The algorithms of this workspace are written for the
+//! broadcast models, each communication step names its broadcast pattern,
+//! and [`crate::Network`] charges that pattern from `B` alone.
 
 use serde::{Deserialize, Serialize};
 
 /// The four bandwidth-constrained synchronous models considered in the paper.
+/// Engine configurations (`bcc-engine-config/v2`) serialize the model, so
+/// all four stay spellable there.
 ///
 /// # Examples
 ///
 /// ```
-/// use bcc_runtime::Model;
+/// use bcc_runtime::{Model, ModelConfig, Network};
 ///
-/// let bcc = Model::BroadcastCongestedClique;
-/// assert!(bcc.is_broadcast());
-/// assert!(bcc.is_clique());
+/// let cfg = ModelConfig::bcc();
+/// assert_eq!(cfg.model, Model::BroadcastCongestedClique);
+/// assert_eq!(cfg.model.to_string(), "BCC");
+/// // B = ⌈log₂ 1024⌉ = 10 bits: a 25-bit aggregate takes ⌈25 / 10⌉ = 3 rounds.
+/// let mut net = Network::clique(cfg, 1024);
+/// net.aggregate_scalar(25);
+/// assert_eq!(net.ledger().total_rounds(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Model {
@@ -41,24 +49,6 @@ pub enum Model {
 }
 
 impl Model {
-    /// Returns `true` if the model imposes the broadcast constraint
-    /// (a vertex sends the same message to all of its neighbors).
-    pub fn is_broadcast(self) -> bool {
-        matches!(
-            self,
-            Model::BroadcastCongest | Model::BroadcastCongestedClique
-        )
-    }
-
-    /// Returns `true` if communication is allowed between every pair of
-    /// vertices regardless of the input-graph topology.
-    pub fn is_clique(self) -> bool {
-        matches!(
-            self,
-            Model::CongestedClique | Model::BroadcastCongestedClique
-        )
-    }
-
     /// A short human-readable name (`"BC"`, `"BCC"`, ...), matching the
     /// abbreviations used in the paper's Figure 1.
     pub fn short_name(self) -> &'static str {
@@ -121,22 +111,6 @@ impl ModelConfig {
         }
     }
 
-    /// Configuration for the (unicast) CONGEST model.
-    pub fn congest() -> Self {
-        ModelConfig {
-            model: Model::Congest,
-            bandwidth_factor: 1,
-        }
-    }
-
-    /// Configuration for the (unicast) Congested Clique.
-    pub fn congested_clique() -> Self {
-        ModelConfig {
-            model: Model::CongestedClique,
-            bandwidth_factor: 1,
-        }
-    }
-
     /// Overrides the bandwidth multiplier `c` in `B = c · ⌈log2 n⌉`.
     pub fn with_bandwidth_factor(mut self, factor: u32) -> Self {
         assert!(factor >= 1, "bandwidth factor must be at least 1");
@@ -167,18 +141,6 @@ impl ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn broadcast_and_clique_flags() {
-        assert!(!Model::Congest.is_broadcast());
-        assert!(!Model::Congest.is_clique());
-        assert!(Model::BroadcastCongest.is_broadcast());
-        assert!(!Model::BroadcastCongest.is_clique());
-        assert!(!Model::CongestedClique.is_broadcast());
-        assert!(Model::CongestedClique.is_clique());
-        assert!(Model::BroadcastCongestedClique.is_broadcast());
-        assert!(Model::BroadcastCongestedClique.is_clique());
-    }
 
     #[test]
     fn short_names_are_paper_abbreviations() {

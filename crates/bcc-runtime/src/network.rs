@@ -1,55 +1,41 @@
 //! The charged communication layer.
 //!
-//! A [`Network`] represents one simulated execution environment: the model
-//! (topology + broadcast constraint + bandwidth), the communication graph and
-//! a [`RoundLedger`]. Algorithms interact with it in two styles:
-//!
-//! 1. **Message exchanges** ([`Network::exchange`] /
-//!    [`Network::exchange_unicast`]): one synchronous step in which every
-//!    vertex contributes at most one message (broadcast models) or one message
-//!    per neighbor (unicast models). The ledger is charged
-//!    `⌈max message bits / B⌉` rounds, matching the convention the paper uses
-//!    when a logical message (e.g. an edge weight of `log W` bits) is wider
-//!    than the bandwidth.
-//! 2. **Charged numeric primitives** ([`Network::share_scalars`],
-//!    [`Network::broadcast_from`], ...) used by the Laplacian/LP/flow layers:
-//!    the data flow of those algorithms is vertex-local by construction (each
-//!    vertex owns its coordinate of every vector), so the simulator only needs
-//!    to account the rounds of the corresponding broadcast pattern.
+//! A [`Network`] is one accounted execution: the model configuration (which
+//! fixes the bandwidth `B = c·⌈log₂ n⌉`), the number of vertices and a
+//! [`RoundLedger`]. Every vertex owns its coordinate of every vector, so
+//! the data flow of the sparsifier, Laplacian, LP and flow layers is
+//! vertex-local by construction, and each communication step is one of the
+//! broadcast patterns below ([`Network::share_scalars`],
+//! [`Network::share_varying`], [`Network::aggregate_scalar`],
+//! [`Network::share_random_bits`]). A pattern is charged in closed form, so
+//! a charge depends only on `B` and the pattern the algorithm names: a value
+//! of `bits` bits takes `⌈bits / B⌉` rounds, matching the convention the
+//! paper uses when a logical message (e.g. an edge weight of `log W` bits)
+//! is wider than the bandwidth, and all vertices transmit in parallel.
 
 use crate::error::RuntimeError;
 use crate::ledger::RoundLedger;
-use crate::model::ModelConfig;
-use crate::payload::MessageSize;
+use crate::model::{ceil_log2, ModelConfig};
 
-/// Communication topology of a simulated network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Topology {
-    /// Every pair of vertices may communicate (Congested Clique family).
-    Clique,
-    /// Communication restricted to the edges of an undirected graph, given as
-    /// adjacency lists (CONGEST family).
-    Graph(Vec<Vec<usize>>),
-}
-
-/// A simulated bandwidth-constrained synchronous network.
+/// An accounted bandwidth-constrained synchronous network.
 ///
 /// # Examples
 ///
 /// ```
 /// use bcc_runtime::{ModelConfig, Network};
 ///
-/// let mut net = Network::clique(ModelConfig::bcc(), 8);
-/// // Every vertex broadcasts its identifier (3 bits each for n = 8): 1 round.
-/// let delivered = net.exchange(|v| Some(bcc_runtime::payload::Field::id(v, 8)));
-/// assert_eq!(delivered[0].len(), 7); // everyone hears the 7 others
-/// assert_eq!(net.ledger().total_rounds(), 1);
+/// let mut net = Network::clique(ModelConfig::bcc(), 8); // B = 3 bits
+/// net.begin_phase("announce");
+/// // Vertex v writes counts[v] values of 3 bits each; the busiest vertex,
+/// // with 4 values, dictates the rounds.
+/// net.share_varying(&[0, 1, 4, 2, 0, 0, 0, 1], 3);
+/// assert_eq!(net.ledger().total_rounds(), 4);
+/// assert_eq!(net.ledger().total_bits(), (1 + 4 + 2 + 1) * 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network {
     cfg: ModelConfig,
     n: usize,
-    topology: Topology,
     ledger: RoundLedger,
 }
 
@@ -60,13 +46,13 @@ impl Network {
         Network {
             cfg,
             n,
-            topology: Topology::Clique,
             ledger: RoundLedger::new(),
         }
     }
 
-    /// Creates a network whose communication links are the edges of the given
-    /// undirected graph (for the CONGEST and Broadcast CONGEST models).
+    /// Creates a network on the vertices of the given undirected graph (for
+    /// the CONGEST and Broadcast CONGEST models). The adjacency is checked,
+    /// not kept: no charge depends on it.
     ///
     /// # Errors
     ///
@@ -91,12 +77,7 @@ impl Network {
                 }
             }
         }
-        Ok(Network {
-            cfg,
-            n,
-            topology: Topology::Graph(adjacency),
-            ledger: RoundLedger::new(),
-        })
+        Ok(Network::clique(cfg, n))
     }
 
     /// Number of vertices.
@@ -130,140 +111,6 @@ impl Network {
         self.ledger.begin_phase(name);
     }
 
-    /// The vertices that receive a broadcast of vertex `v`.
-    pub fn recipients(&self, v: usize) -> Vec<usize> {
-        match &self.topology {
-            Topology::Clique => (0..self.n).filter(|&u| u != v).collect(),
-            Topology::Graph(adj) => adj[v].clone(),
-        }
-    }
-
-    /// Returns `true` if `u` may receive a message from `v` in one round.
-    pub fn are_connected(&self, v: usize, u: usize) -> bool {
-        if v == u {
-            return false;
-        }
-        match &self.topology {
-            Topology::Clique => true,
-            Topology::Graph(adj) => adj[v].contains(&u),
-        }
-    }
-
-    /// One synchronous broadcast step: every vertex `v` for which `make(v)`
-    /// returns `Some(msg)` broadcasts `msg` to all its recipients.
-    ///
-    /// Returns, for every vertex, the list of `(sender, message)` pairs it
-    /// received. The ledger is charged `⌈max_v bits(msg_v) / B⌉` rounds — the
-    /// widest message dictates how many physical rounds the logical step
-    /// takes, all vertices transmit in parallel.
-    pub fn exchange<M, F>(&mut self, mut make: F) -> Vec<Vec<(usize, M)>>
-    where
-        M: MessageSize + Clone,
-        F: FnMut(usize) -> Option<M>,
-    {
-        let mut outgoing: Vec<Option<M>> = Vec::with_capacity(self.n);
-        let mut max_bits = 0u64;
-        let mut total_bits = 0u64;
-        for v in 0..self.n {
-            let msg = make(v);
-            if let Some(m) = &msg {
-                let b = m.message_bits();
-                max_bits = max_bits.max(b);
-                total_bits += b;
-            }
-            outgoing.push(msg);
-        }
-        let rounds = self.cfg.rounds_for_bits(self.n, max_bits);
-        self.ledger.charge(rounds, total_bits);
-
-        let mut delivered: Vec<Vec<(usize, M)>> = vec![Vec::new(); self.n];
-        for v in 0..self.n {
-            if let Some(msg) = &outgoing[v] {
-                for u in self.recipients(v) {
-                    delivered[u].push((v, msg.clone()));
-                }
-            }
-        }
-        delivered
-    }
-
-    /// One synchronous unicast step (CONGEST / Congested Clique only): every
-    /// vertex contributes a list of `(recipient, message)` pairs with at most
-    /// one message per recipient.
-    ///
-    /// # Errors
-    ///
-    /// * [`RuntimeError::BroadcastViolation`] if the model imposes the
-    ///   broadcast constraint.
-    /// * [`RuntimeError::NotANeighbor`] if a recipient is not reachable in one
-    ///   round under the network topology.
-    pub fn exchange_unicast<M, F>(
-        &mut self,
-        mut make: F,
-    ) -> Result<Vec<Vec<(usize, M)>>, RuntimeError>
-    where
-        M: MessageSize + Clone,
-        F: FnMut(usize) -> Vec<(usize, M)>,
-    {
-        if self.cfg.model.is_broadcast() {
-            return Err(RuntimeError::BroadcastViolation {
-                vertex: 0,
-                round: self.ledger.total_rounds(),
-            });
-        }
-        let mut per_vertex: Vec<Vec<(usize, M)>> = Vec::with_capacity(self.n);
-        let mut max_bits = 0u64;
-        let mut total_bits = 0u64;
-        for v in 0..self.n {
-            let msgs = make(v);
-            let mut vertex_max = 0u64;
-            for (to, m) in &msgs {
-                if *to >= self.n {
-                    return Err(RuntimeError::InvalidVertex {
-                        vertex: *to,
-                        n: self.n,
-                    });
-                }
-                if !self.are_connected(v, *to) {
-                    return Err(RuntimeError::NotANeighbor { from: v, to: *to });
-                }
-                let b = m.message_bits();
-                vertex_max = vertex_max.max(b);
-                total_bits += b;
-            }
-            max_bits = max_bits.max(vertex_max);
-            per_vertex.push(msgs);
-        }
-        let rounds = self.cfg.rounds_for_bits(self.n, max_bits);
-        self.ledger.charge(rounds, total_bits);
-        let mut delivered: Vec<Vec<(usize, M)>> = vec![Vec::new(); self.n];
-        for (v, msgs) in per_vertex.into_iter().enumerate() {
-            for (to, m) in msgs {
-                delivered[to].push((v, m));
-            }
-        }
-        Ok(delivered)
-    }
-
-    // ------------------------------------------------------------------
-    // Charged numeric primitives.
-    // ------------------------------------------------------------------
-
-    /// Charges the rounds of a single vertex broadcasting a payload of
-    /// `bits` bits to the whole network (clique models) or to its neighbors
-    /// (CONGEST models).
-    pub fn broadcast_from(&mut self, source: usize, bits: u64) -> Result<(), RuntimeError> {
-        if source >= self.n {
-            return Err(RuntimeError::InvalidVertex {
-                vertex: source,
-                n: self.n,
-            });
-        }
-        let rounds = self.cfg.rounds_for_bits(self.n, bits);
-        self.ledger.charge(rounds, bits);
-        Ok(())
-    }
-
     /// Charges the rounds of every vertex simultaneously broadcasting one
     /// value of `bits_per_value` bits (the standard "share one coordinate of a
     /// vector" step; costs `⌈bits / B⌉` rounds).
@@ -294,129 +141,36 @@ impl Network {
     }
 
     /// Charges the rounds of a global aggregation (sum / min / max) of one
-    /// scalar of `bits` bits per vertex.
-    ///
-    /// In the clique models every vertex broadcasts its contribution and the
-    /// aggregate is computed locally by everyone: `⌈bits / B⌉` rounds. In the
-    /// CONGEST models the aggregate is computed by convergecast over a BFS
-    /// tree and re-broadcast, which costs `O(D)` additional rounds; since this
-    /// crate does not track the diameter of the communication graph the caller
-    /// provides it explicitly via [`Network::aggregate_scalar_with_diameter`]
-    /// when running outside the clique.
+    /// scalar of `bits` bits per vertex: every vertex broadcasts its
+    /// contribution and everyone computes the aggregate locally, `⌈bits / B⌉`
+    /// rounds.
     pub fn aggregate_scalar(&mut self, bits: u64) {
         let rounds = self.cfg.rounds_for_bits(self.n, bits);
         self.ledger.charge(rounds, bits * self.n as u64);
     }
 
-    /// Aggregation in a CONGEST-family network whose communication graph has
-    /// the given `diameter`: a convergecast up a BFS tree plus a broadcast
-    /// down, each taking `diameter` hops of `⌈bits/B⌉`-round messages.
-    pub fn aggregate_scalar_with_diameter(&mut self, bits: u64, diameter: u64) {
-        let per_hop = self.cfg.rounds_for_bits(self.n, bits);
-        let rounds = if self.cfg.model.is_clique() {
-            per_hop
-        } else {
-            2 * diameter.max(1) * per_hop
-        };
-        self.ledger.charge(rounds, bits * self.n as u64);
-    }
-
-    /// Charges one round in which every vertex broadcasts its `O(log n)`-bit
-    /// identifier and returns the identifier of the elected leader (the
-    /// highest identifier, as in Algorithm 6 of the paper).
-    pub fn elect_leader(&mut self) -> usize {
-        self.ledger.charge(
-            1,
-            self.n as u64 * u64::from(crate::model::ceil_log2(self.n.max(2) as u64)),
-        );
-        self.n - 1
+    /// Charges the shared coins of Algorithm 6: one round in which every
+    /// vertex broadcasts its `⌈log₂ max(n, 2)⌉`-bit identifier to elect a
+    /// leader (the highest identifier), then the leader's broadcast of
+    /// `bits` random bits, `⌈bits / B⌉` rounds (one round for `bits = 0`).
+    /// Two operations, both in the current phase.
+    pub fn share_random_bits(&mut self, bits: u64) {
+        let id_bits = u64::from(ceil_log2(self.n.max(2) as u64));
+        self.ledger.charge(1, self.n as u64 * id_bits);
+        let rounds = self.cfg.rounds_for_bits(self.n, bits);
+        self.ledger.charge(rounds, bits);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
-    use crate::payload::{Field, Message};
-
-    #[test]
-    fn clique_exchange_delivers_to_everyone() {
-        let mut net = Network::clique(ModelConfig::bcc(), 4);
-        let delivered = net.exchange(|v| Some(Field::id(v, 4)));
-        for v in 0..4 {
-            assert_eq!(delivered[v].len(), 3);
-            assert!(delivered[v].iter().all(|(from, _)| *from != v));
-        }
-        assert_eq!(net.ledger().total_rounds(), 1);
-    }
-
-    #[test]
-    fn graph_exchange_respects_topology() {
-        // Path 0 - 1 - 2.
-        let adj = vec![vec![1], vec![0, 2], vec![1]];
-        let mut net = Network::on_graph(ModelConfig::broadcast_congest(), adj).unwrap();
-        let delivered = net.exchange(|v| Some(Field::id(v, 3)));
-        assert_eq!(delivered[0].len(), 1);
-        assert_eq!(delivered[1].len(), 2);
-        assert_eq!(delivered[2].len(), 1);
-    }
-
-    #[test]
-    fn wide_messages_charge_multiple_rounds() {
-        let mut net = Network::clique(ModelConfig::bcc(), 16); // B = 4 bits
-        let msg = Message::new().with(Field::uint(1000, 1 << 12)); // 13 bits
-        net.exchange(|_| Some(msg.clone()));
-        assert_eq!(net.ledger().total_rounds(), 13_u64.div_ceil(4));
-    }
-
-    #[test]
-    fn silent_vertices_do_not_widen_the_round() {
-        let mut net = Network::clique(ModelConfig::bcc(), 16);
-        let delivered = net.exchange(|v| if v == 0 { Some(Field::id(0, 16)) } else { None });
-        assert_eq!(delivered[5].len(), 1);
-        assert_eq!(net.ledger().total_rounds(), 1);
-    }
-
-    #[test]
-    fn unicast_rejected_under_broadcast_constraint() {
-        let mut net = Network::clique(ModelConfig::bcc(), 4);
-        let err = net
-            .exchange_unicast(|v| vec![((v + 1) % 4, Field::flag(true))])
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::BroadcastViolation { .. }));
-    }
-
-    #[test]
-    fn unicast_allowed_in_congested_clique() {
-        let mut net = Network::clique(ModelConfig::congested_clique(), 4);
-        let delivered = net
-            .exchange_unicast(|v| vec![((v + 1) % 4, Field::id(v, 4))])
-            .unwrap();
-        assert_eq!(delivered[1].len(), 1);
-        assert_eq!(delivered[1][0].0, 0);
-    }
-
-    #[test]
-    fn unicast_to_non_neighbor_is_an_error() {
-        let adj = vec![vec![1], vec![0, 2], vec![1]];
-        let mut net = Network::on_graph(ModelConfig::congest(), adj).unwrap();
-        let err = net
-            .exchange_unicast(|v| {
-                if v == 0 {
-                    vec![(2, Field::flag(true))]
-                } else {
-                    vec![]
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, RuntimeError::NotANeighbor { from: 0, to: 2 });
-    }
 
     #[test]
     fn asymmetric_topology_rejected() {
         let adj = vec![vec![1], vec![]];
         assert!(matches!(
-            Network::on_graph(ModelConfig::congest(), adj),
+            Network::on_graph(ModelConfig::broadcast_congest(), adj),
             Err(RuntimeError::InvalidTopology(_))
         ));
     }
@@ -474,21 +228,44 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_with_diameter_costs_more_in_congest() {
-        let adj = vec![vec![1], vec![0, 2], vec![1]];
-        let mut bc = Network::on_graph(ModelConfig::broadcast_congest(), adj).unwrap();
-        bc.aggregate_scalar_with_diameter(2, 2);
-        assert_eq!(bc.ledger().total_rounds(), 4);
-        let mut bcc = Network::clique(ModelConfig::bcc(), 3);
-        bcc.aggregate_scalar_with_diameter(2, 2);
-        assert_eq!(bcc.ledger().total_rounds(), 1);
-    }
+    fn share_random_bits_charges_the_election_then_the_broadcast() {
+        // (n, bits, rounds, bits charged) with B = 1, 4 and 7 bits at
+        // n = 2, 16 and 100: one election round of n·⌈log₂ n⌉ identifier
+        // bits, then ⌈bits / B⌉ rounds (one for zero bits) of the leader's
+        // broadcast.
+        let expected = [
+            (2, 0, 2, 2),
+            (2, 1, 2, 3),
+            (2, 100, 101, 102),
+            (16, 0, 2, 64),
+            (16, 1, 2, 65),
+            (16, 100, 26, 164),
+            (100, 0, 2, 700),
+            (100, 1, 2, 701),
+            (100, 100, 16, 800),
+        ];
+        for (n, bits, rounds, charged) in expected {
+            let mut net = Network::clique(ModelConfig::bcc(), n);
+            net.begin_phase("earlier");
+            net.share_scalars(3);
+            let mut by_hand = net.clone();
+            net.begin_phase("leverage scores");
+            net.share_random_bits(bits);
 
-    #[test]
-    fn leader_is_highest_id() {
-        let mut net = Network::clique(ModelConfig::bcc(), 9);
-        assert_eq!(net.elect_leader(), 8);
-        assert_eq!(net.ledger().total_rounds(), 1);
-        assert_eq!(net.config().model, Model::BroadcastCongestedClique);
+            let report = net.ledger().report();
+            let stats = report.phase("leverage scores").expect("charged phase");
+            assert_eq!(
+                (stats.rounds, stats.bits, stats.operations),
+                (rounds, charged, 2),
+                "n = {n}, bits = {bits}"
+            );
+
+            // The same two charges written out, after the same earlier phase.
+            by_hand.begin_phase("leverage scores");
+            let ledger = by_hand.ledger_mut();
+            ledger.charge(1, n as u64 * u64::from(ceil_log2(n.max(2) as u64)));
+            ledger.charge(ModelConfig::bcc().rounds_for_bits(n, bits), bits);
+            assert_eq!(net.ledger(), by_hand.ledger(), "n = {n}, bits = {bits}");
+        }
     }
 }

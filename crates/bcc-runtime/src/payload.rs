@@ -1,14 +1,11 @@
-//! Message payloads with explicit bit-width accounting.
+//! Encoded bit widths of broadcast values.
 //!
 //! The round complexity of every algorithm in the paper is expressed in terms
 //! of `B = Θ(log n)`-bit messages, and wider values (edge weights bounded by
 //! `W`, fixed-point reals with `O(log(nU/ε))` bits) are charged
-//! `⌈bits / B⌉` rounds. To keep that accounting honest, every value placed in
-//! a message is wrapped in a [`Field`] that knows its encoded width; the
-//! simulator charges rounds from the *encoded* width, never from the width of
-//! the in-memory `f64`/`i64` representation.
-
-use serde::{Deserialize, Serialize};
+//! `⌈bits / B⌉` rounds. To keep that accounting honest, a broadcast value is
+//! charged at its *encoded* width under the paper's conventions, computed
+//! here, never at the width of its in-memory `f64`/`i64` representation.
 
 use crate::model::ceil_log2;
 
@@ -30,200 +27,6 @@ pub fn bits_for_real(max_abs: f64, resolution: f64) -> u32 {
         .max(1.0)
         .min(u64::MAX as f64 / 4.0);
     bits_for_range((levels.ceil() as u64).saturating_add(1))
-}
-
-/// One typed field inside a message, together with its encoded bit width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Field {
-    /// A vertex or cluster identifier in `0..n`, `⌈log2 n⌉` bits.
-    Id {
-        /// The identifier.
-        value: usize,
-        /// Encoded width in bits.
-        bits: u32,
-    },
-    /// A bounded non-negative integer (e.g. an integer edge weight `≤ W`).
-    Uint {
-        /// The integer value.
-        value: u64,
-        /// Encoded width in bits.
-        bits: u32,
-    },
-    /// A bounded signed integer.
-    Int {
-        /// The integer value.
-        value: i64,
-        /// Encoded width in bits (including the sign bit).
-        bits: u32,
-    },
-    /// A fixed-point encoded real value.
-    Real {
-        /// The real value (stored as `f64`, charged at the encoded width).
-        value: f64,
-        /// Encoded width in bits.
-        bits: u32,
-    },
-    /// A single-bit flag.
-    Flag {
-        /// The flag value.
-        value: bool,
-    },
-    /// A sentinel "⊥" marker (used e.g. when `Connect` returns no neighbor).
-    Bot,
-}
-
-impl Field {
-    /// A vertex/cluster identifier field for an `n`-vertex network.
-    pub fn id(value: usize, n: usize) -> Self {
-        Field::Id {
-            value,
-            bits: bits_for_range(n.max(1) as u64 - 1),
-        }
-    }
-
-    /// A non-negative integer field with values in `0..=max_value`.
-    pub fn uint(value: u64, max_value: u64) -> Self {
-        debug_assert!(value <= max_value);
-        Field::Uint {
-            value,
-            bits: bits_for_range(max_value),
-        }
-    }
-
-    /// A signed integer field with magnitude at most `max_abs`.
-    pub fn int(value: i64, max_abs: u64) -> Self {
-        debug_assert!(value.unsigned_abs() <= max_abs);
-        Field::Int {
-            value,
-            bits: bits_for_range(max_abs) + 1,
-        }
-    }
-
-    /// A fixed-point real field with magnitude at most `max_abs` and additive
-    /// resolution `resolution`.
-    pub fn real(value: f64, max_abs: f64, resolution: f64) -> Self {
-        Field::Real {
-            value,
-            bits: bits_for_real(max_abs, resolution),
-        }
-    }
-
-    /// A single-bit flag field.
-    pub fn flag(value: bool) -> Self {
-        Field::Flag { value }
-    }
-
-    /// The encoded width of this field in bits.
-    pub fn bits(&self) -> u64 {
-        match self {
-            Field::Id { bits, .. } | Field::Uint { bits, .. } | Field::Real { bits, .. } => {
-                u64::from(*bits)
-            }
-            Field::Int { bits, .. } => u64::from(*bits),
-            Field::Flag { .. } => 1,
-            Field::Bot => 1,
-        }
-    }
-}
-
-/// A message assembled from typed [`Field`]s.
-///
-/// # Examples
-///
-/// ```
-/// use bcc_runtime::payload::{Field, Message};
-///
-/// let msg = Message::new()
-///     .with(Field::id(3, 16))
-///     .with(Field::uint(42, 1 << 10))
-///     .with(Field::flag(true));
-/// assert_eq!(msg.bits(), 4 + 11 + 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct Message {
-    fields: Vec<Field>,
-}
-
-impl Message {
-    /// Creates an empty message (zero bits).
-    pub fn new() -> Self {
-        Message { fields: Vec::new() }
-    }
-
-    /// Appends a field, builder style.
-    pub fn with(mut self, field: Field) -> Self {
-        self.fields.push(field);
-        self
-    }
-
-    /// Appends a field in place.
-    pub fn push(&mut self, field: Field) {
-        self.fields.push(field);
-    }
-
-    /// The fields of the message, in order.
-    pub fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
-    /// Total encoded width in bits.
-    pub fn bits(&self) -> u64 {
-        self.fields.iter().map(Field::bits).sum()
-    }
-
-    /// Returns `true` if the message carries no fields.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-}
-
-/// Types that know the encoded width of their on-the-wire representation.
-///
-/// The simulator charges rounds based on this width, so implementations must
-/// report the number of bits the value would occupy under the paper's
-/// encoding conventions, not `std::mem::size_of`.
-pub trait MessageSize {
-    /// Encoded width in bits.
-    fn message_bits(&self) -> u64;
-}
-
-impl MessageSize for Message {
-    fn message_bits(&self) -> u64 {
-        self.bits()
-    }
-}
-
-impl MessageSize for Field {
-    fn message_bits(&self) -> u64 {
-        self.bits()
-    }
-}
-
-impl MessageSize for () {
-    fn message_bits(&self) -> u64 {
-        0
-    }
-}
-
-impl<T: MessageSize> MessageSize for Option<T> {
-    fn message_bits(&self) -> u64 {
-        match self {
-            Some(inner) => 1 + inner.message_bits(),
-            None => 1,
-        }
-    }
-}
-
-impl<T: MessageSize> MessageSize for Vec<T> {
-    fn message_bits(&self) -> u64 {
-        self.iter().map(MessageSize::message_bits).sum()
-    }
-}
-
-impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
-    fn message_bits(&self) -> u64 {
-        self.0.message_bits() + self.1.message_bits()
-    }
 }
 
 #[cfg(test)]
@@ -253,34 +56,5 @@ mod tests {
     #[should_panic]
     fn bits_for_real_rejects_zero_resolution() {
         let _ = bits_for_real(1.0, 0.0);
-    }
-
-    #[test]
-    fn field_widths() {
-        assert_eq!(Field::id(5, 64).bits(), 6);
-        assert_eq!(Field::uint(9, 1000).bits(), 10);
-        assert_eq!(Field::int(-9, 1000).bits(), 11);
-        assert_eq!(Field::flag(true).bits(), 1);
-        assert_eq!(Field::Bot.bits(), 1);
-    }
-
-    #[test]
-    fn message_accumulates_bits() {
-        let mut msg = Message::new();
-        assert!(msg.is_empty());
-        assert_eq!(msg.bits(), 0);
-        msg.push(Field::id(0, 1024));
-        msg.push(Field::uint(100, 1 << 20));
-        assert_eq!(msg.bits(), 10 + 21);
-        assert_eq!(msg.fields().len(), 2);
-    }
-
-    #[test]
-    fn message_size_impls_compose() {
-        let m = Message::new().with(Field::flag(false));
-        assert_eq!(Some(m.clone()).message_bits(), 2);
-        assert_eq!(None::<Message>.message_bits(), 1);
-        assert_eq!(vec![m.clone(), m.clone()].message_bits(), 2);
-        assert_eq!(((), m).message_bits(), 1);
     }
 }
