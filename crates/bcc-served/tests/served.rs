@@ -55,14 +55,33 @@ impl Drop for DaemonGuard {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.socket);
     }
 }
 
-fn test_dir(name: &str) -> PathBuf {
+/// A test's own directory for the daemon's socket and the files a test
+/// hands it (engine config, tenant file), removed with its contents when
+/// the test ends, passing or failing. Declared before the daemon's guard,
+/// it is dropped after it, so the daemon has exited by then.
+struct TestDir(PathBuf);
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn test_dir(name: &str) -> TestDir {
     let dir = std::env::temp_dir().join(format!("bcc-served-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create test dir");
-    dir
+    TestDir(dir)
 }
 
 fn spawn_daemon(dir: &Path, extra: &[&str]) -> DaemonGuard {
