@@ -472,8 +472,10 @@ fn submit(
         }
     };
     // Laplacian topologies occupy the shared prepared-solver cache, so they
-    // are charged against the tenant's quota before admission.
-    if let Request::Laplacian { graph, .. } = &request {
+    // are charged against the tenant's quota before admission. An unmetered
+    // tenant has no quota to charge, so its graph is fingerprinted only at
+    // admission.
+    if let (Request::Laplacian { graph, .. }, Some(_)) = (&request, tenant.cache_quota) {
         if let Err(e) = daemon
             .accounts
             .charge(tenant, bcc_graph::fingerprint(graph))

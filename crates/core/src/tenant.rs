@@ -202,6 +202,8 @@ impl TenantAccounts {
 
     /// Charges `fingerprint` against `tenant`'s quota, returning whether
     /// the topology was newly charged (`false` = already charged, free).
+    /// An unmetered tenant (no [`TenantConfig::cache_quota`]) is charged
+    /// nothing and none of its topologies is recorded.
     ///
     /// # Errors
     ///
@@ -212,18 +214,19 @@ impl TenantAccounts {
         tenant: &TenantConfig,
         fingerprint: GraphFingerprint,
     ) -> Result<bool, Error> {
+        let Some(quota) = tenant.cache_quota else {
+            return Ok(false);
+        };
         let mut charged = self.charged.lock().expect("tenant accounts poisoned");
         let entries = charged.entry(tenant.name.clone()).or_default();
         if entries.contains(&fingerprint) {
             return Ok(false);
         }
-        if let Some(quota) = tenant.cache_quota {
-            if entries.len() as u64 >= quota {
-                return Err(Error::QuotaExceeded {
-                    tenant: tenant.name.clone(),
-                    quota,
-                });
-            }
+        if entries.len() as u64 >= quota {
+            return Err(Error::QuotaExceeded {
+                tenant: tenant.name.clone(),
+                quota,
+            });
         }
         entries.insert(fingerprint);
         Ok(true)
@@ -356,5 +359,16 @@ mod tests {
         // Releasing frees the whole quota.
         accounts.release_all("flooder");
         assert_eq!(accounts.charge(flooder, complete), Ok(true));
+    }
+
+    #[test]
+    fn an_unmetered_tenant_records_no_topologies() {
+        let accounts = TenantAccounts::new();
+        let open = TenantConfig::new("open");
+        let newly_charged = (2..1_002)
+            .filter(|&n| accounts.charge(&open, fingerprint(&generators::path(n))) == Ok(true))
+            .count();
+        assert_eq!(accounts.charged("open"), 0);
+        assert_eq!(newly_charged, 0);
     }
 }
