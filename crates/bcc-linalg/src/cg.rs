@@ -1,9 +1,10 @@
 //! Conjugate gradient solvers.
 //!
-//! CG is used in two places: as the local (free) solver a vertex applies to
-//! the sparsifier Laplacian it knows entirely, and as a centralized baseline
-//! in the experiments. Operators are passed as closures so graph Laplacians
-//! can stay matrix-free.
+//! CG is only the centralized baseline (`bcc_laplacian::cg_baseline`, which
+//! the `grid_power_network` example compares against): the distributed
+//! solver's preconditioner replays stored LU factors ([`crate::FactoredPsd`])
+//! instead. Operators are passed as closures so graph Laplacians can stay
+//! matrix-free.
 
 use crate::scratch::SolveScratch;
 use crate::vector;
