@@ -9,8 +9,10 @@
 //! near-optimal fractional solution is rounded to the exact integral optimum
 //! (unique with high probability thanks to the cost perturbation).
 
+use std::cell::{RefCell, RefMut};
+
 use bcc_graph::FlowInstance;
-use bcc_laplacian::{solve_sdd_many, SddMatrix, SddSolveMode};
+use bcc_laplacian::{SddSolveMode, SddWorkspace};
 use bcc_linalg::CsrMatrix;
 use bcc_lp::gram::GramSolver;
 use bcc_lp::{try_lp_solve, LpError, LpOptions, WeightStrategy};
@@ -80,10 +82,30 @@ pub struct McmfResult {
 /// The Gram-solver of Lemma 5.1: `AᵀDA` for the Section-5 constraint matrix is
 /// symmetric diagonally dominant, so it is solved through the Gremban
 /// reduction and the BCC Laplacian solver.
+///
+/// One solver serves one LP solve, whose every Newton step and leverage
+/// batch brings a new `D`: each system is assembled, reduced and solved in
+/// one workspace the solver keeps, behind a `RefCell` because
+/// [`GramSolver`] takes `&self`. Between calls it keeps the last system's
+/// triplets, matrix, Gremban graph and preconditioner, the virtual network
+/// and the solve buffers (an [`SddWorkspace`]), all refilled in place, so
+/// that a system of the size seen before allocates only the solutions it
+/// returns. None of it carries a value from one system into the next:
+/// solutions and charges are bit-identical to building every system from
+/// scratch.
 #[derive(Debug, Clone)]
 pub struct SddGramSolver {
     mode: SddSolveMode,
     precision: f64,
+    workspace: RefCell<GramWorkspace>,
+}
+
+/// What [`SddGramSolver`] keeps between systems.
+#[derive(Debug, Clone, Default)]
+struct GramWorkspace {
+    /// `AᵀDA` as symmetric triplets, row by row of `A`.
+    triplets: Vec<(usize, usize, f64)>,
+    sdd: SddWorkspace,
 }
 
 impl SddGramSolver {
@@ -92,6 +114,7 @@ impl SddGramSolver {
         SddGramSolver {
             mode: SddSolveMode::ExactPreconditioner,
             precision,
+            workspace: RefCell::default(),
         }
     }
 
@@ -100,7 +123,51 @@ impl SddGramSolver {
         SddGramSolver {
             mode: SddSolveMode::Full(config),
             precision,
+            workspace: RefCell::default(),
         }
+    }
+
+    /// Assembles `AᵀDA` and its Gremban preconditioner once for the batch
+    /// `ys` and solves it (see [`bcc_laplacian::solve_sdd_many`]), leaving
+    /// the solutions in the returned workspace.
+    fn solve_in_workspace<B: AsRef<[f64]>>(
+        &self,
+        net: &mut Network,
+        a: &CsrMatrix,
+        d: &[f64],
+        ys: &[B],
+    ) -> Result<RefMut<'_, SddWorkspace>, LpError> {
+        let mut workspace = self.workspace.borrow_mut();
+        let GramWorkspace { triplets, sdd } = &mut *workspace;
+        // Assemble AᵀDA as symmetric triplets. For the Section-5 matrix this
+        // is B·D₁·Bᵀ + D₂ + D₃ + e_t·D₄·e_tᵀ — diagonally dominant with
+        // non-positive off-diagonals (Lemma 5.1); assembling it row-by-row
+        // only needs the rows of A a vertex already knows.
+        triplets.clear();
+        for r in 0..a.rows() {
+            for (ci, vi) in a.row(r) {
+                for (cj, vj) in a.row(r) {
+                    if ci <= cj {
+                        triplets.push((ci, cj, d[r] * vi * vj));
+                    }
+                }
+            }
+        }
+        // Lemma 5.1 guarantees diagonal dominance for the Section-5 flow LP;
+        // on a general LP the precondition can fail, and so can the Gremban
+        // graph's connectivity (a diagonal AᵀDA has none). Both surface as
+        // typed errors the LP solver propagates instead of a panic.
+        sdd.assemble(a.cols(), triplets.iter().copied())
+            .map_err(|e| LpError::GramSolve {
+                solver: self.name(),
+                message: format!("AᵀDA is not symmetric diagonally dominant: {e}"),
+            })?;
+        sdd.solve(net, ys, self.precision, &self.mode)
+            .map_err(|e| LpError::GramSolve {
+                solver: self.name(),
+                message: format!("the Gremban reduction of AᵀDA failed: {e}"),
+            })?;
+        Ok(RefMut::map(workspace, |workspace| &mut workspace.sdd))
     }
 }
 
@@ -112,12 +179,11 @@ impl GramSolver for SddGramSolver {
         d: &[f64],
         y: &[f64],
     ) -> Result<Vec<f64>, LpError> {
-        let mut solved = self.solve_many(net, a, d, &[y.to_vec()])?;
-        Ok(solved.pop().expect("one solution per right-hand side"))
+        Ok(self.solve_in_workspace(net, a, d, &[y])?.solution(0))
     }
 
     /// Assembles `AᵀDA` and its Gremban preconditioner once for the batch;
-    /// see [`solve_sdd_many`].
+    /// see [`bcc_laplacian::solve_sdd_many`].
     fn solve_many(
         &self,
         net: &mut Network,
@@ -125,37 +191,7 @@ impl GramSolver for SddGramSolver {
         d: &[f64],
         ys: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, LpError> {
-        // Assemble AᵀDA as symmetric triplets. For the Section-5 matrix this
-        // is B·D₁·Bᵀ + D₂ + D₃ + e_t·D₄·e_tᵀ — diagonally dominant with
-        // non-positive off-diagonals (Lemma 5.1); assembling it row-by-row
-        // only needs the rows of A a vertex already knows.
-        let n = a.cols();
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        for r in 0..a.rows() {
-            let entries: Vec<(usize, f64)> = a.row(r).collect();
-            let dr = d[r];
-            for &(ci, vi) in &entries {
-                for &(cj, vj) in &entries {
-                    if ci <= cj {
-                        triplets.push((ci, cj, dr * vi * vj));
-                    }
-                }
-            }
-        }
-        // Lemma 5.1 guarantees diagonal dominance for the Section-5 flow LP;
-        // on a general LP the precondition can fail, and so can the Gremban
-        // graph's connectivity (a diagonal AᵀDA has none). Both surface as
-        // typed errors the LP solver propagates instead of a panic.
-        let matrix = SddMatrix::from_triplets(n, triplets).map_err(|e| LpError::GramSolve {
-            solver: self.name(),
-            message: format!("AᵀDA is not symmetric diagonally dominant: {e}"),
-        })?;
-        solve_sdd_many(net, &matrix, ys, self.precision, &self.mode).map_err(|e| {
-            LpError::GramSolve {
-                solver: self.name(),
-                message: format!("the Gremban reduction of AᵀDA failed: {e}"),
-            }
-        })
+        Ok(self.solve_in_workspace(net, a, d, ys)?.solutions())
     }
 
     fn name(&self) -> &'static str {

@@ -195,14 +195,43 @@ impl Graph {
             .collect()
     }
 
+    /// Empties the graph to `n` isolated vertices, keeping the memory of its
+    /// edge and adjacency lists, so that a graph rebuilt edge by edge to the
+    /// same size allocates nothing.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.edges.clear();
+        self.adjacency.resize_with(n, Vec::new);
+        self.adjacency.iter_mut().for_each(Vec::clear);
+    }
+
     /// Returns `true` if the graph is connected (an edgeless single-vertex
     /// graph counts as connected, an empty graph does too).
     pub fn is_connected(&self) -> bool {
-        if self.n <= 1 {
-            return true;
+        self.is_connected_with(&mut Vec::new())
+    }
+
+    /// [`Graph::is_connected`] with the caller's union-find array, which it
+    /// overwrites: no allocation once `roots` has held `n` entries.
+    pub fn is_connected_with(&self, roots: &mut Vec<usize>) -> bool {
+        fn root(roots: &mut [usize], mut v: usize) -> usize {
+            while roots[v] != v {
+                roots[v] = roots[roots[v]];
+                v = roots[v];
+            }
+            v
         }
-        let order = crate::traversal::bfs_order(self, 0);
-        order.len() == self.n
+        roots.clear();
+        roots.extend(0..self.n);
+        let mut components = self.n;
+        for e in &self.edges {
+            let (u, v) = (root(roots, e.u), root(roots, e.v));
+            if u != v {
+                roots[u] = v;
+                components -= 1;
+            }
+        }
+        components <= 1
     }
 
     /// A new graph with the same vertex set and the edges produced by `f`
@@ -304,6 +333,17 @@ mod tests {
         assert!(Graph::new(1).is_connected());
         assert!(Graph::new(0).is_connected());
         assert!(!Graph::new(2).is_connected());
+    }
+
+    #[test]
+    fn reset_empties_the_graph_to_isolated_vertices() {
+        let mut g = Graph::from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]);
+        g.reset(3);
+        assert_eq!(g, Graph::new(3));
+        g.add_edge(0, 2, 5.0);
+        assert_eq!(g, Graph::from_edges(3, [(0, 2, 5.0)]));
+        g.reset(5);
+        assert_eq!(g, Graph::new(5));
     }
 
     #[test]

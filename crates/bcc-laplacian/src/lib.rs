@@ -35,7 +35,9 @@ pub mod sdd;
 pub mod solver;
 
 pub use error::LaplacianError;
-pub use sdd::{exact_sdd_solve, solve_sdd, solve_sdd_many, NotSddError, SddMatrix, SddSolveMode};
+pub use sdd::{
+    exact_sdd_solve, solve_sdd, solve_sdd_many, NotSddError, SddMatrix, SddSolveMode, SddWorkspace,
+};
 pub use solver::{
     cg_baseline, exact_solve, LaneNetworks, LaplacianSolve, LaplacianSolveStats, LaplacianSolver,
     ScratchArena, LOCKSTEP_LANES,

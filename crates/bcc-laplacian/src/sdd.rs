@@ -19,14 +19,14 @@
 //! (Section 5 of the paper).
 
 use bcc_graph::Graph;
-use bcc_runtime::Network;
+use bcc_runtime::{ModelConfig, Network};
 use bcc_sparsifier::SparsifierConfig;
 
 use crate::error::LaplacianError;
-use crate::solver::{LaplacianSolver, ScratchArena};
+use crate::solver::{FactorScratch, LaplacianSolveStats, LaplacianSolver, ScratchArena};
 
 /// A symmetric diagonally dominant matrix stored as symmetric COO triplets.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SddMatrix {
     n: usize,
     /// Diagonal entries.
@@ -47,6 +47,11 @@ impl std::fmt::Display for NotSddError {
 
 impl std::error::Error for NotSddError {}
 
+/// An off-diagonal triplet staged for [`SddMatrix::assemble`]: its entry
+/// `(min(i, j), max(i, j))`, whether it came from the lower triangle, its
+/// position among the triplets, and its value.
+type Staged = (usize, usize, bool, usize, f64);
+
 impl SddMatrix {
     /// Builds an SDD matrix from full symmetric triplets (both `(i, j)` and
     /// `(j, i)` may be present; they must agree). Diagonal dominance is
@@ -60,60 +65,85 @@ impl SddMatrix {
         n: usize,
         triplets: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Result<Self, NotSddError> {
-        let mut diagonal = vec![0.0; n];
-        let mut upper: std::collections::BTreeMap<(usize, usize), f64> =
-            std::collections::BTreeMap::new();
-        let mut lower: std::collections::BTreeMap<(usize, usize), f64> =
-            std::collections::BTreeMap::new();
-        for (i, j, v) in triplets {
+        let mut matrix = SddMatrix::default();
+        matrix.assemble(n, triplets, &mut Vec::new(), &mut Vec::new())?;
+        Ok(matrix)
+    }
+
+    /// The body of [`SddMatrix::from_triplets`], written over this matrix
+    /// with the caller's staging and row-sum buffers: once all three have
+    /// grown to a system's size, assembling another allocates nothing.
+    ///
+    /// Each entry sums its upper-triangle triplets, and apart from them its
+    /// lower-triangle ones, in triplet order from `0.0`; the entries come
+    /// out in row-major order. A lower sum stands in for a missing upper one
+    /// and must otherwise agree with it.
+    fn assemble(
+        &mut self,
+        n: usize,
+        triplets: impl IntoIterator<Item = (usize, usize, f64)>,
+        staged: &mut Vec<Staged>,
+        off_sum: &mut Vec<f64>,
+    ) -> Result<(), NotSddError> {
+        self.n = n;
+        self.diagonal.clear();
+        self.diagonal.resize(n, 0.0);
+        self.off_diagonal.clear();
+        staged.clear();
+        for (position, (i, j, v)) in triplets.into_iter().enumerate() {
             if i >= n || j >= n {
                 return Err(NotSddError(format!("index ({i}, {j}) out of range")));
             }
             if i == j {
-                diagonal[i] += v;
-            } else if i < j {
-                *upper.entry((i, j)).or_insert(0.0) += v;
+                self.diagonal[i] += v;
             } else {
-                *lower.entry((j, i)).or_insert(0.0) += v;
+                staged.push((i.min(j), i.max(j), i > j, position, v));
             }
         }
-        for (&key, &v) in &lower {
-            let u = upper.get(&key).copied().unwrap_or(0.0);
-            if (u - v).abs() > 1e-9 * (1.0 + u.abs().max(v.abs())) {
-                if upper.contains_key(&key) {
-                    return Err(NotSddError(format!(
-                        "asymmetric entries at {key:?}: {u} vs {v}"
-                    )));
+        // Positions are distinct, so the unstable sort is a total order.
+        staged.sort_unstable_by_key(|&(i, j, lower, position, _)| (i, j, lower, position));
+        for entry in staged.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (i, j) = (entry[0].0, entry[0].1);
+            let (mut upper, mut lower) = (None, None);
+            for &(_, _, is_lower, _, v) in entry {
+                let sum: &mut f64 =
+                    if is_lower { &mut lower } else { &mut upper }.get_or_insert(0.0);
+                *sum += v;
+            }
+            let mut value = upper.unwrap_or(0.0);
+            if let Some(v) = lower {
+                if (value - v).abs() > 1e-9 * (1.0 + value.abs().max(v.abs())) {
+                    if upper.is_some() {
+                        return Err(NotSddError(format!(
+                            "asymmetric entries at {:?}: {value} vs {v}",
+                            (i, j)
+                        )));
+                    }
+                    value = v;
                 }
-                upper.insert(key, v);
+            }
+            if value != 0.0 {
+                self.off_diagonal.push((i, j, value));
             }
         }
-        let off_diagonal: Vec<(usize, usize, f64)> = upper
-            .into_iter()
-            .filter(|&(_, v)| v != 0.0)
-            .map(|((i, j), v)| (i, j, v))
-            .collect();
         // Validate dominance, forgiving rounding relative to the row's scale
         // (an absolute slack would accept any row of small enough entries).
-        let mut off_sum = vec![0.0; n];
-        for &(i, j, v) in &off_diagonal {
+        off_sum.clear();
+        off_sum.resize(n, 0.0);
+        for &(i, j, v) in &self.off_diagonal {
             off_sum[i] += v.abs();
             off_sum[j] += v.abs();
         }
         for i in 0..n {
-            let slack = 1e-9 * diagonal[i].abs().max(off_sum[i]);
-            if diagonal[i] + slack < off_sum[i] {
+            let slack = 1e-9 * self.diagonal[i].abs().max(off_sum[i]);
+            if self.diagonal[i] + slack < off_sum[i] {
                 return Err(NotSddError(format!(
                     "row {i}: diagonal {} < off-diagonal sum {}",
-                    diagonal[i], off_sum[i]
+                    self.diagonal[i], off_sum[i]
                 )));
             }
         }
-        Ok(SddMatrix {
-            n,
-            diagonal,
-            off_diagonal,
-        })
+        Ok(())
     }
 
     /// Dimension of the matrix.
@@ -135,20 +165,34 @@ impl SddMatrix {
     /// The excess diagonal `C₂(i,i) = M(i,i) − Σ_{j≠i} |M(i,j)|` (all entries
     /// are non-negative for an SDD matrix).
     pub fn excess_diagonal(&self) -> Vec<f64> {
-        let mut excess = self.diagonal.clone();
+        let mut excess = Vec::new();
+        self.excess_diagonal_into(&mut excess);
+        excess
+    }
+
+    /// [`SddMatrix::excess_diagonal`] written over `excess`.
+    fn excess_diagonal_into(&self, excess: &mut Vec<f64>) {
+        excess.clone_from(&self.diagonal);
         for &(i, j, v) in &self.off_diagonal {
             excess[i] -= v.abs();
             excess[j] -= v.abs();
         }
         excess.iter_mut().for_each(|e| *e = e.max(0.0));
-        excess
     }
 
     /// The Gremban graph on `2n` virtual vertices whose Laplacian is `L` from
     /// the module documentation.
     pub fn gremban_graph(&self) -> Graph {
+        let mut g = Graph::default();
+        self.gremban_graph_into(&mut g, &mut Vec::new());
+        g
+    }
+
+    /// [`SddMatrix::gremban_graph`] rebuilt in `g`, with `excess` holding the
+    /// excess diagonal: no allocation once both have held a graph this size.
+    fn gremban_graph_into(&self, g: &mut Graph, excess: &mut Vec<f64>) {
         let n = self.n;
-        let mut g = Graph::new(2 * n);
+        g.reset(2 * n);
         for &(i, j, v) in &self.off_diagonal {
             if v < 0.0 {
                 g.add_edge(i, j, -v);
@@ -158,12 +202,12 @@ impl SddMatrix {
                 g.add_edge(j, i + n, v);
             }
         }
-        for (i, &d) in self.excess_diagonal().iter().enumerate() {
+        self.excess_diagonal_into(excess);
+        for (i, &d) in excess.iter().enumerate() {
             if d > 1e-14 {
                 g.add_edge(i, i + n, d / 2.0);
             }
         }
-        g
     }
 }
 
@@ -214,6 +258,11 @@ pub fn solve_sdd(
 /// the simulator stops repeating it. Solutions and ledgers are bit-identical
 /// to solving the right-hand sides one at a time.
 ///
+/// This runs [`SddWorkspace::solve`] on a fresh workspace: a caller that
+/// solves one system after another keeps an [`SddWorkspace`] instead, which
+/// refills the Gremban graph, the preconditioner and every buffer of the
+/// last system in place and returns the same bits.
+///
 /// # Errors
 ///
 /// * [`LaplacianError::DimensionMismatch`] — some `b` does not have length
@@ -231,64 +280,205 @@ pub fn solve_sdd_many<B: AsRef<[f64]>>(
     epsilon: f64,
     mode: &SddSolveMode,
 ) -> Result<Vec<Vec<f64>>, LaplacianError> {
-    let n = matrix.n();
-    if let Some(b) = rhs.iter().find(|b| b.as_ref().len() != n) {
-        return Err(LaplacianError::DimensionMismatch {
-            expected: n,
-            actual: b.as_ref().len(),
-        });
-    }
-    // Checked before `epsilon.min(0.5)` below, which would turn a NaN into ½.
-    if epsilon.is_nan() || epsilon <= 0.0 {
-        return Err(LaplacianError::InvalidEpsilon { epsilon });
-    }
-    let gremban = matrix.gremban_graph();
-    // The 2n virtual vertices live on a virtual network; physical vertex i
-    // simulates virtual vertices i and i + n, so every virtual round costs two
-    // physical rounds, charged below.
-    let mut preprocessing_net = Network::clique(net.config(), gremban.n());
-    let solver = match mode {
-        SddSolveMode::Full(config) => {
-            LaplacianSolver::try_preprocess(&mut preprocessing_net, &gremban, config)?
+    let mut reduction = GrembanReduction::default();
+    reduction.solve(net, matrix, rhs, epsilon, mode)?;
+    Ok(reduction.solutions())
+}
+
+/// The SDD systems of one caller, solved one after another ([`solve_sdd_many`]
+/// per system) in buffers that each system refills in place of the last:
+/// the matrix and its staging, the Gremban graph inside its Laplacian
+/// solver, the preconditioner's dense `1.5·L` and factors, one virtual
+/// network, the solve arena, and the block, solution and lane buffers.
+/// Once they have grown to a system's size, assembling and solving another
+/// of that size allocates only the solutions it returns.
+///
+/// Nothing kept changes a result: every system is assembled, reduced,
+/// checked, preconditioned and solved anew, with the same arithmetic as
+/// [`SddMatrix::from_triplets`] and [`solve_sdd_many`], so solutions and
+/// charges are bit-identical to theirs. The virtual network accumulates the
+/// systems' virtual rounds, of which each charge takes only its own
+/// difference.
+#[derive(Debug, Clone, Default)]
+pub struct SddWorkspace {
+    matrix: SddMatrix,
+    staged: Vec<Staged>,
+    off_sum: Vec<f64>,
+    reduction: GrembanReduction,
+}
+
+impl SddWorkspace {
+    /// Assembles the next system's matrix from symmetric triplets, as
+    /// [`SddMatrix::from_triplets`] does.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SddMatrix::from_triplets`]; the workspace then holds the
+    /// empty `0 × 0` matrix until the next assembly succeeds, so a solve in
+    /// between fails with [`LaplacianError::DimensionMismatch`].
+    pub fn assemble(
+        &mut self,
+        n: usize,
+        triplets: impl IntoIterator<Item = (usize, usize, f64)>,
+    ) -> Result<(), NotSddError> {
+        let assembled = self
+            .matrix
+            .assemble(n, triplets, &mut self.staged, &mut self.off_sum);
+        if assembled.is_err() {
+            self.matrix = SddMatrix::default();
         }
-        SddSolveMode::ExactPreconditioner => LaplacianSolver::try_exact_preconditioner(&gremban)?,
-    };
-    let preprocessing = preprocessing_net.ledger();
-    // The right-hand sides [b; −b] as one block: entry i of lane j at i·k + j.
-    let lanes = rhs.len();
-    let mut block = vec![0.0; gremban.n() * lanes];
-    for (j, b) in rhs.iter().enumerate() {
-        for (i, &v) in b.as_ref().iter().enumerate() {
-            block[i * lanes + j] = v;
-            block[(i + n) * lanes + j] = -v;
+        assembled
+    }
+
+    /// Solves the assembled matrix for every `b` in `rhs`, as
+    /// [`solve_sdd_many`] does; the solutions stay in the workspace until
+    /// the next solve ([`SddWorkspace::solution`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`solve_sdd_many`].
+    pub fn solve<B: AsRef<[f64]>>(
+        &mut self,
+        net: &mut Network,
+        rhs: &[B],
+        epsilon: f64,
+        mode: &SddSolveMode,
+    ) -> Result<(), LaplacianError> {
+        self.reduction.solve(net, &self.matrix, rhs, epsilon, mode)
+    }
+
+    /// The solution of right-hand side `lane` of the last solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last solve had no right-hand side `lane`.
+    pub fn solution(&self, lane: usize) -> Vec<f64> {
+        self.reduction.solution(lane)
+    }
+
+    /// Every solution of the last solve, in right-hand side order.
+    pub fn solutions(&self) -> Vec<Vec<f64>> {
+        self.reduction.solutions()
+    }
+}
+
+/// The body of [`solve_sdd_many`], with everything it builds kept for the
+/// next system (see [`SddWorkspace`]).
+#[derive(Debug, Clone)]
+struct GrembanReduction {
+    /// The Laplacian solver whose graph is the last Gremban graph.
+    solver: LaplacianSolver,
+    factor: FactorScratch,
+    excess: Vec<f64>,
+    virtual_net: Network,
+    arena: ScratchArena,
+    block: Vec<f64>,
+    /// The last block's solutions, entry `i` of lane `j` at `i·lanes + j`.
+    solution: Vec<f64>,
+    lanes: Vec<LaplacianSolveStats>,
+}
+
+impl Default for GrembanReduction {
+    fn default() -> Self {
+        GrembanReduction {
+            solver: LaplacianSolver::unfactored(Graph::default()),
+            factor: FactorScratch::default(),
+            excess: Vec::new(),
+            virtual_net: Network::clique(ModelConfig::bcc(), 0),
+            arena: ScratchArena::new(),
+            block: Vec::new(),
+            solution: Vec::new(),
+            lanes: Vec::new(),
         }
     }
-    let mut virtual_net = Network::clique(net.config(), gremban.n());
-    let mut solution = Vec::with_capacity(block.len());
-    let mut lane_stats = Vec::with_capacity(lanes);
-    solver.try_solve_block_into(
-        &mut virtual_net,
-        &block,
-        lanes,
-        epsilon.min(0.5),
-        &mut ScratchArena::new(),
-        &mut solution,
-        &mut lane_stats,
-    )?;
-    for lane in &lane_stats {
-        net.begin_phase("sdd solve (gremban)");
-        net.ledger_mut().charge(
-            2 * (preprocessing.total_rounds() + lane.rounds),
-            preprocessing.total_bits() + lane.bits,
-        );
+}
+
+impl GrembanReduction {
+    fn solve<B: AsRef<[f64]>>(
+        &mut self,
+        net: &mut Network,
+        matrix: &SddMatrix,
+        rhs: &[B],
+        epsilon: f64,
+        mode: &SddSolveMode,
+    ) -> Result<(), LaplacianError> {
+        let n = matrix.n();
+        self.lanes.clear();
+        if let Some(b) = rhs.iter().find(|b| b.as_ref().len() != n) {
+            return Err(LaplacianError::DimensionMismatch {
+                expected: n,
+                actual: b.as_ref().len(),
+            });
+        }
+        // Checked before `epsilon.min(0.5)` below, which would turn a NaN into ½.
+        if epsilon.is_nan() || epsilon <= 0.0 {
+            return Err(LaplacianError::InvalidEpsilon { epsilon });
+        }
+        matrix.gremban_graph_into(self.solver.graph_mut(), &mut self.excess);
+        // The 2n virtual vertices live on a virtual network; physical vertex i
+        // simulates virtual vertices i and i + n, so every virtual round costs
+        // two physical rounds, charged below.
+        let (preprocessing_rounds, preprocessing_bits) = match mode {
+            SddSolveMode::Full(config) => {
+                let mut preprocessing_net = Network::clique(net.config(), 2 * n);
+                self.solver = LaplacianSolver::try_preprocess(
+                    &mut preprocessing_net,
+                    self.solver.graph(),
+                    config,
+                )?;
+                let preprocessing = preprocessing_net.ledger();
+                (preprocessing.total_rounds(), preprocessing.total_bits())
+            }
+            SddSolveMode::ExactPreconditioner => {
+                self.solver.try_refit_exact(&mut self.factor)?;
+                (0, 0)
+            }
+        };
+        // The right-hand sides [b; −b] as one block: entry i of lane j at i·k + j.
+        let lanes = rhs.len();
+        self.block.clear();
+        self.block.resize(2 * n * lanes, 0.0);
+        for (j, b) in rhs.iter().enumerate() {
+            for (i, &v) in b.as_ref().iter().enumerate() {
+                self.block[i * lanes + j] = v;
+                self.block[(i + n) * lanes + j] = -v;
+            }
+        }
+        if (self.virtual_net.n(), self.virtual_net.config()) != (2 * n, net.config()) {
+            self.virtual_net = Network::clique(net.config(), 2 * n);
+        }
+        self.solver.try_solve_block_into(
+            &mut self.virtual_net,
+            &self.block,
+            lanes,
+            epsilon.min(0.5),
+            &mut self.arena,
+            &mut self.solution,
+            &mut self.lanes,
+        )?;
+        for lane in &self.lanes {
+            net.begin_phase("sdd solve (gremban)");
+            net.ledger_mut().charge(
+                2 * (preprocessing_rounds + lane.rounds),
+                preprocessing_bits + lane.bits,
+            );
+        }
+        Ok(())
     }
-    Ok((0..lanes)
-        .map(|j| {
-            (0..n)
-                .map(|i| (solution[i * lanes + j] - solution[(i + n) * lanes + j]) / 2.0)
-                .collect()
-        })
-        .collect())
+
+    /// `x = (x₁ − x₂)/2` of lane `j` of the last block.
+    fn solution(&self, j: usize) -> Vec<f64> {
+        let lanes = self.lanes.len();
+        assert!(j < lanes, "the last solve had {lanes} right-hand sides");
+        let n = self.solution.len() / (2 * lanes);
+        (0..n)
+            .map(|i| (self.solution[i * lanes + j] - self.solution[(i + n) * lanes + j]) / 2.0)
+            .collect()
+    }
+
+    fn solutions(&self) -> Vec<Vec<f64>> {
+        (0..self.lanes.len()).map(|j| self.solution(j)).collect()
+    }
 }
 
 /// Centralized exact SDD solve (dense), used as ground truth in tests.
@@ -337,6 +527,158 @@ mod tests {
             triplets.push((i, i, row_sum[i] + 1.0 + rng.gen::<f64>()));
         }
         SddMatrix::from_triplets(n, triplets).unwrap()
+    }
+
+    /// `from_triplets` as it was written with two `BTreeMap`s: each key sums
+    /// its upper and its lower triplets in order from `0.0`, a lower sum
+    /// fills a missing upper one or must agree with it, and the nonzero
+    /// entries come out in key order.
+    fn btree_reference(n: usize, triplets: &[(usize, usize, f64)]) -> Result<SddMatrix, String> {
+        use std::collections::BTreeMap;
+        let mut diagonal = vec![0.0; n];
+        let (mut upper, mut lower) = (BTreeMap::new(), BTreeMap::new());
+        for &(i, j, v) in triplets {
+            if i == j {
+                diagonal[i] += v;
+            } else if i < j {
+                *upper.entry((i, j)).or_insert(0.0) += v;
+            } else {
+                *lower.entry((j, i)).or_insert(0.0) += v;
+            }
+        }
+        for (&key, &v) in &lower {
+            let u: f64 = upper.get(&key).copied().unwrap_or(0.0);
+            if (u - v).abs() > 1e-9 * (1.0 + u.abs().max(v.abs())) {
+                if upper.contains_key(&key) {
+                    return Err(format!("asymmetric entries at {key:?}: {u} vs {v}"));
+                }
+                upper.insert(key, v);
+            }
+        }
+        let off_diagonal = upper
+            .into_iter()
+            .filter(|&(_, v)| v != 0.0)
+            .map(|((i, j), v)| (i, j, v))
+            .collect();
+        Ok(SddMatrix {
+            n,
+            diagonal,
+            off_diagonal,
+        })
+    }
+
+    #[test]
+    fn assembly_matches_the_btree_reference_bit_for_bit() {
+        // Repeated entries from either triangle, in random order, with sums
+        // that cancel, lower entries that agree with, fill in for or
+        // contradict their upper ones, and diagonals large enough for the
+        // matrix to be dominant; one workspace assembles every case.
+        let mut workspace = SddWorkspace::default();
+        let (mut matched, mut rejected) = (0, 0);
+        for seed in 0..200 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(1..7usize);
+            let mut triplets = Vec::new();
+            for _ in 0..rng.gen_range(0..25usize) {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let v: f64 = match rng.gen_range(0..4u32) {
+                    0 => 0.5,
+                    1 => -0.5,
+                    2 => -1e-12,
+                    _ => rng.gen::<f64>() * 2.0 - 1.0,
+                };
+                triplets.push((i, j, v));
+                if i != j && rng.gen::<f64>() < 0.5 {
+                    triplets.push((j, i, v));
+                }
+            }
+            for i in 0..n {
+                triplets.push((i, i, 10.0 + rng.gen::<f64>()));
+            }
+            let bits = |m: &SddMatrix| {
+                let off: Vec<_> = m
+                    .off_diagonal
+                    .iter()
+                    .map(|&(i, j, v)| (i, j, v.to_bits()))
+                    .collect();
+                (
+                    m.n,
+                    m.diagonal.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    off,
+                )
+            };
+            match (
+                btree_reference(n, &triplets),
+                SddMatrix::from_triplets(n, triplets.clone()),
+            ) {
+                (Ok(expected), Ok(assembled)) => {
+                    assert_eq!(bits(&assembled), bits(&expected), "seed {seed}");
+                    workspace.assemble(n, triplets).expect("the same matrix");
+                    assert_eq!(bits(&workspace.matrix), bits(&expected), "seed {seed}");
+                    matched += 1;
+                }
+                (Err(expected), Err(NotSddError(message))) => {
+                    assert_eq!(message, expected, "seed {seed}");
+                    rejected += 1;
+                }
+                (expected, assembled) => panic!("seed {seed}: {expected:?} vs {assembled:?}"),
+            }
+        }
+        assert!(
+            matched > 50 && rejected > 10,
+            "{matched} matched, {rejected} rejected"
+        );
+    }
+
+    #[test]
+    fn one_workspace_solves_a_sequence_like_fresh_calls() {
+        // Systems of changing size in both modes, with a disconnected one
+        // and a rejected right-hand side in between: every solution bit and
+        // every charge equals a fresh solve_sdd_many's.
+        let disconnected = SddMatrix::from_triplets(2, [(0, 0, 2.0), (1, 1, 3.0)]).unwrap();
+        let mut workspace = SddWorkspace::default();
+        let mut fresh_net = Network::clique(ModelConfig::bcc(), 8);
+        let mut net = fresh_net.clone();
+        for (step, n) in [6, 4, 8, 2, 4, 6, 8].into_iter().enumerate() {
+            let matrix = if n == 2 {
+                disconnected.clone()
+            } else {
+                strictly_dominant(n, step as u64)
+            };
+            let full = SparsifierConfig::laboratory(2 * n, 4 * n * n, 0.5, step as u64)
+                .with_t(4)
+                .with_k(2);
+            let mode = if step % 3 == 2 {
+                SddSolveMode::Full(full)
+            } else {
+                SddSolveMode::ExactPreconditioner
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(100 + step as u64);
+            let mut rhs: Vec<Vec<f64>> = (0..1 + step % 4 * 3)
+                .map(|_| (0..n).map(|_| rng.gen::<f64>() - 0.5).collect())
+                .collect();
+            if step == 4 {
+                rhs[0].push(0.0);
+            }
+            let expected = solve_sdd_many(&mut fresh_net, &matrix, &rhs, 1e-8, &mode);
+            let mut triplets: Vec<_> = matrix.off_diagonal.clone();
+            triplets.extend(matrix.diagonal.iter().enumerate().map(|(i, &d)| (i, i, d)));
+            workspace.assemble(n, triplets).expect("an SDD matrix");
+            let solved = workspace
+                .solve(&mut net, &rhs, 1e-8, &mode)
+                .map(|()| workspace.solutions());
+            assert_eq!(solved.is_ok(), expected.is_ok(), "step {step}");
+            match (solved, expected) {
+                (Ok(solved), Ok(expected)) => {
+                    for (x, y) in solved.iter().zip(&expected) {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(x), bits(y), "step {step}");
+                    }
+                }
+                (solved, expected) => assert_eq!(solved.unwrap_err(), expected.unwrap_err()),
+            }
+            assert_eq!(net.ledger(), fresh_net.ledger(), "step {step}");
+        }
     }
 
     #[test]

@@ -139,11 +139,11 @@ pub struct LaplacianSolver {
     max_weight: f64,
 }
 
-/// `scale · L_G` as a dense matrix: each edge, in edge order, adds
-/// `scale · w` to its two diagonal entries and `−scale · w` to its two
-/// off-diagonal ones.
-fn dense_laplacian(graph: &Graph, scale: f64) -> DenseMatrix {
-    let mut l = DenseMatrix::zeros(graph.n(), graph.n());
+/// `scale · L_G` as a dense matrix, written over `l`: each edge, in edge
+/// order, adds `scale · w` to its two diagonal entries and `−scale · w` to
+/// its two off-diagonal ones.
+fn dense_laplacian_into(graph: &Graph, scale: f64, l: &mut DenseMatrix) {
+    l.reset(graph.n(), graph.n());
     for e in graph.edges() {
         let w = scale * e.weight;
         l.add_to(e.u, e.u, w);
@@ -151,15 +151,15 @@ fn dense_laplacian(graph: &Graph, scale: f64) -> DenseMatrix {
         l.add_to(e.u, e.v, -w);
         l.add_to(e.v, e.u, -w);
     }
-    l
 }
 
-/// Factors the Chebyshev preconditioner `(1 + 1/2)·L_H` of `sparsifier`.
-fn factor_preconditioner(sparsifier: &Graph) -> FactoredPsd {
-    dense_laplacian(sparsifier, 1.5).factor_psd().expect(
-        "L_H + λI with λ > 0 is a strictly diagonally dominant M-matrix for finite \
-         weights, so no elimination pivot falls below the singularity cut-off",
-    )
+/// The buffers a preconditioner is built in, kept by a caller that builds
+/// one per system: the union-find array of the connectivity check and the
+/// dense `(1 + 1/2)·L_H`, which the elimination overwrites.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FactorScratch {
+    roots: Vec<usize>,
+    dense: DenseMatrix,
 }
 
 /// The relative condition number the Chebyshev iteration uses for the pair
@@ -177,8 +177,8 @@ fn kappa_of(graph: &Graph, sparsifier: &Graph) -> f64 {
 /// every solve's broadcast range is at least that product, so a graph
 /// without it could solve no right-hand side — and returns the weight bound
 /// `max(max_weight, 1)` the solves use.
-fn validate_graph(graph: &Graph) -> Result<f64, LaplacianError> {
-    if !graph.is_connected() {
+fn validate_graph(graph: &Graph, roots: &mut Vec<usize>) -> Result<f64, LaplacianError> {
+    if !graph.is_connected_with(roots) {
         return Err(LaplacianError::Disconnected);
     }
     let max_weight = graph.max_weight().max(1.0);
@@ -219,7 +219,7 @@ impl LaplacianSolver {
                 graph: graph.n(),
             });
         }
-        let max_weight = validate_graph(graph)?;
+        let max_weight = validate_graph(graph, &mut Vec::new())?;
         let rounds_before = net.ledger().total_rounds();
         net.begin_phase("laplacian preprocessing");
         let sparsifier = match try_sparsify_ad_hoc(net, graph, config) {
@@ -233,12 +233,12 @@ impl LaplacianSolver {
             Err(SparsifierError::WeightOverflow) => return Err(LaplacianError::MagnitudeOverflow),
         };
         let preprocessing_rounds = net.ledger().total_rounds() - rounds_before;
-        Ok(LaplacianSolver::with_preconditioner(
-            graph,
-            Some(sparsifier),
-            max_weight,
-            preprocessing_rounds,
-        ))
+        let mut solver = LaplacianSolver::unfactored(graph.clone());
+        solver.sparsifier = Some(sparsifier).filter(|h| h != graph);
+        solver.max_weight = max_weight;
+        solver.preprocessing_rounds = preprocessing_rounds;
+        solver.factor(&mut DenseMatrix::default());
+        Ok(solver)
     }
 
     /// Builds a solver whose "sparsifier" is the graph itself (no
@@ -252,42 +252,79 @@ impl LaplacianSolver {
     /// * [`LaplacianError::MagnitudeOverflow`] — `n · max_weight` is not a
     ///   finite `f64`.
     pub fn try_exact_preconditioner(graph: &Graph) -> Result<Self, LaplacianError> {
-        let max_weight = validate_graph(graph)?;
-        Ok(LaplacianSolver::with_preconditioner(
-            graph, None, max_weight, 0,
-        ))
+        let mut solver = LaplacianSolver::unfactored(graph.clone());
+        solver.try_refit_exact(&mut FactorScratch::default())?;
+        Ok(solver)
     }
 
-    /// The one constructor. `preconditioner` is the graph `H` whose
-    /// `(1 + 1/2)·L_H` preconditions the iteration, `None` for `G` itself.
+    /// A solver of `graph` that is not factored yet, and must not solve
+    /// until [`LaplacianSolver::factor`] or a refit has run.
+    pub(crate) fn unfactored(graph: Graph) -> Self {
+        LaplacianSolver {
+            graph,
+            sparsifier: None,
+            factored: FactoredPsd::default(),
+            kappa: 3.0,
+            preprocessing_rounds: 0,
+            max_weight: 1.0,
+        }
+    }
+
+    /// The graph `G` the solver solves in.
+    pub(crate) fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The graph, to be rebuilt in place before
+    /// [`LaplacianSolver::try_refit_exact`] makes this the exact
+    /// preconditioner of its new edges.
+    pub(crate) fn graph_mut(&mut self) -> &mut Graph {
+        &mut self.graph
+    }
+
+    /// The body of [`LaplacianSolver::try_exact_preconditioner`] on the
+    /// solver's own graph, refilling its factors and building them in
+    /// `scratch`: once both have grown to the graph's size, no allocation.
+    /// On an error the solver must not solve until a refit succeeds.
+    pub(crate) fn try_refit_exact(
+        &mut self,
+        scratch: &mut FactorScratch,
+    ) -> Result<(), LaplacianError> {
+        self.max_weight = validate_graph(&self.graph, &mut scratch.roots)?;
+        self.sparsifier = None;
+        self.preprocessing_rounds = 0;
+        self.factor(&mut scratch.dense);
+        Ok(())
+    }
+
+    /// Sets κ and factors the preconditioner `(1 + 1/2)·L_H` of the
+    /// sparsifier `H`, or of `G` itself when there is none; `dense` holds
+    /// the elimination.
     ///
     /// An `H` equal to `G` as a [`Graph`] (the same edges in the same order,
-    /// with the same weight bits) is not stored twice, and κ is set to 3
-    /// without a certificate: every generalized eigenvalue of the pencil
-    /// `(L_G, L_G)` is 1, so [`kappa_of`] could only return
-    /// `max((1 + ε)/(1 − ε), 3) = 3` with `ε` the rounding error of the
-    /// eigensolve. That holds, bit for bit, whenever the certificate reads
-    /// `ε < 1/2`, which seeded tests pin on Gremban graphs with weights
-    /// spanning `1e±12` and on graphs the sparsifier returns unchanged. Near
-    /// `1e±16` the certificate can read `ε ≈ 1` from rounding alone and would
-    /// have inflated κ; the constant is the sound value there too. Any other
-    /// `H` keeps the certificate, the only guard of the iteration's soundness
-    /// where the sparsifier thins `G`.
-    fn with_preconditioner(
-        graph: &Graph,
-        preconditioner: Option<Graph>,
-        max_weight: f64,
-        preprocessing_rounds: u64,
-    ) -> Self {
-        let sparsifier = preconditioner.filter(|h| h != graph);
-        LaplacianSolver {
-            max_weight,
-            kappa: sparsifier.as_ref().map_or(3.0, |h| kappa_of(graph, h)),
-            factored: factor_preconditioner(sparsifier.as_ref().unwrap_or(graph)),
-            graph: graph.clone(),
-            sparsifier,
-            preprocessing_rounds,
-        }
+    /// with the same weight bits) is not stored (see
+    /// [`LaplacianSolver::try_preprocess`]), and κ is set to 3 without a
+    /// certificate: every generalized eigenvalue of the pencil `(L_G, L_G)`
+    /// is 1, so [`kappa_of`] could only return `max((1 + ε)/(1 − ε), 3) = 3`
+    /// with `ε` the rounding error of the eigensolve. That holds, bit for
+    /// bit, whenever the certificate reads `ε < 1/2`, which seeded tests pin
+    /// on Gremban graphs with weights spanning `1e±12` and on graphs the
+    /// sparsifier returns unchanged. Near `1e±16` the certificate can read
+    /// `ε ≈ 1` from rounding alone and would have inflated κ; the constant is
+    /// the sound value there too. Any other `H` keeps the certificate, the
+    /// only guard of the iteration's soundness where the sparsifier thins
+    /// `G`.
+    fn factor(&mut self, dense: &mut DenseMatrix) {
+        self.kappa = self
+            .sparsifier
+            .as_ref()
+            .map_or(3.0, |h| kappa_of(&self.graph, h));
+        dense_laplacian_into(self.sparsifier(), 1.5, dense);
+        assert!(
+            dense.factor_psd_in_place(&mut self.factored),
+            "L_H + λI with λ > 0 is a strictly diagonally dominant M-matrix for finite \
+             weights, so no elimination pivot falls below the singularity cut-off"
+        );
     }
 
     /// The sparsifier computed during preprocessing (the graph itself for
@@ -582,7 +619,8 @@ impl LaplacianSolver {
 /// Centralized exact (dense, regularized) solve of `L_G x = b` — the ground
 /// truth baseline.
 pub fn exact_solve(graph: &Graph, b: &[f64]) -> Vec<f64> {
-    let l = dense_laplacian(graph, 1.0);
+    let mut l = DenseMatrix::default();
+    dense_laplacian_into(graph, 1.0, &mut l);
     let b = vector::remove_mean(b);
     l.solve_psd(&b, true)
         .expect("regularized Laplacian solve succeeds")

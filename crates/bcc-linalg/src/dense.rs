@@ -25,7 +25,7 @@ use crate::vector;
 /// let b = a.matvec(&x);
 /// assert!((b[0] - 1.0).abs() < 1e-10 && (b[1] - 2.0).abs() < 1e-10);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
@@ -40,6 +40,15 @@ impl DenseMatrix {
             cols,
             data: vec![0.0; rows * cols],
         }
+    }
+
+    /// Makes this the zero matrix of the given shape, keeping its memory, so
+    /// that a matrix refilled at the same shape allocates nothing.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// The identity matrix of order `n`.
@@ -247,16 +256,31 @@ impl DenseMatrix {
     /// Returns `None` when the regularized matrix is numerically singular
     /// (the case where `solve_psd` returns `None`).
     pub fn factor_psd(&self) -> Option<FactoredPsd> {
+        let mut factored = FactoredPsd::default();
+        self.clone()
+            .factor_psd_in_place(&mut factored)
+            .then_some(factored)
+    }
+
+    /// [`DenseMatrix::factor_psd`] into `factored`, reusing its memory, with
+    /// this matrix as the elimination's work array: it is left overwritten.
+    /// Refactoring a matrix of the same order into the same `factored`
+    /// allocates nothing once the factors' storage has grown to fit. Returns
+    /// `false`, with `factored` unspecified, where `factor_psd` returns
+    /// `None`.
+    pub fn factor_psd_in_place(&mut self, factored: &mut FactoredPsd) -> bool {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         let n = self.rows;
         // Identical regularization to `solve_psd`.
         let scale = (0..n).map(|i| self.get(i, i).abs()).fold(0.0f64, f64::max);
         let lambda = (scale.max(1.0)) * 1e-12;
-        let mut lu = self.data.clone();
+        let lu = &mut self.data;
         for i in 0..n {
             lu[i * n + i] += lambda;
         }
-        let mut pivots = vec![0usize; n];
+        let pivots = &mut factored.pivots;
+        pivots.clear();
+        pivots.resize(n, 0);
         for col in 0..n {
             // Partial pivoting — the same scan as `solve`.
             let mut pivot = col;
@@ -269,7 +293,7 @@ impl DenseMatrix {
                 }
             }
             if best < 1e-300 {
-                return None;
+                return false;
             }
             pivots[col] = pivot;
             if pivot != col {
@@ -296,17 +320,20 @@ impl DenseMatrix {
                 lu[r * n + col] = factor;
             }
         }
-        Some(FactoredPsd {
-            n,
-            pivots,
-            // The replay skips exactly the zero multipliers the elimination
-            // skipped, so only the others are kept.
-            multipliers: PackedLines::pack(n, |col, r| lu[r * n + col], |factor| factor != 0.0),
-            // Every entry but `+0.0`, so a row read back with its absent
-            // entries as `+0.0` is the dense row, `−0.0`s included.
-            upper: PackedLines::pack(n, |row, j| lu[row * n + j], |u| u.to_bits() != 0),
-            diagonal: (0..n).map(|i| lu[i * n + i]).collect(),
-        })
+        factored.n = n;
+        // The replay skips exactly the zero multipliers the elimination
+        // skipped, so only the others are kept.
+        factored
+            .multipliers
+            .pack(n, |col, r| lu[r * n + col], |factor| factor != 0.0);
+        // Every entry but `+0.0`, so a row read back with its absent
+        // entries as `+0.0` is the dense row, `−0.0`s included.
+        factored
+            .upper
+            .pack(n, |row, j| lu[row * n + j], |u| u.to_bits() != 0);
+        factored.diagonal.clear();
+        factored.diagonal.extend((0..n).map(|i| lu[i * n + i]));
+        true
     }
 
     /// Eigen-decomposition of a symmetric matrix by the cyclic Jacobi method.
@@ -413,7 +440,10 @@ impl DenseMatrix {
 /// not finite (`0·∞` is NaN). Such a row (per lane, in a block) is computed
 /// again term by term in the dense order, absent entries read as `+0.0`,
 /// which is exactly the dense arithmetic.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default value is the factorization of the `0 × 0` matrix, a target
+/// for [`DenseMatrix::factor_psd_in_place`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FactoredPsd {
     n: usize,
     pivots: Vec<usize>,
@@ -429,7 +459,7 @@ pub struct FactoredPsd {
 /// indices `k + 1..n`. Its values start at `starts[k].0` in `values`, and
 /// the indices of a listed line, increasing, at `starts[k].1` in `indices`;
 /// both end where line `k + 1`'s start.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct PackedLines {
     starts: Vec<(usize, usize)>,
     values: Vec<f64>,
@@ -448,11 +478,12 @@ enum Line<'a> {
 const LISTED_LINE_MIN: usize = 16;
 
 impl PackedLines {
-    /// Packs `entry(k, i)` for every `k < i < n`: line `k` keeps the entries
-    /// `keep` accepts with their indices, unless it has fewer than
-    /// [`LISTED_LINE_MIN`] entries or those would take no less memory (12
-    /// bytes an entry against 8); then it keeps all its entries.
-    fn pack(n: usize, entry: impl Fn(usize, usize) -> f64, keep: impl Fn(f64) -> bool) -> Self {
+    /// Packs `entry(k, i)` for every `k < i < n` in place of the lines held:
+    /// line `k` keeps the entries `keep` accepts with their indices, unless
+    /// it has fewer than [`LISTED_LINE_MIN`] entries or those would take no
+    /// less memory (12 bytes an entry against 8); then it keeps all its
+    /// entries. Storage is reserved exactly, and reused when it suffices.
+    fn pack(&mut self, n: usize, entry: impl Fn(usize, usize) -> f64, keep: impl Fn(f64) -> bool) {
         let kept = |k: usize| (k + 1..n).filter(|&i| keep(entry(k, i))).count();
         let whole = |k: usize, kept: usize| {
             let len = n - k - 1;
@@ -468,28 +499,27 @@ impl PackedLines {
                 indices += kept;
             }
         }
-        let mut lines = PackedLines {
-            starts: Vec::with_capacity(n + 1),
-            values: Vec::with_capacity(values),
-            indices: Vec::with_capacity(indices),
-        };
+        self.starts.clear();
+        self.values.clear();
+        self.indices.clear();
+        self.starts.reserve_exact(n + 1);
+        self.values.reserve_exact(values);
+        self.indices.reserve_exact(indices);
         for k in 0..n {
-            lines.starts.push((lines.values.len(), lines.indices.len()));
+            self.starts.push((self.values.len(), self.indices.len()));
             let whole = whole(k, kept(k));
             for i in k + 1..n {
                 let value = entry(k, i);
                 if whole {
-                    lines.values.push(value);
+                    self.values.push(value);
                 } else if keep(value) {
-                    lines.values.push(value);
-                    lines
-                        .indices
+                    self.values.push(value);
+                    self.indices
                         .push(u32::try_from(i).expect("a dense factor has fewer than 2³² rows"));
                 }
             }
         }
-        lines.starts.push((lines.values.len(), lines.indices.len()));
-        lines
+        self.starts.push((self.values.len(), self.indices.len()));
     }
 
     /// Line `k`: whole if it has no indices and all its entries.

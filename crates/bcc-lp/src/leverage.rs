@@ -40,6 +40,33 @@ impl LeverageOptions {
     }
 }
 
+/// The JL sketches one LP solve has expanded, by `(k, m, seed)`. The
+/// seeds of Algorithm 6 repeat at every Newton step (one per Lewis
+/// iteration), and a sketch is a function of its `(k, m, seed)` alone, so a
+/// solve expands each distinct one once and reuses it; the shared bits are
+/// still charged at every evaluation. Memory grows by `k·m` entries per
+/// distinct seed and is freed with the solve.
+#[derive(Debug, Default)]
+pub(crate) struct JlSketches {
+    expanded: Vec<(u64, JlSketch)>,
+}
+
+impl JlSketches {
+    /// `JlSketch::from_shared_seed(k, m, seed)`, expanded on first use.
+    fn get(&mut self, k: usize, m: usize, seed: u64) -> &JlSketch {
+        let index = self
+            .expanded
+            .iter()
+            .position(|(s, q)| (*s, q.k(), q.m()) == (seed, k, m))
+            .unwrap_or_else(|| {
+                self.expanded
+                    .push((seed, JlSketch::from_shared_seed(k, m, seed)));
+                self.expanded.len() - 1
+            });
+        &self.expanded[index].1
+    }
+}
+
 /// Approximates the leverage scores of `M = diag(d)·A` (Algorithm 6).
 ///
 /// Charges on `net`: one leader election plus the broadcast of `Θ(log² m)`
@@ -56,6 +83,17 @@ pub fn compute_leverage_scores(
     options: &LeverageOptions,
     gram_solver: &dyn GramSolver,
 ) -> Result<Vec<f64>, LpError> {
+    leverage_scores_with(net, m, options, gram_solver, &mut JlSketches::default())
+}
+
+/// [`compute_leverage_scores`] with the sketches of the caller's LP solve.
+pub(crate) fn leverage_scores_with(
+    net: &mut Network,
+    m: &ScaledMatrix<'_>,
+    options: &LeverageOptions,
+    gram_solver: &dyn GramSolver,
+    sketches: &mut JlSketches,
+) -> Result<Vec<f64>, LpError> {
     assert!(
         options.eta > 0.0 && options.eta < 1.0,
         "eta must lie in (0, 1)"
@@ -69,7 +107,7 @@ pub fn compute_leverage_scores(
     if let Some(cap) = options.max_sketch_dimension {
         k = k.min(cap.max(1));
     }
-    let sketch = JlSketch::from_shared_seed(k, rows, options.shared_seed ^ bits);
+    let sketch = sketches.get(k, rows, options.shared_seed ^ bits);
 
     // p(j) = M (MᵀM)⁻¹ Mᵀ Q(j), evaluated right to left; the k Gram systems
     // share their matrix, so they are solved as one batch.
@@ -133,6 +171,27 @@ mod tests {
             triplets.push((r, r % n, 1.0 + rng.gen::<f64>()));
         }
         CsrMatrix::from_triplets(m, n, &triplets)
+    }
+
+    #[test]
+    fn a_sketch_is_expanded_once_per_dimension_and_seed() {
+        let mut sketches = JlSketches::default();
+        let rows = |q: &JlSketch| {
+            (0..q.k())
+                .flat_map(|j| q.row(j).to_vec())
+                .collect::<Vec<_>>()
+        };
+        let expanded = rows(&JlSketch::from_shared_seed(4, 9, 7));
+        assert_eq!(rows(sketches.get(4, 9, 7)), expanded);
+        assert_eq!(rows(sketches.get(4, 9, 7)), expanded);
+        assert_eq!(sketches.expanded.len(), 1);
+        for (k, m, seed) in [(4, 9, 8), (3, 9, 7), (4, 10, 7)] {
+            assert_eq!(
+                rows(sketches.get(k, m, seed)),
+                rows(&JlSketch::from_shared_seed(k, m, seed))
+            );
+        }
+        assert_eq!(sketches.expanded.len(), 4);
     }
 
     #[test]

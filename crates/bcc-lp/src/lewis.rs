@@ -22,7 +22,7 @@ use bcc_runtime::Network;
 
 use crate::error::LpError;
 use crate::gram::{GramSolver, ScaledMatrix};
-use crate::leverage::{compute_leverage_scores, exact_leverage_scores, LeverageOptions};
+use crate::leverage::{exact_leverage_scores, leverage_scores_with, JlSketches, LeverageOptions};
 
 /// Options shared by the Lewis-weight routines.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +73,7 @@ fn leverage_of(
     w: &[f64],
     options: &LewisOptions,
     gram_solver: &dyn GramSolver,
+    sketches: &mut JlSketches,
     call_index: usize,
 ) -> Result<Vec<f64>, LpError> {
     // σ(W^{1/2 − 1/p} M): scale the rows of M by w_i^{1/2 − 1/p}.
@@ -94,7 +95,7 @@ fn leverage_of(
                 .wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(call_index as u64 + 1)),
             max_sketch_dimension: options.max_sketch_dimension,
         };
-        compute_leverage_scores(net, &rescaled, &lev_options, gram_solver)
+        leverage_scores_with(net, &rescaled, &lev_options, gram_solver, sketches)
     }
 }
 
@@ -111,7 +112,18 @@ pub fn regularized_lewis_weights(
     options: &LewisOptions,
     gram_solver: &dyn GramSolver,
 ) -> Result<Vec<f64>, LpError> {
-    let raw = lewis_weights(net, m, options, gram_solver)?;
+    regularized_lewis_weights_with(net, m, options, gram_solver, &mut JlSketches::default())
+}
+
+/// [`regularized_lewis_weights`] with the sketches of the caller's LP solve.
+pub(crate) fn regularized_lewis_weights_with(
+    net: &mut Network,
+    m: &ScaledMatrix<'_>,
+    options: &LewisOptions,
+    gram_solver: &dyn GramSolver,
+    sketches: &mut JlSketches,
+) -> Result<Vec<f64>, LpError> {
+    let raw = lewis_weights_with(net, m, options, gram_solver, sketches)?;
     let c0 = regularization_constant(m.n(), m.m());
     Ok(raw.into_iter().map(|w| w + c0).collect())
 }
@@ -128,18 +140,29 @@ pub fn lewis_weights(
     options: &LewisOptions,
     gram_solver: &dyn GramSolver,
 ) -> Result<Vec<f64>, LpError> {
+    lewis_weights_with(net, m, options, gram_solver, &mut JlSketches::default())
+}
+
+fn lewis_weights_with(
+    net: &mut Network,
+    m: &ScaledMatrix<'_>,
+    options: &LewisOptions,
+    gram_solver: &dyn GramSolver,
+    sketches: &mut JlSketches,
+) -> Result<Vec<f64>, LpError> {
     assert!(
         options.p > 0.0 && options.p < 4.0,
         "the fixed point contracts only for p in (0, 4)"
     );
     net.begin_phase("lewis weights");
     // Start from the leverage scores of M itself (the p = 2 weights).
-    let mut w: Vec<f64> = leverage_of(net, m, &vec![1.0; m.m()], options, gram_solver, 0)?
-        .into_iter()
-        .map(|s| s.clamp(1e-12, 1.0))
-        .collect();
+    let mut w: Vec<f64> =
+        leverage_of(net, m, &vec![1.0; m.m()], options, gram_solver, sketches, 0)?
+            .into_iter()
+            .map(|s| s.clamp(1e-12, 1.0))
+            .collect();
     for iteration in 0..options.iterations {
-        let sigma = leverage_of(net, m, &w, options, gram_solver, iteration + 1)?;
+        let sigma = leverage_of(net, m, &w, options, gram_solver, sketches, iteration + 1)?;
         // Damped multiplicative update: w ← (w^{?}σ)… the undamped fixed point
         // is w = σ(W^{1/2−1/p}M); take a half-step in log space for stability.
         for (wi, si) in w.iter_mut().zip(&sigma) {
@@ -176,7 +199,9 @@ pub fn compute_apx_weights(
     let mut w = w0.to_vec();
     net.begin_phase("apx weights");
     for j in 0..iterations {
-        let sigma = leverage_of(net, m, &w, options, gram_solver, j + 100)?;
+        // Every iteration draws a sketch of its own seed.
+        let sketches = &mut JlSketches::default();
+        let sigma = leverage_of(net, m, &w, options, gram_solver, sketches, j + 100)?;
         for i in 0..w.len() {
             let lo = (1.0 - r) * w0[i];
             let hi = (1.0 + r) * w0[i];

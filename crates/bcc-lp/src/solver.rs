@@ -19,6 +19,7 @@ use crate::barrier::BarrierSystem;
 use crate::error::LpError;
 use crate::gram::{GramSolver, ScaledMatrix};
 use crate::instance::LpInstance;
+use crate::leverage::JlSketches;
 use crate::lewis::{self, LewisOptions};
 use crate::path_following::{path_following, PathOptions, PathStats};
 
@@ -51,6 +52,7 @@ impl WeightStrategy {
         barriers: &BarrierSystem,
         x0: &[f64],
         gram_solver: &dyn GramSolver,
+        sketches: &mut JlSketches,
     ) -> Result<Vec<f64>, LpError> {
         match self {
             WeightStrategy::Uniform => Ok(vec![1.0; instance.m()]),
@@ -58,7 +60,7 @@ impl WeightStrategy {
                 let phi2 = barriers.hessian(x0);
                 let scales: Vec<f64> = phi2.iter().map(|v| 1.0 / v.sqrt()).collect();
                 let ax = ScaledMatrix::new(&instance.a, scales);
-                lewis::regularized_lewis_weights(net, &ax, options, gram_solver)
+                lewis::regularized_lewis_weights_with(net, &ax, options, gram_solver, sketches)
             }
         }
     }
@@ -72,6 +74,7 @@ impl WeightStrategy {
         current: &[f64],
         sweeps: usize,
         gram_solver: &dyn GramSolver,
+        sketches: &mut JlSketches,
     ) -> Result<Vec<f64>, LpError> {
         match self {
             WeightStrategy::Uniform => Ok(current.to_vec()),
@@ -86,7 +89,13 @@ impl WeightStrategy {
                 let phi2 = barriers.hessian(x);
                 let scales: Vec<f64> = phi2.iter().map(|v| 1.0 / v.sqrt()).collect();
                 let ax = ScaledMatrix::new(&instance.a, scales);
-                lewis::regularized_lewis_weights(net, &ax, &refresh_options, gram_solver)
+                lewis::regularized_lewis_weights_with(
+                    net,
+                    &ax,
+                    &refresh_options,
+                    gram_solver,
+                    sketches,
+                )
             }
         }
     }
@@ -202,10 +211,17 @@ fn lp_solve_unchecked(
     let m = instance.m() as f64;
     let u_param = instance.parameter_u(x0);
 
-    // Initial weights and the auxiliary cost d = −g(x₀)∘φ'(x₀).
-    let w0 = options
-        .strategy
-        .initial_weights(net, instance, &barriers, x0, gram_solver)?;
+    // Initial weights and the auxiliary cost d = −g(x₀)∘φ'(x₀). Every
+    // leverage evaluation of the solve draws its sketch from one cache.
+    let mut sketches = JlSketches::default();
+    let w0 = options.strategy.initial_weights(
+        net,
+        instance,
+        &barriers,
+        x0,
+        gram_solver,
+        &mut sketches,
+    )?;
     let phi1 = barriers.gradient(x0);
     let d: Vec<f64> = w0.iter().zip(&phi1).map(|(wi, gi)| -wi * gi).collect();
 
@@ -229,7 +245,18 @@ fn lp_solve_unchecked(
         &d,
         &options.path,
         gram_solver,
-        |net, x, w| strategy.refresh(net, instance, &barriers, x, w, sweeps, gram_solver),
+        |net, x, w| {
+            strategy.refresh(
+                net,
+                instance,
+                &barriers,
+                x,
+                w,
+                sweeps,
+                gram_solver,
+                &mut sketches,
+            )
+        },
     )?;
 
     // Phase 2: from t1 up to t2 with the real cost.
@@ -244,7 +271,18 @@ fn lp_solve_unchecked(
         &instance.c,
         &options.path,
         gram_solver,
-        |net, x, w| strategy.refresh(net, instance, &barriers, x, w, sweeps, gram_solver),
+        |net, x, w| {
+            strategy.refresh(
+                net,
+                instance,
+                &barriers,
+                x,
+                w,
+                sweeps,
+                gram_solver,
+                &mut sketches,
+            )
+        },
     )?;
 
     Ok(LpSolution {
