@@ -9,6 +9,11 @@ pub enum FlowError {
     Lp(LpError),
     /// The instance has no arcs, so there is no flow to route.
     EmptyInstance,
+    /// Rounding the LP's fractional flow entry by entry broke conservation
+    /// or a capacity, so the pipeline has no flow to return. The LP solve
+    /// landed between tied optima, or too far from its optimum for rounding
+    /// to be exact.
+    InfeasibleRounding,
 }
 
 impl std::fmt::Display for FlowError {
@@ -16,6 +21,10 @@ impl std::fmt::Display for FlowError {
         match self {
             FlowError::Lp(e) => write!(f, "flow LP solve failed: {e}"),
             FlowError::EmptyInstance => write!(f, "flow instance has no arcs"),
+            FlowError::InfeasibleRounding => write!(
+                f,
+                "the rounded LP flow is not a feasible flow (conservation or capacity violated)"
+            ),
         }
     }
 }
@@ -24,7 +33,7 @@ impl std::error::Error for FlowError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FlowError::Lp(e) => Some(e),
-            FlowError::EmptyInstance => None,
+            FlowError::EmptyInstance | FlowError::InfeasibleRounding => None,
         }
     }
 }
@@ -45,5 +54,8 @@ mod tests {
         assert!(err.to_string().contains("flow LP"));
         assert!(err.to_string().contains("interior"));
         assert!(FlowError::EmptyInstance.to_string().contains("no arcs"));
+        assert!(FlowError::InfeasibleRounding
+            .to_string()
+            .contains("not a feasible flow"));
     }
 }

@@ -69,7 +69,9 @@ pub struct McmfResult {
     pub flow: IntegralFlow,
     /// The fractional edge flows returned by the LP solver (before rounding).
     pub fractional: Vec<f64>,
-    /// Whether the rounded flow passed the feasibility check.
+    /// Whether the rounded flow passed the feasibility check: always `true`,
+    /// since a rounded flow that fails it is returned as
+    /// [`FlowError::InfeasibleRounding`] instead.
     pub rounded_feasible: bool,
     /// Path-following iterations of the LP solver.
     pub path_iterations: usize,
@@ -220,6 +222,10 @@ fn round_flow(instance: &FlowInstance, fractional: &[f64]) -> Vec<i64> {
 ///
 /// * [`FlowError::EmptyInstance`] — the instance has no arcs.
 /// * [`FlowError::Lp`] — the interior point solver rejected the LP encoding.
+/// * [`FlowError::InfeasibleRounding`] — the fractional flow rounds to one
+///   that violates conservation or a capacity: at the default `lp_epsilon`
+///   the LP can end between tied optima, where rounding each entry alone is
+///   not exact.
 pub fn try_min_cost_max_flow_bcc(
     net: &mut Network,
     instance: &FlowInstance,
@@ -281,6 +287,9 @@ pub fn try_min_cost_max_flow_bcc(
     let rounded = round_flow(instance, &fractional);
     let as_f64: Vec<f64> = rounded.iter().map(|&f| f as f64).collect();
     let rounded_feasible = instance.is_feasible(&as_f64, 1e-9);
+    if !rounded_feasible {
+        return Err(FlowError::InfeasibleRounding);
+    }
     let value = instance.value(&as_f64).round() as i64;
     let cost = instance.cost(&as_f64).round() as i64;
 
@@ -377,6 +386,24 @@ mod tests {
         assert!(result.rounded_feasible);
         assert_eq!(result.flow.value, baseline.value);
         assert_eq!(result.flow.cost, baseline.cost);
+    }
+
+    #[test]
+    fn an_infeasible_rounding_is_a_typed_error() {
+        // The instance and seed where rounding the LP flow broke
+        // conservation: returned as `Ok` with `rounded_feasible: false`,
+        // value 3 and cost 31 (the optimum costs 30) before this error.
+        let instance =
+            generators::random_flow_instance(12, 0.3, 3, &mut ChaCha8Rng::seed_from_u64(23));
+        let mut net = Network::clique(ModelConfig::bcc(), instance.graph.n());
+        let options = McmfOptions {
+            seed: 23,
+            ..McmfOptions::default()
+        };
+        assert_eq!(
+            try_min_cost_max_flow_bcc(&mut net, &instance, &options),
+            Err(FlowError::InfeasibleRounding)
+        );
     }
 
     #[test]

@@ -289,8 +289,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Flow`] when the instance is empty or its LP encoding
-    /// is rejected.
+    /// Returns [`Error::Flow`] when the instance is empty, its LP encoding
+    /// is rejected, or the LP's flow rounds to an infeasible one.
     pub fn min_cost_max_flow(
         &mut self,
         instance: &FlowInstance,
@@ -306,8 +306,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Flow`] when the instance is empty or its LP encoding
-    /// is rejected.
+    /// Returns [`Error::Flow`] when the instance is empty, its LP encoding
+    /// is rejected, or the LP's flow rounds to an infeasible one.
     pub fn min_cost_max_flow_with(
         &mut self,
         instance: &FlowInstance,
