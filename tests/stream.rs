@@ -1466,6 +1466,56 @@ fn an_infeasible_deadline_is_rejected_at_admission_with_a_typed_error() {
     }
 }
 
+/// A system clock that parks every reading taken off the client's thread
+/// once the engine's live `stream.dispatched` counter is positive, until
+/// [`DispatchGate::open`]. With telemetry on, the first such reading is the
+/// `Dispatched` trace event of the first dispatch, which a worker emits
+/// after taking its job and before running it, outside every engine lock:
+/// the worker waits there, and the client's submissions and waits go on.
+#[derive(Debug)]
+struct DispatchGate {
+    clock: SystemClock,
+    client: std::thread::ThreadId,
+    dispatched: std::sync::Arc<bcc_core::telemetry::Counter>,
+    open: std::sync::Mutex<bool>,
+    opened: std::sync::Condvar,
+}
+
+impl DispatchGate {
+    /// A closed gate for an engine reporting to `sink`, whose client runs
+    /// on this thread.
+    fn new(sink: &TelemetrySink) -> Self {
+        DispatchGate {
+            clock: SystemClock::new(),
+            client: std::thread::current().id(),
+            dispatched: sink
+                .registry()
+                .expect("an enabled sink")
+                .counter("stream.dispatched"),
+            open: std::sync::Mutex::new(false),
+            opened: std::sync::Condvar::new(),
+        }
+    }
+
+    /// Releases every parked reading, and parks none after.
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Clock for DispatchGate {
+    fn now(&self) -> std::time::Duration {
+        if std::thread::current().id() != self.client && self.dispatched.get() > 0 {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+        self.clock.now()
+    }
+}
+
 #[test]
 fn wait_timeout_returns_a_typed_error_and_keeps_the_ticket_redeemable() {
     let requests = [
@@ -1473,10 +1523,18 @@ fn wait_timeout_returns_a_typed_error_and_keeps_the_ticket_redeemable() {
         Request::sparsify(generators::complete(16), 0.5),
     ];
     let reference = sequential_reference(&requests);
-    let mut engine = StreamEngine::builder().seed(MASTER_SEED).workers(1).build();
+    let sink = TelemetrySink::enabled();
+    let gate = std::sync::Arc::new(DispatchGate::new(&sink));
+    let mut engine = StreamEngine::builder()
+        .seed(MASTER_SEED)
+        .workers(1)
+        .clock(gate.clone())
+        .telemetry(sink)
+        .build();
     let output = engine.serve(|client| {
-        // Pin the single worker on a slow job; the probe queued behind it
-        // cannot possibly have completed when the zero wait looks for it.
+        // The single worker is held at its first dispatch until the gate
+        // opens, so neither job can have completed when the zero wait
+        // looks for the probe, however the threads are scheduled.
         let slow = client
             .submit(requests[0].clone(), Priority::Interactive)
             .unwrap();
@@ -1484,6 +1542,7 @@ fn wait_timeout_returns_a_typed_error_and_keeps_the_ticket_redeemable() {
             .submit(requests[1].clone(), Priority::Interactive)
             .unwrap();
         let timed_out = client.wait_timeout(probe, std::time::Duration::ZERO);
+        gate.open();
         assert!(matches!(timed_out, Err(Error::WaitTimeout { .. })));
         if let Err(e) = timed_out {
             assert!(e.to_string().contains("timed out"));
