@@ -130,10 +130,10 @@ pub struct LaplacianSolver {
     /// The preconditioner `(1 + 1/2)·L_H`, factored once at preprocessing
     /// time and solved internally by every vertex.
     factored: FactoredPsd,
-    /// The condition number of the Chebyshev iteration, fixed at
-    /// construction: the constant 3 when `H = G`, otherwise from the
-    /// certificate of [`kappa_of`], an `O(n³)` eigensolve far too expensive
-    /// to repeat per request.
+    /// The condition number of the Chebyshev iteration, set when the
+    /// preconditioner is factored: the constant 3 when `H = G`, otherwise
+    /// from the certificate of [`kappa_of`], an `O(n³)` eigensolve far too
+    /// expensive to repeat per request.
     kappa: f64,
     preprocessing_rounds: u64,
     max_weight: f64,

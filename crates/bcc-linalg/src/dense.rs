@@ -441,8 +441,8 @@ impl DenseMatrix {
 /// again term by term in the dense order, absent entries read as `+0.0`,
 /// which is exactly the dense arithmetic.
 ///
-/// The default value is the factorization of the `0 × 0` matrix, a target
-/// for [`DenseMatrix::factor_psd_in_place`].
+/// The default value holds no factors (`n = 0`): a target for
+/// [`DenseMatrix::factor_psd_in_place`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FactoredPsd {
     n: usize,
